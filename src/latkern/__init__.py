@@ -6,24 +6,18 @@ static factorization, compensation equivalence, and (v, g) feedback
 realizations of bicausal precompensators.
 """
 
-from .rational import (ORD_INF, Poly, RatFun, TruncatedSeries, expand,
-                       leading_coeff, ord_scalar, poly_gcd, poly_lcm,
-                       split_parts)
-from .transfer import (CausalityReport, SingularMatrixError, TransferMatrix,
-                       classify, invert, map_order, markov_coefficient,
-                       static_strict_split, transpose_rank)
+from .rational import ORD_INF, Poly, RatFun, TruncatedSeries, poly_gcd, poly_lcm
+from .transfer import (CausalityReport, InternalCheckError,
+                       SingularMatrixError, TransferMatrix)
 from .properbasis import (OrderChain, ProperBasis, SmithAtInfinity,
                           column_reduce_at_infinity, extend_to_proper_basis,
                           order_chain, proper_independence_check,
                           smith_at_infinity)
-from .latency import (ContainmentResult, EquivalenceResult, InternalCheckError,
+from .latency import (ContainmentResult, EquivalenceResult,
                       KernelNotFinitelyGenerated, LatencyKernel,
-                      compensation_equivalence, latency_indices,
-                      latency_kernel, module_contains,
-                      strictly_polynomial_basis)
-from .factor import (FactorOutcome, bicausal_postequivalence,
-                     bicausal_preequivalence, causal_factor, constant_matrix,
-                     static_factor)
+                      compensation_equivalence, latency_kernel,
+                      module_contains, strictly_polynomial_basis)
+from .factor import FactorOutcome, causal_factor, constant_matrix, static_factor
 from .polymatrix import (CoprimeFraction, PolyMatrix, column_reduce_poly,
                          hermite_gcrd, is_unimodular, poly_module_contains,
                          polynomial_kernel_module, reachability_indices,

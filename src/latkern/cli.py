@@ -4,7 +4,9 @@ Every subcommand reads JSON matrix files, runs one analysis, and emits a
 report either as text or, with --json, as deterministic JSON (sorted
 keys).  Exit codes: 0 for success or an affirmative decision, 1 for a
 well-posed negative decision (the report carries the witness), 2 for
-malformed input or a violated precondition.
+malformed input or a violated precondition, 3 for a failed internal
+certificate (a bug, never a "no").  Exits 2 and 3 print the same
+{command, error} diagnostic.
 """
 
 from __future__ import annotations
@@ -13,43 +15,30 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .factor import causal_factor, constant_matrix, static_factor
 from .feedback import (PreconditionError, StateSpace, from_state_space,
                        vg_representation, worst_case_precompensator)
 from .latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                       latency_kernel)
-from .matrixio import (InputFormatError, dump_matrix, load_constant_matrix,
-                       load_matrix, matrix_to_json)
+from .matrixio import (InputFormatError, constant_matrix_to_json, dump_matrix,
+                       entry_to_json, load_constant_matrix, load_matrix,
+                       matrix_from_json, matrix_to_json)
 from .rational import ORD_INF
-from .simulate import simulate_response, verification_horizon
-from .transfer import SingularMatrixError, TransferMatrix
+from .simulate import SeriesMatrix, simulate_response, verification_horizon
+from .transfer import InternalCheckError, SingularMatrixError, TransferMatrix
 
 
 def _fmt_order(o):
     return "inf" if o == ORD_INF else o
 
 
-def _fmt_frac(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def _const_json(a):
-    return [[_fmt_frac(Fraction(c)) for c in row] for row in a]
+    return constant_matrix_to_json(a)["entries"]
 
 
-def _vector_json(u):
-    return [{"num": [_fmt_frac(c) for c in e.num.coeffs] or ["0"],
-             "den": [_fmt_frac(c) for c in e.den.coeffs]} for e in u]
-
-
-def _series_json(series):
-    out = []
-    for t in range(series.start, series.horizon + 1):
-        m = series.coeff(t)
-        out.append({"index": t, "coeff": _const_json(m)})
-    return out
+def _terms_json(coeff, indices):
+    return [{"index": t, "coeff": _const_json(coeff(t))} for t in indices]
 
 
 def cmd_classify(args):
@@ -95,7 +84,7 @@ def cmd_factor(args):
         return {"command": "factor", "mode": "causal", "decision": "yes",
                 "factor": matrix_to_json(outcome.g)}, 0
     return {"command": "factor", "mode": "causal", "decision": "no",
-            "witness": _vector_json(outcome.witness)}, 1
+            "witness": [entry_to_json(e) for e in outcome.witness]}, 1
 
 
 def cmd_equiv(args):
@@ -116,7 +105,7 @@ def cmd_equiv(args):
         report["witness"] = {"indices_first": list(res.witness[0]),
                              "indices_second": list(res.witness[1])}
     else:
-        report["witness"] = _vector_json(res.witness)
+        report["witness"] = [entry_to_json(e) for e in res.witness]
     return report, 1
 
 
@@ -125,8 +114,6 @@ def cmd_realize(args):
     l = load_matrix(args.l)
     rep = vg_representation(f, l)
     horizon = verification_horizon()
-    from .latency import InternalCheckError
-    from .simulate import SeriesMatrix
     lhs = SeriesMatrix.from_transfer(l, horizon)
     loop = TransferMatrix.identity(f.cols) + rep.g * f
     rhs = (SeriesMatrix.from_transfer(loop, horizon).inverse()
@@ -167,12 +154,10 @@ def cmd_expand(args):
     f = load_matrix(args.matrix)
     order = f.order()
     start = 0 if order == ORD_INF else order
-    terms = [{"index": t, "coeff": _const_json(f.markov(t))}
-             for t in range(start, start + args.terms)]
     report = {
         "command": "expand",
         "map_order": _fmt_order(order),
-        "terms": terms,
+        "terms": _terms_json(f.markov, range(start, start + args.terms)),
     }
     return report, 0
 
@@ -201,7 +186,8 @@ def cmd_simulate(args):
     report = {
         "command": "simulate",
         "horizon": horizon,
-        "output": _series_json(series),
+        "output": _terms_json(series.coeff,
+                              range(series.start, series.horizon + 1)),
     }
     return report, 0
 
@@ -214,7 +200,6 @@ def _render_text(obj, indent=0):
                 obj.get("entries"), list) and obj["entries"] and isinstance(
                 obj["entries"][0], list) and obj["entries"][0] and isinstance(
                 obj["entries"][0][0], dict):
-            from .matrixio import matrix_from_json
             lines.append(pad + str(matrix_from_json(obj)))
             return lines
         for key in obj:
@@ -303,6 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(args, exc, code: int) -> int:
+    if args.json:
+        print(json.dumps({"command": args.subcommand, "error": str(exc)},
+                         indent=2, sort_keys=True))
+    else:
+        print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -310,12 +304,9 @@ def main(argv=None) -> int:
         report, code = args.run(args)
     except (InputFormatError, PreconditionError, KernelNotFinitelyGenerated,
             SingularMatrixError, ValueError) as exc:
-        diag = {"command": args.subcommand, "error": str(exc)}
-        if args.json:
-            print(json.dumps(diag, indent=2, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, 2)
+    except InternalCheckError as exc:
+        return _fail(args, exc, 3)
     report["exit_status"] = code
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

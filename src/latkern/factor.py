@@ -67,16 +67,6 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
     return FactorOutcome(True, g=g)
 
 
-def bicausal_postequivalence(f1: TransferMatrix, f2: TransferMatrix):
-    from .latency import compensation_equivalence
-    return compensation_equivalence(f1, f2, "post")
-
-
-def bicausal_preequivalence(f1: TransferMatrix, f2: TransferMatrix):
-    from .latency import compensation_equivalence
-    return compensation_equivalence(f1, f2, "pre")
-
-
 def static_factor(f: TransferMatrix, h: TransferMatrix):
     """Constant g with h = g*f, or None.
 

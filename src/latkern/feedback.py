@@ -106,7 +106,7 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
         raise InternalCheckError("strictly causal plant without a strictly "
                                  "polynomial kernel basis")
     l_inv = l.inverse()
-    n = TransferMatrix([[e.minus_part() for e in row]
+    n = TransferMatrix([[e.split()[1] for e in row]
                         for row in (l_inv * d).entries])
     phi = n * d.inverse()
     v_inv = l_inv - phi

@@ -16,15 +16,11 @@ from .properbasis import (OrderChain, column_reduce_at_infinity,
                           extend_to_proper_basis, order_chain,
                           smith_at_infinity)
 from .rational import RatFun
-from .transfer import TransferMatrix
+from .transfer import InternalCheckError, TransferMatrix
 
 
 class KernelNotFinitelyGenerated(ValueError):
     """The map is not injective, so its latency kernel has no finite basis."""
-
-
-class InternalCheckError(AssertionError):
-    """A certified identity failed; indicates a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -119,11 +115,6 @@ def strictly_polynomial_basis(d: TransferMatrix) -> TransferMatrix:
             "an ordered proper latency-kernel generator of a strictly "
             "causal map")
     return result
-
-
-def latency_indices(kernel: LatencyKernel) -> tuple:
-    """Latency indices, sorted nonincreasing."""
-    return kernel.indices
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Exact linear algebra over Q for constant matrices.
+"""Exact linear algebra over Q, and the one elimination kernel.
 
 Constant matrices are tuples of tuples of Fraction.  These routines back
 the valuation-level decisions of the package (leading-coefficient rank,
 invertibility of constant terms, static factor solving), which must be
-exact: every predicate downstream is a rank or solvability test.
+exact: every predicate downstream is a rank or solvability test.  The
+Gauss-Jordan kernel `_echelon` and `_kernel_vector` also serve matrices
+over Q(z) in `transfer`.
 """
 
 from __future__ import annotations
@@ -37,41 +39,70 @@ def matmul(a, b):
                        for j in range(m)) for i in range(p))
 
 
-def _echelon(rows, limit_cols=None):
-    """Reduced row echelon form in place; returns pivot column list.
+def _echelon(rows, limit_cols=None, weight=None):
+    """Reduced row echelon form in place over an exact field.
 
-    Pivots are only sought in the first limit_cols columns, so augmented
-    columns are carried along but never pivoted on.
+    Entries may be any field elements with + - * / and a truth value
+    (Fraction, RatFun).  Pivots are only sought in the first limit_cols
+    columns, so augmented columns are carried along but never pivoted on.
+    The pivot row is the first with a nonzero entry, or the one whose entry
+    has the least weight(entry) when weight is given; the reduced form is
+    the same for every choice.
+
+    Returns (pivot columns, determinant factors): the pivot entries, each
+    negated when its step swapped two rows.  For a square matrix of full
+    rank their product is the determinant; callers that need it multiply.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if limit_cols is None:
         limit_cols = ncols
-    pivots = []
+    pivots, factors = [], []
     r = 0
     for c in range(limit_cols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
+        cands = [i for i in range(r, nrows) if rows[i][c]]
+        if not cands:
             continue
+        pr = cands[0] if weight is None else min(
+            cands, key=lambda i: weight(rows[i][c]))
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        p = rows[r][c]
+        factors.append(p if pr == r else -p)
+        rows[r] = [x / p for x in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, factors
+
+
+def _kernel_vector(rows, pivots, ncols, one):
+    """Kernel vector at the first free column of a reduced echelon form.
+
+    None when every column holds a pivot.  Normalized so its first nonzero
+    entry is `one`, the unit of the entries' field.
+    """
+    pivot_set = set(pivots)
+    free = next((c for c in range(ncols) if c not in pivot_set), None)
+    if free is None:
+        return None
+    x = [one - one] * ncols
+    x[free] = one
+    for r, c in enumerate(pivots):
+        x[c] = -rows[r][free]
+    lead = next(v for v in x if v)
+    return tuple(v / lead for v in x)
 
 
 def rank(a) -> int:
     rows = [list(row) for row in a]
     if not rows:
         return 0
-    return len(_echelon(rows))
+    return len(_echelon(rows)[0])
 
 
 def nullspace_vector(a):
@@ -79,19 +110,9 @@ def nullspace_vector(a):
 
     Normalized so its first nonzero entry is 1.
     """
-    p, m = shape(a)
     rows = [list(row) for row in a]
-    pivots = _echelon(rows) if rows else []
-    pivot_set = set(pivots)
-    free = next((c for c in range(m) if c not in pivot_set), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * m
-    x[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        x[c] = -rows[r][free]
-    lead = next(v for v in x if v != 0)
-    return tuple(v / lead for v in x)
+    pivots = _echelon(rows)[0] if rows else []
+    return _kernel_vector(rows, pivots, shape(a)[1], Fraction(1))
 
 
 def solve(a, b):
@@ -101,7 +122,7 @@ def solve(a, b):
     """
     p, m = shape(a)
     rows = [list(row) + [bv] for row, bv in zip(a, b)]
-    pivots = _echelon(rows, m)
+    pivots, _ = _echelon(rows, m)
     for r in range(len(pivots), p):
         if rows[r][m] != 0:
             return None
@@ -117,7 +138,7 @@ def invert(a):
     if n != m:
         raise ValueError("inverse of a nonsquare matrix")
     rows = [list(row) + list(e) for row, e in zip(a, eye(n))]
-    pivots = _echelon(rows, n)
+    pivots, _ = _echelon(rows, n)
     if len(pivots) < n:
         return None
     return tuple(tuple(rows[i][n:]) for i in range(n))

@@ -71,9 +71,10 @@ def matrix_to_json(m: TransferMatrix) -> dict:
     }
 
 
-def matrix_from_json(obj) -> TransferMatrix:
+def _grid(obj, what: str):
+    """The entry grid of a {rows, cols, entries} object, shape-checked."""
     if not isinstance(obj, dict):
-        raise InputFormatError("matrix file must hold a JSON object")
+        raise InputFormatError(f"{what} file must hold a JSON object")
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         grid = obj["entries"]
@@ -82,21 +83,17 @@ def matrix_from_json(obj) -> TransferMatrix:
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise InputFormatError(
             f"entry grid does not match declared shape {rows}x{cols}")
+    return grid
+
+
+def matrix_from_json(obj) -> TransferMatrix:
+    grid = _grid(obj, "matrix")
     return TransferMatrix([[_entry_from_json(e) for e in row] for row in grid])
 
 
 def constant_matrix_from_json(obj):
     """Grid of exact rationals from {rows, cols, entries: [["a", ...], ...]}."""
-    if not isinstance(obj, dict):
-        raise InputFormatError("constant matrix file must hold a JSON object")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        grid = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"missing or bad matrix fields: {exc}") from exc
-    if len(grid) != rows or any(len(r) != cols for r in grid):
-        raise InputFormatError(
-            f"entry grid does not match declared shape {rows}x{cols}")
+    grid = _grid(obj, "constant matrix")
     return tuple(tuple(_parse_coeff(c) for c in row) for row in grid)
 
 
@@ -108,26 +105,22 @@ def constant_matrix_to_json(a) -> dict:
     }
 
 
-def load_matrix(path: str) -> TransferMatrix:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return matrix_from_json(obj)
+
+
+def load_matrix(path: str) -> TransferMatrix:
+    return matrix_from_json(_read_json(path))
 
 
 def load_constant_matrix(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return constant_matrix_from_json(obj)
+    return constant_matrix_from_json(_read_json(path))
 
 
 def dump_matrix(m: TransferMatrix, path: str):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .rational import Poly, RatFun, poly_lcm
-from .transfer import TransferMatrix
+from .transfer import InternalCheckError, TransferMatrix
 
 
 class PolyMatrix:
@@ -87,8 +87,8 @@ class PolyMatrix:
     def det(self) -> Poly:
         d = self.to_transfer().det()
         if not d.is_polynomial:
-            raise AssertionError("determinant of a polynomial matrix "
-                                 "came out non-polynomial")
+            raise InternalCheckError("determinant of a polynomial matrix "
+                                     "came out non-polynomial")
         return d.num
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
@@ -182,9 +182,9 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     r = PolyMatrix([work[i][:c] for i in range(c)])
     cert = PolyMatrix(u)
     if any(not work[i][j].is_zero for i in range(c, nrows) for j in range(c)):
-        raise AssertionError("elimination left residue below the divisor")
+        raise InternalCheckError("elimination left residue below the divisor")
     if not is_unimodular(cert):
-        raise AssertionError("row transformation is not unimodular")
+        raise InternalCheckError("row transformation is not unimodular")
     return r, cert
 
 
@@ -219,7 +219,9 @@ def column_reduce_poly(p: PolyMatrix):
             new_col = [acc + factor * e for acc, e in zip(new_col, cols[i])]
             new_vcol = [acc + factor * e
                         for acc, e in zip(new_vcol, (row[i] for row in v))]
-        assert max(e.degree for e in new_col) < degs[j]
+        if max(e.degree for e in new_col) >= degs[j]:
+            raise InternalCheckError("lead cancellation did not lower the "
+                                     "column degree")
         cols[j] = new_col
         for i in range(n):
             v[i][j] = new_vcol[i]
@@ -264,12 +266,12 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
     num = num * cert
     degrees = den.column_degrees()
     if den.det().degree != sum(degrees):
-        raise AssertionError("column-reduced denominator degree mismatch")
+        raise InternalCheckError("column-reduced denominator degree mismatch")
     if num.to_transfer() * den.to_transfer().inverse() != v:
-        raise AssertionError("coprime fraction does not reproduce the map")
+        raise InternalCheckError("coprime fraction does not reproduce the map")
     gc, _ = hermite_gcrd(num, den)
     if not is_unimodular(gc):
-        raise AssertionError("extracted fraction is not coprime")
+        raise InternalCheckError("extracted fraction is not coprime")
     return CoprimeFraction(num, den, degrees)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .rational import ORD_INF, RatFun
-from .transfer import TransferMatrix
+from .transfer import InternalCheckError, TransferMatrix
 
 
 def column_order(col):
@@ -96,7 +96,9 @@ def column_reduce_at_infinity(m: TransferMatrix):
             elem[i][j] = factor
             combo = [acc + factor * e for acc, e in zip(combo, cols[i])]
         new_order = column_order(combo)
-        assert new_order == ORD_INF or new_order > orders[j]
+        if new_order != ORD_INF and new_order <= orders[j]:
+            raise InternalCheckError("lead cancellation did not raise the "
+                                     "column order")
         cols[j] = combo
         w = w * TransferMatrix(elem)
 
@@ -231,7 +233,8 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
 
     result = SmithAtInfinity(TransferMatrix(b1), tuple(sigma),
                              TransferMatrix(b2))
-    assert result.reassemble() == f
+    if result.reassemble() != f:
+        raise InternalCheckError("Smith form does not reassemble the map")
     return result
 
 

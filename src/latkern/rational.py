@@ -372,11 +372,6 @@ class RatFun:
         """Truncation to indices t <= 0: the polynomial part, constant included."""
         return self.num // self.den
 
-    def minus_part(self) -> RatFun:
-        """Truncation to indices t >= 0: the proper part, constant included."""
-        q, r = divmod(self.num, self.den)
-        return RatFun(r, self.den) + RatFun.const(q.coeff(0))
-
     def split(self) -> tuple[Poly, RatFun]:
         """(plus, minus) truncations; plus + minus = self + (t=0 coefficient)."""
         q, r = divmod(self.num, self.den)
@@ -583,42 +578,6 @@ class TruncatedSeries:
                 return self.start_index + i, c
         return None
 
-    def convolve(self, other: TruncatedSeries) -> TruncatedSeries:
-        """Product series on the largest window both factors determine."""
-        start = self.start_index + other.start_index
-        horizon = min(self.horizon + other.start_index,
-                      other.horizon + self.start_index)
-        out = [Fraction(0)] * (horizon - start + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            ti = self.start_index + i
-            for j, b in enumerate(other.coeffs):
-                t = ti + other.start_index + j
-                if t > horizon:
-                    break
-                out[t - start] += a * b
-        return TruncatedSeries(start, out, horizon)
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        start = min(self.start_index, other.start_index)
-        horizon = min(self.horizon, other.horizon)
-        out = [self.coeff(t) + other.coeff(t) for t in range(start, horizon + 1)]
-        return TruncatedSeries(start, out, horizon)
-
-    def restrict(self, start: int, horizon: int) -> TruncatedSeries:
-        if horizon > self.horizon:
-            raise ValueError("cannot extend a truncated series")
-        out = [self.coeff(t) for t in range(start, horizon + 1)]
-        return TruncatedSeries(start, out, horizon)
-
-    def agrees_with(self, other: TruncatedSeries) -> bool:
-        """Coefficientwise equality on the common window."""
-        horizon = min(self.horizon, other.horizon)
-        start = min(self.start_index, other.start_index)
-        return all(self.coeff(t) == other.coeff(t)
-                   for t in range(start, horizon + 1))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncatedSeries)
                 and self.start_index == other.start_index
@@ -642,21 +601,3 @@ class TruncatedSeries:
                 mag = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{mag}z^{-t}")
         return " + ".join(terms) + f" + O(z^{-(self.horizon + 1)})"
-
-
-# Operation-style aliases used throughout the package and the CLI.
-
-def ord_scalar(r: RatFun):
-    return r.order()
-
-
-def leading_coeff(r: RatFun) -> Fraction:
-    return r.leading_coeff()
-
-
-def expand(r: RatFun, horizon: int) -> TruncatedSeries:
-    return r.expand(horizon)
-
-
-def split_parts(r: RatFun) -> tuple[Poly, RatFun]:
-    return r.split()

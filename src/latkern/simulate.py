@@ -140,8 +140,8 @@ class SeriesMatrix:
 def simulate_response(f: TransferMatrix, u, horizon: int):
     """Convolve the expansions of f and the input vector u.
 
-    Returns per-output-coordinate TruncatedSeries; agrees with expanding
-    the exact image f.apply(u) on the common window.
+    Returns the response as a p x 1 SeriesMatrix up to the horizon; it
+    agrees with expanding the exact image f.apply(u) on the common window.
     """
     u = list(u)
     fs = SeriesMatrix.from_transfer(f, horizon)

@@ -8,11 +8,17 @@ the static/strictly-causal decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .linalg import _echelon, _kernel_vector
 from .rational import ORD_INF, Poly, RatFun
+
+
+class InternalCheckError(AssertionError):
+    """A certified identity failed; indicates a bug, not bad input."""
 
 
 class SingularMatrixError(ValueError):
@@ -225,7 +231,7 @@ class TransferMatrix:
     def rank(self) -> int:
         """Rank over the rational function field."""
         work = [list(row) for row in self.entries]
-        return len(_pivot_columns(work))
+        return len(_echelon(work, weight=_total_degree)[0])
 
     def kernel_vector(self):
         """A vector of RatFun spanning part of the right kernel, or None.
@@ -233,39 +239,17 @@ class TransferMatrix:
         Normalized so its first nonzero entry is 1.
         """
         work = [list(row) for row in self.entries]
-        pivots = _pivot_columns(work)
-        pivot_set = set(pivots)
-        free = next((c for c in range(self.cols) if c not in pivot_set), None)
-        if free is None:
-            return None
-        x = [RatFun.const(0)] * self.cols
-        x[free] = RatFun.const(1)
-        for r, c in enumerate(pivots):
-            x[c] = -work[r][free]
-        lead = next(v for v in x if not v.is_zero)
-        inv = lead.inverse()
-        return tuple(v * inv for v in x)
+        pivots, _ = _echelon(work, weight=_total_degree)
+        return _kernel_vector(work, pivots, self.cols, RatFun.const(1))
 
     def det(self) -> RatFun:
         if not self.is_square:
             raise ValueError("determinant of a nonsquare matrix")
         work = [list(row) for row in self.entries]
-        n = self.rows
-        det = RatFun.const(1)
-        for c in range(n):
-            piv = _select_pivot(work, c, c)
-            if piv is None:
-                return RatFun.const(0)
-            if piv != c:
-                work[c], work[piv] = work[piv], work[c]
-                det = -det
-            det = det * work[c][c]
-            inv = work[c][c].inverse()
-            for i in range(c + 1, n):
-                if not work[i][c].is_zero:
-                    f = work[i][c] * inv
-                    work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-        return det
+        pivots, factors = _echelon(work, weight=_total_degree)
+        if len(pivots) < self.rows:
+            return RatFun.const(0)
+        return math.prod(factors, start=RatFun.const(1))
 
     def inverse(self) -> TransferMatrix:
         """Exact inverse; raises SingularMatrixError with a kernel witness."""
@@ -274,18 +258,10 @@ class TransferMatrix:
         n = self.rows
         work = [list(row) + [RatFun.const(1 if i == j else 0) for j in range(n)]
                 for i, row in enumerate(self.entries)]
-        for c in range(n):
-            piv = _select_pivot(work, c, c)
-            if piv is None:
-                witness = self.kernel_vector()
-                raise SingularMatrixError(witness)
-            work[c], work[piv] = work[piv], work[c]
-            inv = work[c][c].inverse()
-            work[c] = [a * inv for a in work[c]]
-            for i in range(n):
-                if i != c and not work[i][c].is_zero:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+        pivots, _ = _echelon(work, n, _total_degree)
+        if len(pivots) < n:
+            raise SingularMatrixError(
+                _kernel_vector(work, pivots, n, RatFun.const(1)))
         return TransferMatrix([row[n:] for row in work])
 
     def static_strict_split(self):
@@ -307,71 +283,3 @@ class TransferMatrix:
 
 def _total_degree(r: RatFun) -> int:
     return r.num.degree + r.den.degree
-
-
-def _select_pivot(work, row_start: int, col: int):
-    """Row index of the nonzero pivot of minimal total degree, or None."""
-    best = None
-    best_deg = None
-    for i in range(row_start, len(work)):
-        e = work[i][col]
-        if e.is_zero:
-            continue
-        d = _total_degree(e)
-        if best is None or d < best_deg:
-            best, best_deg = i, d
-    return best
-
-
-def _pivot_columns(work) -> list[int]:
-    """Forward elimination in place; returns pivot column indices."""
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = _select_pivot(work, r, c)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [a * inv for a in work[r]]
-        for i in range(nrows):
-            if i != r and not work[i][c].is_zero:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-# Operation-style aliases mirroring the public surface.
-
-def markov_coefficient(f: TransferMatrix, k: int):
-    return f.markov(k)
-
-
-def map_order(f: TransferMatrix):
-    return f.order()
-
-
-def classify(f: TransferMatrix) -> CausalityReport:
-    return f.classify()
-
-
-def invert(f: TransferMatrix) -> TransferMatrix:
-    return f.inverse()
-
-
-def static_strict_split(f: TransferMatrix):
-    return f.static_strict_split()
-
-
-def apply(f: TransferMatrix, u):
-    return f.apply(u)
-
-
-def transpose_rank(f: TransferMatrix):
-    return f.transpose(), f.rank()

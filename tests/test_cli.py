@@ -168,3 +168,18 @@ def test_horizon_env_respected(tmp_path, capsys, monkeypatch):
     assert main(["--json", "simulate", f, u]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["horizon"] == 5
+
+
+def test_failed_certificate_exits_3(tmp_path, capsys, monkeypatch):
+    from latkern.transfer import InternalCheckError
+
+    def broken(f):
+        raise InternalCheckError("forced certificate failure")
+
+    monkeypatch.setattr("latkern.cli.latency_kernel", broken)
+    f = write(tmp_path / "f.json", TransferMatrix.diag([z(-1), z(-3)]))
+    assert main(["--json", "latency", f]) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag == {"command": "latency", "error": "forced certificate failure"}
+    assert main(["latency", f]) == 3
+    assert "forced certificate failure" in capsys.readouterr().err

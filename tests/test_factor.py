@@ -81,14 +81,15 @@ def test_nonlatent_maps_absorb_every_strictly_causal_map():
 
 
 def test_bicausal_equivalence_wrappers():
-    from latkern.factor import bicausal_postequivalence, bicausal_preequivalence
-    res = bicausal_postequivalence(TransferMatrix.scalar(z(-1)),
-                                   TransferMatrix.scalar(RatFun.const(2) * z(-1)))
+    from latkern.latency import compensation_equivalence
+    res = compensation_equivalence(TransferMatrix.scalar(z(-1)),
+                                   TransferMatrix.scalar(RatFun.const(2) * z(-1)),
+                                   "post")
     assert res.equivalent
     assert res.post == TransferMatrix.scalar(RatFun.const(2))
 
-    res_no = bicausal_postequivalence(TransferMatrix.scalar(z(-1)),
-                                      TransferMatrix.scalar(z(-2)))
+    res_no = compensation_equivalence(TransferMatrix.scalar(z(-1)),
+                                      TransferMatrix.scalar(z(-2)), "post")
     assert not res_no.equivalent
     assert res_no.witness is not None
 
@@ -97,7 +98,7 @@ def test_bicausal_equivalence_wrappers():
                             [RatFun.const(0), RatFun.const(1)]])
     assert shear.classify().bicausal
     f2 = f1 * shear
-    res_pre = bicausal_preequivalence(f1, f2)
+    res_pre = compensation_equivalence(f1, f2, "pre")
     assert res_pre.equivalent
     assert res_pre.pre.classify().bicausal
     assert f1 * res_pre.pre == f2

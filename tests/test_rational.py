@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from latkern.rational import (ORD_INF, Poly, RatFun, TruncatedSeries, expand,
-                              leading_coeff, ord_scalar, split_parts)
+from latkern.rational import ORD_INF, Poly, RatFun, TruncatedSeries
 from oracles import add_dicts, convolve_dicts, expansion_oracle
 
 from gen import rand_poly, rand_ratfun
@@ -15,29 +14,29 @@ z = RatFun.zpow
 
 
 def test_order_examples():
-    assert ord_scalar(RatFun(Poly([1, 1]), Poly.z(3))) == 2
-    assert ord_scalar(RatFun.const(0)) == ORD_INF
-    assert ord_scalar(RatFun(Poly([1, 0, 1]))) == -2
+    assert RatFun(Poly([1, 1]), Poly.z(3)).order() == 2
+    assert RatFun.const(0).order() == ORD_INF
+    assert RatFun(Poly([1, 0, 1])).order() == -2
 
 
 def test_leading_coeff_examples():
-    assert leading_coeff(RatFun(Poly([1, 1]), Poly.z(3))) == 1
+    assert RatFun(Poly([1, 1]), Poly.z(3)).leading_coeff() == 1
     # frozen from the long-division oracle: first term of 3/(2z-2) is (3/2) z^-1
     assert expansion_oracle(RatFun(Poly([3]), Poly([-2, 2])), 1) == {1: Fraction(3, 2)}
-    assert leading_coeff(RatFun(Poly([3]), Poly([-2, 2]))) == Fraction(3, 2)
-    assert leading_coeff(RatFun(Poly([0, -1]))) == -1
+    assert RatFun(Poly([3]), Poly([-2, 2])).leading_coeff() == Fraction(3, 2)
+    assert RatFun(Poly([0, -1])).leading_coeff() == -1
 
 
 def test_leading_coeff_of_zero_rejected():
     with pytest.raises(ValueError, match="zero"):
-        leading_coeff(RatFun.const(0))
+        RatFun.const(0).leading_coeff()
 
 
 def test_expand_examples():
-    geo = expand(RatFun(Poly([1]), Poly([-1, 1])), 3)
+    geo = RatFun(Poly([1]), Poly([-1, 1])).expand(3)
     assert geo.start_index == 1 and geo.coeffs == (1, 1, 1)
 
-    poly = expand(RatFun(Poly([2, 1])), 5)
+    poly = RatFun(Poly([2, 1])).expand(5)
     assert poly.start_index == -1
     assert poly.coeff(-1) == 1 and poly.coeff(0) == 2
     assert all(poly.coeff(t) == 0 for t in range(1, 6))
@@ -45,20 +44,20 @@ def test_expand_examples():
     # frozen from the synthetic-division oracle
     assert expansion_oracle(RatFun(Poly([1]), Poly([0, -1, 1])), 4) == \
         {2: 1, 3: 1, 4: 1}
-    s = expand(RatFun(Poly([1]), Poly([0, -1, 1])), 4)
+    s = RatFun(Poly([1]), Poly([0, -1, 1])).expand(4)
     assert s.start_index == 2 and s.coeffs == (1, 1, 1)
 
 
 def test_split_examples():
     r = RatFun(Poly([1, 2, 1]), Poly([0, 1]))  # z + 2 + z^-1
-    plus, minus = split_parts(r)
+    plus, minus = r.split()
     assert plus == Poly([2, 1])
     assert minus == RatFun(Poly([1, 2]), Poly([0, 1]))  # 2 + z^-1
 
-    plus, minus = split_parts(RatFun(Poly([1]), Poly([-1, 1])))
+    plus, minus = RatFun(Poly([1]), Poly([-1, 1])).split()
     assert plus.is_zero and minus == RatFun(Poly([1]), Poly([-1, 1]))
 
-    plus, minus = split_parts(RatFun(Poly.z(2)))
+    plus, minus = RatFun(Poly.z(2)).split()
     assert plus == Poly.z(2) and minus.is_zero
 
 
@@ -110,7 +109,7 @@ def test_split_reconstruction_random():
     rng = random.Random(14)
     for _ in range(200):
         r = rand_ratfun(rng, 6)
-        plus, minus = split_parts(r)
+        plus, minus = r.split()
         c = r.laurent_coeff(0)
         assert RatFun(plus) + minus == r + RatFun.const(c)
 
