@@ -25,7 +25,8 @@ from .matrixio import (InputFormatError, constant_matrix_to_json, dump_matrix,
                        entry_to_json, load_constant_matrix, load_matrix,
                        matrix_from_json, matrix_to_json)
 from .rational import ORD_INF
-from .simulate import SeriesMatrix, simulate_response, verification_horizon
+from .simulate import (SeriesMatrix, check_horizon, simulate_response,
+                       verification_horizon)
 from .transfer import InternalCheckError, SingularMatrixError, TransferMatrix
 
 
@@ -110,10 +111,10 @@ def cmd_equiv(args):
 
 
 def cmd_realize(args):
+    horizon = verification_horizon()
     f = load_matrix(args.f)
     l = load_matrix(args.l)
     rep = vg_representation(f, l)
-    horizon = verification_horizon()
     lhs = SeriesMatrix.from_transfer(l, horizon)
     loop = TransferMatrix.identity(f.cols) + rep.g * f
     rhs = (SeriesMatrix.from_transfer(loop, horizon).inverse()
@@ -149,8 +150,7 @@ def cmd_worstcase(args):
 
 
 def cmd_expand(args):
-    if args.terms < 1:
-        raise InputFormatError("--terms must be positive")
+    check_horizon(args.terms, "--terms")
     f = load_matrix(args.matrix)
     order = f.order()
     start = 0 if order == ORD_INF else order
@@ -176,11 +176,14 @@ def cmd_statespace(args):
 
 
 def cmd_simulate(args):
+    if args.horizon is None:
+        horizon = verification_horizon()
+    else:
+        horizon = check_horizon(args.horizon, "--horizon")
     f = load_matrix(args.f)
     u_mat = load_matrix(args.u)
     if u_mat.cols != 1:
         raise InputFormatError("input file must be a column vector")
-    horizon = args.horizon if args.horizon is not None else verification_horizon()
     u = [u_mat.entry(i, 0) for i in range(u_mat.rows)]
     series = simulate_response(f, u, horizon)
     report = {

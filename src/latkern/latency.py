@@ -72,13 +72,7 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
     basis, _ = column_reduce_at_infinity(raw)
     d = basis.columns
     strictly_causal = f.classify().strictly_causal
-    if strictly_causal:
-        d_inv = d.inverse()
-        if not d_inv.classify().strictly_causal:
-            raise InternalCheckError("kernel generator inverse not strictly causal")
-        poly = strictly_polynomial_basis(d)
-    else:
-        poly = None
+    poly = strictly_polynomial_basis(d) if strictly_causal else None
     orders = basis.orders
     indices = tuple(-o - 1 for o in orders)
     return LatencyKernel(
@@ -96,9 +90,13 @@ def strictly_polynomial_basis(d: TransferMatrix) -> TransferMatrix:
 
     Truncates every entry to its z^+k, k >= 1 terms.  Valid for ordered
     proper generators of latency kernels of strictly causal injective
-    maps, where the truncation drops only a causal remainder; certified by
-    d^-1 * result being bicausal (same module both ways).
+    maps, where the truncation drops only a causal remainder.  Both
+    certificates use one inverse of d: d^-1 is strictly causal (the stated
+    precondition), and d^-1 * result is bicausal (same module both ways).
     """
+    d_inv = d.inverse()
+    if not d_inv.classify().strictly_causal:
+        raise InternalCheckError("kernel generator inverse not strictly causal")
     out = []
     for row in d.entries:
         new_row = []
@@ -108,7 +106,7 @@ def strictly_polynomial_basis(d: TransferMatrix) -> TransferMatrix:
             new_row.append(RatFun(strict))
         out.append(new_row)
     result = TransferMatrix(out)
-    ratio = d.inverse() * result
+    ratio = d_inv * result
     if not ratio.classify().bicausal:
         raise InternalCheckError(
             "strictly polynomial truncation left the module: input was not "
@@ -128,12 +126,11 @@ class ContainmentResult:
 def module_contains(d1: TransferMatrix, d2: TransferMatrix) -> ContainmentResult:
     """Whether the module generated by d2 sits inside the one from d1.
 
-    d1 must be nonsingular (a full module).  The test is causality of
-    r = d1^-1 * d2, returned as certificate; equality holds when r is
-    bicausal.  On failure the witness names the improper entry.
+    d1 must be nonsingular (a full module); d1.inverse() raises ValueError
+    otherwise.  The test is causality of r = d1^-1 * d2, returned as
+    certificate; equality holds when r is bicausal.  On failure the witness
+    names the improper entry.
     """
-    if not d1.is_square or d1.rank() != d1.rows:
-        raise ValueError("containment test needs a nonsingular first generator")
     r = d1.inverse() * d2
     for i in range(r.rows):
         for j in range(r.cols):
@@ -200,9 +197,9 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
         raise ValueError("equivalence needs equal shapes")
     if mode == "pre":
         res = compensation_equivalence(f1.transpose(), f2.transpose(), "post")
+        # _bicausal_left_factor certified post * f1^T == f2^T, which is
+        # f1 * pre == f2 transposed exactly.
         pre = res.post.transpose() if res.post is not None else None
-        if pre is not None and f1 * pre != f2:
-            raise InternalCheckError("transposed pre-compensator failed")
         detail = f"on the transposed maps: {res.detail}" if res.detail else ""
         return EquivalenceResult(res.equivalent, "pre", pre=pre,
                                  witness=res.witness, detail=detail)
@@ -235,8 +232,7 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
         if not l_pr.classify().bicausal:
             raise InternalCheckError("index-matched generators gave a "
                                      "non-bicausal precompensator")
+        # certifies l_po * (f1 * l_pr) == f2, the two-sided identity
         l_po = _bicausal_left_factor(f1 * l_pr, f2)
-        if l_po * f1 * l_pr != f2:
-            raise InternalCheckError("two-sided reconstruction failed")
         return EquivalenceResult(True, "two_sided", post=l_po, pre=l_pr)
     raise ValueError(f"unknown mode {mode!r}; use post, pre or two_sided")

@@ -1,10 +1,10 @@
 """Truncated-series matrices: the convolution simulation harness.
 
 This is the independent cross-check path: transfer matrices are expanded
-entrywise into coefficient matrices and composed by convolution, series
-addition and recursive series inversion only.  Agreement with the exact
-rational arithmetic on a window is the acceptance-level consistency test,
-and the `simulate` CLI subcommand runs inputs through it.
+entrywise into coefficient matrices and composed by convolution and
+recursive series inversion only.  Agreement with the exact rational
+arithmetic on a window is the acceptance-level consistency test, and the
+`simulate` CLI subcommand runs inputs through it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,18 @@ from .transfer import TransferMatrix
 
 DEFAULT_HORIZON = 40
 HORIZON_ENV = "LATKERN_HORIZON"
+# Expansion and convolution cost grows at least quadratically in the
+# number of terms, so longer windows are refused before any work starts.
+MAX_HORIZON = 1000
+
+
+def check_horizon(value: int, name: str) -> int:
+    """value if it is a usable series length, else ValueError naming name."""
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+    if value > MAX_HORIZON:
+        raise ValueError(f"{name} must be at most {MAX_HORIZON}, got {value}")
+    return value
 
 
 def verification_horizon() -> int:
@@ -28,9 +40,7 @@ def verification_horizon() -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{HORIZON_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{HORIZON_ENV} must be positive")
-    return value
+    return check_horizon(value, HORIZON_ENV)
 
 
 class SeriesMatrix:
@@ -86,18 +96,6 @@ class SeriesMatrix:
                                        for k in range(self.cols))
             out.append(acc)
         return SeriesMatrix(start, out, horizon, self.rows, other.cols)
-
-    def __add__(self, other: SeriesMatrix) -> SeriesMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        start = min(self.start, other.start)
-        horizon = min(self.horizon, other.horizon)
-        out = []
-        for t in range(start, horizon + 1):
-            a, b = self.coeff(t), other.coeff(t)
-            out.append([[x + y for x, y in zip(ra, rb)]
-                        for ra, rb in zip(a, b)])
-        return SeriesMatrix(start, out, horizon, self.rows, self.cols)
 
     def inverse(self) -> SeriesMatrix:
         """Series inverse by the convolution recurrence.

@@ -138,7 +138,7 @@ def test_statespace_command(tmp_path, capsys):
     assert got == TransferMatrix.from_columns([[z(-2), z(-1)]])
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "missing.json")
     assert main(["classify", missing]) == 2
     capsys.readouterr()
@@ -150,6 +150,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad_l = write(tmp_path / "l.json", TransferMatrix.scalar(z(-1)))
     assert main(["realize", f, bad_l]) == 2
     capsys.readouterr()
+    u = write(tmp_path / "u.json", TransferMatrix.scalar(RatFun.const(1)))
+    for horizon in ("-1", "-5", "0"):
+        assert main(["simulate", f, u, "--horizon", horizon]) == 2
+        capsys.readouterr()
+    monkeypatch.setenv("LATKERN_HORIZON", "1001")
+    over_cap = [["expand", f, "--terms", "1001"],
+                ["simulate", f, u, "--horizon", "1001"],
+                ["simulate", f, u]]
+    for argv in over_cap:
+        assert main(["--json"] + argv) == 2
+        assert "at most 1000" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_json_reports_deterministic(tmp_path, capsys):

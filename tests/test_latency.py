@@ -8,7 +8,7 @@ from latkern.latency import (KernelNotFinitelyGenerated, compensation_equivalenc
                              latency_kernel, module_contains,
                              strictly_polynomial_basis)
 from latkern.rational import Poly, RatFun
-from latkern.transfer import TransferMatrix
+from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import image_is_proper
 
 from gen import (rand_bicausal, rand_ratfun, rand_state_pair,
@@ -82,6 +82,13 @@ def test_strictly_polynomial_examples():
     assert strictly_polynomial_basis(d3) == TransferMatrix.scalar(z(1))
 
 
+def test_strictly_polynomial_rejects_non_strictly_causal_inverse():
+    # identity has a bicausal inverse, so it is no latency-kernel generator
+    # of a strictly causal map; the precondition check must say so.
+    with pytest.raises(InternalCheckError, match="inverse not strictly causal"):
+        strictly_polynomial_basis(TransferMatrix.identity(2))
+
+
 def test_strictly_polynomial_zero_constant_terms():
     rng = random.Random(42)
     for _ in range(10):
@@ -116,6 +123,9 @@ def test_module_contains_examples():
 def test_module_contains_rejects_singular():
     with pytest.raises(ValueError):
         module_contains(TransferMatrix([[z(1), z(1)], [z(1), z(1)]]),
+                        TransferMatrix.identity(2))
+    with pytest.raises(ValueError):
+        module_contains(TransferMatrix([[z(1), z(2)]]),
                         TransferMatrix.identity(2))
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from latkern.rational import Poly, RatFun
-from latkern.simulate import (SeriesMatrix, simulate_response,
+from latkern.simulate import (MAX_HORIZON, SeriesMatrix, simulate_response,
                               verification_horizon)
 from latkern.transfer import TransferMatrix
 
@@ -65,4 +65,9 @@ def test_verification_horizon_env(monkeypatch):
         verification_horizon()
     monkeypatch.setenv("LATKERN_HORIZON", "-3")
     with pytest.raises(ValueError):
+        verification_horizon()
+    monkeypatch.setenv("LATKERN_HORIZON", str(MAX_HORIZON))
+    assert verification_horizon() == MAX_HORIZON
+    monkeypatch.setenv("LATKERN_HORIZON", str(MAX_HORIZON + 1))
+    with pytest.raises(ValueError, match=f"at most {MAX_HORIZON}"):
         verification_horizon()

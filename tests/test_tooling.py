@@ -1,6 +1,9 @@
 """Source-level checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import latkern
@@ -24,3 +27,26 @@ def test_no_assert_statements_in_package():
 def test_internal_check_error_defined_once():
     assert latkern.InternalCheckError is latkern.transfer.InternalCheckError
     assert latkern.latency.InternalCheckError is latkern.transfer.InternalCheckError
+
+
+def test_certificate_holds_under_python_O():
+    # The same precondition check as in test_latency, in an interpreter
+    # that strips assert statements.
+    script = (
+        "import sys\n"
+        "from latkern.latency import strictly_polynomial_basis\n"
+        "from latkern.transfer import InternalCheckError, TransferMatrix\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    strictly_polynomial_basis(TransferMatrix.identity(2))\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    optimize, message = proc.stdout.splitlines()
+    assert optimize == "1"
+    assert "inverse not strictly causal" in message
