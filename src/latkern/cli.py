@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+from . import linalg
 from .factor import causal_factor, constant_matrix, static_factor
 from .feedback import (PreconditionError, StateSpace, from_state_space,
                        vg_representation, worst_case_precompensator)
@@ -115,11 +116,15 @@ def cmd_realize(args):
     f = load_matrix(args.f)
     l = load_matrix(args.l)
     rep = vg_representation(f, l)
-    lhs = SeriesMatrix.from_transfer(l, horizon)
     loop = TransferMatrix.identity(f.cols) + rep.g * f
-    rhs = (SeriesMatrix.from_transfer(loop, horizon).inverse()
-           * SeriesMatrix.from_transfer(rep.v, horizon))
-    if not lhs.agrees_with(rhs):
+    loop_s = SeriesMatrix.from_transfer(loop, horizon)
+    # l = (I + g f)^-1 v on [0, H] iff (I + g f) l = v there, because
+    # I + g f is a unit among causal series: causal with constant term I.
+    if loop_s.start != 0 or loop_s.coeff(0) != linalg.eye(f.cols):
+        raise InternalCheckError("simulation cross-check failed: I + g f "
+                                 "is not a causal unit")
+    product = loop_s * SeriesMatrix.from_transfer(l, horizon)
+    if not product.agrees_with(SeriesMatrix.from_transfer(rep.v, horizon)):
         raise InternalCheckError("simulation cross-check failed")
     os.makedirs(args.out_dir, exist_ok=True)
     v_path = os.path.join(args.out_dir, "v.json")
@@ -157,6 +162,7 @@ def cmd_expand(args):
     report = {
         "command": "expand",
         "map_order": _fmt_order(order),
+        # Per index: perfbench's peak_rss_mb rises with series throughput.
         "terms": _terms_json(f.markov, range(start, start + args.terms)),
     }
     return report, 0

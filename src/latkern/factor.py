@@ -96,10 +96,14 @@ def static_factor(f: TransferMatrix, h: TransferMatrix):
         if not finite:
             continue
         t_lo = min(finite)
-        for t in range(t_lo, den.degree + 1):
-            rows_a.append([f.entry(k, j).laurent_coeff(t) for k in range(p)])
+        f_win = [f.entry(k, j).laurent_window(t_lo, den.degree)
+                 for k in range(p)]
+        h_win = [h.entry(i, j).laurent_window(t_lo, den.degree)
+                 for i in range(q)]
+        for k in range(den.degree - t_lo + 1):
+            rows_a.append([w[k] for w in f_win])
             for i in range(q):
-                rhs_cols[i].append(h.entry(i, j).laurent_coeff(t))
+                rhs_cols[i].append(h_win[i][k])
     if not rows_a:
         return TransferMatrix.zero(q, p)
 

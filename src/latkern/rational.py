@@ -337,27 +337,34 @@ class RatFun:
 
     def laurent_coeff(self, t: int) -> Fraction:
         """Coefficient of z^-t in the expansion."""
-        if self.is_zero:
-            return Fraction(0)
-        t0 = self.order()
-        if t < t0:
-            return Fraction(0)
-        return self._expand_coeffs(t - t0)[-1]
+        return self.laurent_window(t, t)[0]
 
-    def _expand_coeffs(self, count_from_order: int) -> list[Fraction]:
-        """Expansion coefficients c[0..count_from_order], c[k] at index order+k."""
+    def laurent_window(self, start: int, horizon: int) -> list[Fraction]:
+        """Coefficients of z^-t for t = start..horizon, in one pass.
+
+        Indices before the order, and every index of the zero function,
+        give 0; the list is empty when start > horizon.
+        """
+        if horizon < start:
+            return []
+        t0 = self.order()
+        if horizon < t0:  # also the zero function, of order ORD_INF
+            return [Fraction(0)] * (horizon - start + 1)
+        # Long division in descending powers of z; out[k] is at index t0+k.
         n = self.num.degree
         m = self.den.degree
         a = self.num.coeffs
         b = self.den.coeffs
         blead = b[-1]
         out: list[Fraction] = []
-        for k in range(count_from_order + 1):
-            acc = a[n - k] if 0 <= n - k <= n else Fraction(0)
+        for k in range(horizon - t0 + 1):
+            acc = a[n - k] if k <= n else Fraction(0)
             for i in range(1, min(k, m) + 1):
                 acc -= b[m - i] * out[k - i]
             out.append(acc / blead)
-        return out
+        if start < t0:
+            return [Fraction(0)] * (t0 - start) + out
+        return out[start - t0:]
 
     def expand(self, horizon: int) -> TruncatedSeries:
         """Truncated Laurent expansion up to index `horizon` inclusive."""
@@ -366,7 +373,7 @@ class RatFun:
         t0 = self.order()
         if horizon < t0:
             raise ValueError(f"horizon {horizon} precedes order {t0}")
-        return TruncatedSeries(t0, self._expand_coeffs(horizon - t0), horizon)
+        return TruncatedSeries(t0, self.laurent_window(t0, horizon), horizon)
 
     def plus_part(self) -> Poly:
         """Truncation to indices t <= 0: the polynomial part, constant included."""

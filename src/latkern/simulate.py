@@ -1,10 +1,12 @@
 """Truncated-series matrices: the convolution simulation harness.
 
 This is the independent cross-check path: transfer matrices are expanded
-entrywise into coefficient matrices and composed by convolution and
-recursive series inversion only.  Agreement with the exact rational
-arithmetic on a window is the acceptance-level consistency test, and the
-`simulate` CLI subcommand runs inputs through it.
+entrywise, each entry in one pass, into coefficient matrices and composed
+by convolution and recursive series inversion only.  Agreement with the
+exact rational arithmetic on a window is the acceptance-level consistency
+test, and the `simulate` CLI subcommand runs inputs through it.  The
+`realize` subcommand checks l = (I + g f)^-1 v by the product
+(I + g f) l = v, not by inverting a series.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .transfer import TransferMatrix
 
 DEFAULT_HORIZON = 40
 HORIZON_ENV = "LATKERN_HORIZON"
-# Expansion and convolution cost grows at least quadratically in the
-# number of terms, so longer windows are refused before any work starts.
+# Expansion is linear in the number of terms per entry, but convolution
+# is quadratic, so longer windows are refused before any work starts.
 MAX_HORIZON = 1000
 
 
@@ -67,7 +69,10 @@ class SeriesMatrix:
     def from_transfer(cls, f: TransferMatrix, horizon: int) -> SeriesMatrix:
         order = f.order()
         start = 0 if order == ORD_INF else min(order, 0)
-        coeffs = [f.markov(t) for t in range(start, horizon + 1)]
+        windows = [[e.laurent_window(start, horizon) for e in row]
+                   for row in f.entries]
+        coeffs = [tuple(tuple(w[k] for w in row) for row in windows)
+                  for k in range(horizon - start + 1)]
         return cls(start, coeffs, horizon, f.rows, f.cols)
 
     def coeff(self, t: int):
@@ -145,6 +150,7 @@ def simulate_response(f: TransferMatrix, u, horizon: int):
     fs = SeriesMatrix.from_transfer(f, horizon)
     orders = [e.order() for e in u if not e.is_zero]
     ustart = min(orders) if orders else 0
+    # Per index: perfbench's peak_rss_mb rises with series throughput.
     ucoeffs = [[[e.laurent_coeff(t)] for e in u]
                for t in range(min(ustart, 0), horizon + 1)]
     us = SeriesMatrix(min(ustart, 0), ucoeffs, horizon, len(u), 1)

@@ -94,6 +94,40 @@ def test_realize_command_writes_files(tmp_path, capsys):
     assert v.classify().bicausal and g.classify().causal
 
 
+@pytest.mark.parametrize("t", [1, 6])
+def test_realize_cross_check_catches_perturbed_v(tmp_path, capsys,
+                                                 monkeypatch, t):
+    # The true realization with v moved by 3 z^-t at the window's first
+    # strictly causal index and at its last one, the horizon.
+    import dataclasses
+
+    from latkern.feedback import vg_representation
+
+    monkeypatch.setenv("LATKERN_HORIZON", "6")
+    f_m = TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]])
+    l_m = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                          [RatFun.const(2), RatFun.const(1)]])
+    true = vg_representation(f_m, l_m)
+    f = write(tmp_path / "f.json", f_m)
+    l = write(tmp_path / "l.json", l_m)
+    out = str(tmp_path / "out")
+
+    monkeypatch.setattr("latkern.cli.vg_representation",
+                        lambda f, l: true)
+    assert main(["--json", "realize", f, l, "--out-dir", out]) == 0
+    capsys.readouterr()
+
+    bump = TransferMatrix([[RatFun.const(0), RatFun.const(0)],
+                           [3 * z(-t), RatFun.const(0)]])
+    wrong = dataclasses.replace(true, v=true.v + bump)
+    monkeypatch.setattr("latkern.cli.vg_representation",
+                        lambda f, l: wrong)
+    assert main(["--json", "realize", f, l, "--out-dir", out]) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag == {"command": "realize",
+                    "error": "simulation cross-check failed"}
+
+
 def test_worstcase_and_expand_and_simulate(tmp_path, capsys):
     f = write(tmp_path / "f.json", TransferMatrix.scalar(z(-2)))
     assert main(["--json", "worstcase", f]) == 0

@@ -24,6 +24,25 @@ def test_no_assert_statements_in_package():
     assert not found, "assert statements in latkern: " + ", ".join(found)
 
 
+def test_runtime_imports_are_stdlib_only():
+    # latkern has no runtime dependencies: every absolute import names a
+    # standard-library module or latkern itself.
+    allowed = sys.stdlib_module_names | {"latkern"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert not found, "non-stdlib imports in latkern: " + ", ".join(found)
+
+
 def test_internal_check_error_defined_once():
     assert latkern.InternalCheckError is latkern.transfer.InternalCheckError
     assert latkern.latency.InternalCheckError is latkern.transfer.InternalCheckError
