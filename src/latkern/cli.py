@@ -28,7 +28,7 @@ from .matrixio import (InputFormatError, constant_matrix_to_json, dump_matrix,
 from .rational import ORD_INF
 from .simulate import (SeriesMatrix, check_horizon, simulate_response,
                        verification_horizon)
-from .transfer import InternalCheckError, SingularMatrixError, TransferMatrix
+from .transfer import InternalCheckError, SingularMatrixError
 
 
 def _fmt_order(o):
@@ -116,8 +116,7 @@ def cmd_realize(args):
     f = load_matrix(args.f)
     l = load_matrix(args.l)
     rep = vg_representation(f, l)
-    loop = TransferMatrix.identity(f.cols) + rep.g * f
-    loop_s = SeriesMatrix.from_transfer(loop, horizon)
+    loop_s = SeriesMatrix.from_transfer(rep.loop, horizon)
     # l = (I + g f)^-1 v on [0, H] iff (I + g f) l = v there, because
     # I + g f is a unit among causal series: causal with constant term I.
     if loop_s.start != 0 or loop_s.coeff(0) != linalg.eye(f.cols):
@@ -307,8 +306,10 @@ def _fail(args, exc, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is a web of reference cycles.  Not holding it while the
+    # command runs lets the cycle collector free it young, instead of
+    # promoting it to an older generation that is collected rarely.
+    args = build_parser().parse_args(argv)
     try:
         report, code = args.run(args)
     except (InputFormatError, PreconditionError, KernelNotFinitelyGenerated,

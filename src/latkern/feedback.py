@@ -87,6 +87,7 @@ class FeedbackRealization:
     rho: TransferMatrix
     sigma: tuple  # reachability indices of v, nonincreasing
     nu: tuple     # latency indices of f, nonincreasing
+    loop: TransferMatrix  # I + g f, certified: loop^-1 v = l
 
 
 def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealization:
@@ -129,7 +130,8 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
     if any(s > nu_i for s, nu_i in zip(sigma, nu)):
         raise InternalCheckError(
             f"remainder indices {sigma} exceed latency indices {nu}")
-    return FeedbackRealization(v=v, g=g, rho=rho, sigma=sigma, nu=nu)
+    return FeedbackRealization(v=v, g=g, rho=rho, sigma=sigma, nu=nu,
+                               loop=loop)
 
 
 def worst_case_precompensator(f: TransferMatrix) -> TransferMatrix:

@@ -5,6 +5,15 @@ field K((z^-1)) with K = Q.  The central quantity is the order of an
 element: the index of the first nonzero coefficient of its expansion in
 powers of z^-1 (larger order = more delay).  All arithmetic is exact;
 there is no floating point anywhere in this package.
+
+A `Poly` is stored as one rational content times a primitive integer
+polynomial, so its products, sums, divisions and gcds run on Python ints;
+only the content is a `Fraction`.  `poly_gcd` tries the heuristic GCDHEU
+first (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): one integer gcd
+of the two polynomials evaluated at a large integer, whose candidate is
+accepted only after exact trial division.  When a bounded number of tries
+fails it falls back to a primitive remainder sequence, so every gcd is
+exact.
 """
 
 from __future__ import annotations
@@ -14,6 +23,9 @@ from fractions import Fraction
 
 # Order of the zero element.  Finite orders are plain ints.
 ORD_INF = math.inf
+
+# GCDHEU evaluation points tried before the remainder-sequence fallback.
+HEU_GCD_MAX = 6
 
 
 def _frac(x) -> Fraction:
@@ -27,30 +39,59 @@ def _frac(x) -> Fraction:
 
 
 class Poly:
-    """Polynomial in z with Fraction coefficients, stored ascending by power.
+    """Polynomial in z over Q: a rational content times a primitive part.
 
-    Canonical form: no trailing zero coefficients, so the last stored
-    coefficient is the leading one.  The zero polynomial stores ().
+    `_p` holds integer coefficients ascending by power, with no trailing
+    zero, gcd 1 and a positive leading coefficient; `_c` is the Fraction
+    that scales it.  The zero polynomial is content 0 and `_p = ()`.  The
+    form is unique, so equal values have equal fields.  `coeffs` gives the
+    Fraction coefficients ascending by power, built once on first use.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_c", "_p", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        c, p = _primitive([c.numerator * (den // c.denominator) for c in cs])
+        _set_c(self, Fraction(c, den))
+        _set_p(self, p)
+        _set_coeffs(self, None)
+
+    @classmethod
+    def _make(cls, c: Fraction, p: tuple) -> Poly:
+        """Trusted constructor: p is primitive with a positive lead, c != 0."""
+        self = object.__new__(cls)
+        _set_c(self, c)
+        _set_p(self, p)
+        _set_coeffs(self, None)
+        return self
+
+    @classmethod
+    def _scaled(cls, ints: list, scale: Fraction) -> Poly:
+        """scale * ints, for any integer list (trailing zeros allowed)."""
+        c, p = _primitive(ints)
+        return cls._make(scale * c, p) if p else _ZERO
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        cs = self._coeffs
+        if cs is None:
+            c = self._c
+            cs = tuple(c * x for x in self._p)
+            _set_coeffs(self, cs)
+        return cs
+
     @classmethod
     def zero(cls) -> Poly:
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> Poly:
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def const(cls, c) -> Poly:
@@ -60,109 +101,118 @@ class Poly:
     def z(cls, power: int = 1) -> Poly:
         if power < 0:
             raise ValueError("Poly.z needs a nonnegative power")
-        return cls((0,) * power + (1,))
+        return cls._make(Fraction(1), (0,) * power + (1,))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._p
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self._p) - 1
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self._p:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._c * self._p[-1]
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self._p):
             return self.coeffs[i]
         return Fraction(0)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._p) and self._c * self._p[-1] == 1
 
     def monic(self) -> Poly:
-        if self.is_zero:
+        if not self._p:
             return self
-        inv = 1 / self.coeffs[-1]
-        return Poly(c * inv for c in self.coeffs)
+        return Poly._make(Fraction(1, self._p[-1]), self._p)
 
     def shift(self, k: int) -> Poly:
         """Multiply by z^k, k >= 0."""
         if k < 0:
             raise ValueError("negative shift")
-        if self.is_zero:
+        if not self._p:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly._make(self._c, (0,) * k + self._p)
+
+    def _add(self, other: Poly, oc: Fraction) -> Poly:
+        """self + oc * (primitive part of other)."""
+        if not other._p:
+            return self
+        if not self._p:
+            return Poly._make(oc, other._p)
+        c = self._c
+        n1, d1, n2, d2 = c.numerator, c.denominator, oc.numerator, oc.denominator
+        g = math.gcd(d1, d2)
+        s1, s2 = n1 * (d2 // g), n2 * (d1 // g)
+        h = math.gcd(s1, s2)
+        s1, s2 = s1 // h, s2 // h
+        a, b = self._p, other._p
+        if len(a) < len(b):
+            a, b, s1, s2 = b, a, s2, s1
+        out = [s1 * x for x in a] if s1 != 1 else list(a)
+        for i, y in enumerate(b):
+            out[i] += s2 * y
+        return Poly._scaled(out, Fraction(h, d1 // g * d2))
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._add(other, other._c)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return self._add(other, -other._c)
 
     def __neg__(self) -> Poly:
-        return Poly(-c for c in self.coeffs)
+        if not self._p:
+            return self
+        return Poly._make(-self._c, self._p)
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            if not self._p or not other._p:
+                return _ZERO
+            # Gauss's lemma: a product of primitive polynomials is primitive.
+            return Poly._make(self._c * other._c, _int_mul(self._p, other._p))
         if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+            if not other or not self._p:
+                return _ZERO
+            return Poly._make(self._c * other, self._p)
+        return NotImplemented
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __divmod__(self, other: Poly):
+    def _divide(self, other: Poly, want_rem: bool):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.lead
-        ddeg = other.degree
-        q = [Fraction(0)] * max(len(rem) - ddeg, 0)
-        while len(rem) - 1 >= ddeg and rem:
-            k = len(rem) - 1 - ddeg
-            c = rem[-1] / dlead
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
+        if len(self._p) < len(other._p):
+            return _ZERO, self
+        q, r, den = _int_divmod(self._p, other._p)
+        quo = Poly._scaled(q, self._c / (other._c * den))
+        return quo, (Poly._scaled(r, self._c / den) if want_rem else None)
+
+    def __divmod__(self, other: Poly):
+        return self._divide(other, True)
 
     def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
+        return self._divide(other, False)[0]
 
     def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
+        return self._divide(other, True)[1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._p == other._p
+                and self._c == other._c)
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self._c, self._p))
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._p)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -187,58 +237,143 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    return [int(c * scale) for c in p.coeffs]
+_set_c = Poly._c.__set__
+_set_p = Poly._p.__set__
+_set_coeffs = Poly._coeffs.__set__
+_ZERO = Poly._make(Fraction(0), ())
+_ONE = Poly._make(Fraction(1), (1,))
 
 
-def _int_primitive(c: list[int]) -> list[int]:
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
+def _primitive(c: list[int]) -> tuple[int, tuple]:
+    """(content, primitive part) of an ascending integer list, which loses
+    its trailing zeros; the primitive part has a positive lead, and an
+    all-zero list gives (0, ())."""
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        return 0, ()
+    g = math.gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    if g != 1:
         c = [x // g for x in c]
-    if c and c[-1] < 0:
-        c = [-x for x in c]
-    return c
+    return g, tuple(c)
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    r = list(a)
-    db = len(b) - 1
+def _int_mul(a: tuple, b: tuple) -> tuple:
+    """Product of integer coefficient tuples (ascending), schoolbook."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        y = b[0]
+        return a if y == 1 else tuple(y * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, y in enumerate(b):
+        if y:
+            for j, x in enumerate(a, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _int_divmod(a: tuple, b: tuple) -> tuple[list, list, int]:
+    """(q, r, den) with den * a = q * b + r over the integers, deg r < deg b.
+
+    Long division that multiplies the work by a factor of the divisor's
+    lead only on a step that does not divide exactly, so an exact
+    division of primitive polynomials never grows its numbers.
+    """
     lead = b[-1]
-    while len(r) - 1 >= db and r:
-        k = len(r) - 1 - db
-        top = r[-1]
-        r = [x * lead for x in r]
-        for i, bc in enumerate(b):
-            r[k + i] -= top * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - db)
+    den = 1
+    for k in range(len(q) - 1, -1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        c, m = divmod(top, lead)
+        if m:
+            s = lead // math.gcd(top, lead)
+            r = [x * s for x in r]
+            q = [x * s for x in q]
+            den *= s
+            c = top * s // lead
+        q[k] = c
+        for i in range(db):
+            r[k + i] -= c * b[i]
+    return q, r, den
+
+
+def _int_divides(a: tuple, b: tuple) -> bool:
+    """True when the primitive b divides a; over Q and over Z this is the
+    same question (Gauss's lemma)."""
+    return not any(_int_divmod(a, b)[1])
+
+
+def _prs_gcd(x: tuple, y: tuple) -> tuple:
+    """Primitive gcd of primitive integer polynomials, by a primitive
+    remainder sequence: each remainder is a positive multiple of the one
+    over Q, and only its primitive part is kept."""
+    while y:
+        if len(y) == 1:
+            return (1,)
+        x, y = y, _primitive(_int_divmod(x, y)[1])[1]
+    return x
+
+
+def _heu_gcd(f: tuple, g: tuple):
+    """Primitive gcd of primitive integer polynomials by GCDHEU, or None.
+
+    With xi >= 2 min(|f|, |g|) + 2 (max norms), the primitive part h of
+    the symmetric xi-adic digits of gcd(f(xi), g(xi)) is gcd(f, g) exactly
+    when h divides both f and g (Char, Geddes and Gonnet 1989), so a
+    candidate that passes trial division is the gcd.  A constant
+    candidate divides everything, so it needs no division.  The first xi
+    exceeds the bound by 27, as in sympy's heuristicgcd: on the kernel
+    workload that lets 98% of calls succeed at the first xi instead of 70%.
+    """
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(HEU_GCD_MAX):
+        fv = gv = 0
+        for c in reversed(f):
+            fv = fv * xi + c
+        for c in reversed(g):
+            gv = gv * xi + c
+        if fv and gv:
+            gam = math.gcd(fv, gv)
+            half = xi // 2
+            digits = []
+            while gam:
+                d = gam % xi
+                if d > half:
+                    d -= xi
+                digits.append(d)
+                gam = (gam - d) // xi
+            h = _primitive(digits)[1]
+            if len(h) == 1 or (_int_divides(f, h) and _int_divides(g, h)):
+                return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via a primitive remainder sequence over the integers."""
+    """Monic gcd: GCDHEU on the primitive parts, else a primitive PRS."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    if a.degree == 0 or b.degree == 0:
-        return Poly.one()
-    x = _int_primitive(_int_coeffs(a))
-    y = _int_primitive(_int_coeffs(b))
-    while y:
-        if len(y) == 1:
-            return Poly.one()
-        x, y = y, _int_primitive(_int_pseudo_rem(x, y))
-    lead = Fraction(x[-1])
-    return Poly(Fraction(c) / lead for c in x)
+    x, y = a._p, b._p
+    if len(x) == 1 or len(y) == 1:
+        return _ONE
+    if x == y:
+        h = x
+    else:
+        h = _heu_gcd(x, y)
+        if h is None:
+            h = _prs_gcd(x, y)
+    if len(h) == 1:
+        return _ONE
+    return Poly._make(Fraction(1, h[-1]), h)
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -509,7 +644,7 @@ class RatFun:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash(("RatFun", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFun", self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero

@@ -44,6 +44,55 @@ def long_division(num_coeffs, den_coeffs, horizon):
     return out
 
 
+def _strip(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def poly_add_ref(a, b):
+    """Sum of ascending coefficient lists, coefficient by coefficient."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _strip(x + y for x, y in zip(a, b))
+
+
+def poly_mul_ref(a, b):
+    """Product of ascending coefficient lists, schoolbook over Fraction."""
+    a, b = _strip(a), _strip(b)
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def poly_divmod_ref(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, by long division over
+    Fraction, one leading term at a time."""
+    r, b = _strip(a), _strip(b)
+    if not b:
+        raise ZeroDivisionError
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[k] = c
+        r = _strip(r[:k] + [x - c * y for x, y in zip(r[k:], b)])
+    return _strip(q), r
+
+
+def poly_gcd_ref(a, b):
+    """Monic gcd by the Euclidean algorithm over Fraction."""
+    a, b = _strip(a), _strip(b)
+    while b:
+        a, b = b, poly_divmod_ref(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
 def expansion_oracle(r: RatFun, horizon: int):
     """{t: coeff} for the expansion of a RatFun, by long division."""
     return long_division(r.num.coeffs, r.den.coeffs, horizon)

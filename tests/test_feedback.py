@@ -144,6 +144,7 @@ def test_vg_representation_random_pipeline():
         rep = vg_representation(f, l)
         loop = TransferMatrix.identity(m) + rep.g * f
         assert loop.inverse() * rep.v == l
+        assert rep.loop == loop
         assert rep.v.classify().bicausal
         assert all(s <= n for s, n in zip(rep.sigma, rep.nu))
         # remainder and its inverse share reachability indices

@@ -1,0 +1,174 @@
+"""Poly as content times primitive integer part, and its gcd.
+
+Every operation is compared with the plain Fraction-list references in
+oracles.py; the gcd is also compared between its two integer algorithms
+(GCDHEU and the primitive remainder sequence) and, where installed, with
+sympy.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latkern import rational
+from latkern.matrixio import matrix_from_json, matrix_to_json
+from latkern.rational import Poly, RatFun, poly_gcd
+from latkern.transfer import TransferMatrix
+from oracles import (poly_add_ref, poly_divmod_ref, poly_gcd_ref,
+                     poly_mul_ref)
+
+coeff = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
+coeffs = st.lists(coeff, max_size=8)
+nonzero_coeffs = coeffs.filter(lambda cs: any(cs))
+scalar = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+                   st.integers(1, 10**4))
+
+props = settings(max_examples=150, deadline=None)
+
+
+def ref(cs):
+    return list(Poly(cs).coeffs)
+
+
+def assert_canonical(p: Poly):
+    if p.is_zero:
+        assert p._p == () and p._c == 0
+        return
+    assert all(isinstance(x, int) for x in p._p)
+    assert p._p[-1] > 0
+    assert math.gcd(*p._p) == 1
+    assert isinstance(p._c, Fraction) and p._c != 0
+
+
+@props
+@given(coeffs, coeffs)
+def test_ring_operations_match_reference(a, b):
+    pa, pb = Poly(a), Poly(b)
+    for p in (pa + pb, pa - pb, pa * pb, -pa):
+        assert_canonical(p)
+    assert list((pa + pb).coeffs) == poly_add_ref(a, b)
+    assert list((pa - pb).coeffs) == poly_add_ref(a, [-x for x in b])
+    assert list((pa * pb).coeffs) == poly_mul_ref(a, b)
+
+
+@props
+@given(coeffs, nonzero_coeffs)
+def test_divmod_matches_reference(a, b):
+    pa, pb = Poly(a), Poly(b)
+    q, r = divmod(pa, pb)
+    assert_canonical(q)
+    assert_canonical(r)
+    assert q * pb + r == pa
+    assert r.degree < pb.degree
+    assert (list(q.coeffs), list(r.coeffs)) == poly_divmod_ref(a, b)
+    assert pa // pb == q and pa % pb == r
+
+
+@props
+@given(nonzero_coeffs)
+def test_monic_matches_reference(a):
+    m = Poly(a).monic()
+    assert_canonical(m)
+    assert m.is_monic and m.lead == 1
+    assert list(m.coeffs) == [c / ref(a)[-1] for c in ref(a)]
+
+
+@props
+@given(coeffs, scalar)
+def test_canonical_form_is_unique(a, s):
+    p = Poly(a)
+    assert_canonical(p)
+    assert Poly(p.coeffs) == p
+    # the same value reached through a scaled copy has equal fields
+    same = Poly([c * s for c in a]) * (1 / s)
+    assert (same._c, same._p) == (p._c, p._p)
+    assert same == p and hash(same) == hash(p)
+    assert p.degree == len(ref(a)) - 1
+    assert all(p.coeff(i) == c for i, c in enumerate(ref(a)))
+
+
+@props
+@given(coeffs, nonzero_coeffs)
+def test_json_round_trip(a, b):
+    e = RatFun(Poly(a), Poly(b))
+    m = TransferMatrix([[e, RatFun(Poly(b), Poly(a) or Poly.one())]])
+    text = json.dumps(matrix_to_json(m))
+    back = matrix_from_json(json.loads(text))
+    assert back == m
+    assert json.dumps(matrix_to_json(back)) == text
+
+
+@props
+@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs, scalar, scalar)
+def test_heuristic_gcd_agrees_with_prs(a, b, common, sa, sb):
+    # planted common factor, contents that are not units, and the plain
+    # (mostly coprime) pair
+    pc = Poly(common)
+    pairs = [(Poly(a), Poly(b)), (Poly(a) * pc * sa, Poly(b) * pc * sb)]
+    for x, y in pairs:
+        g = poly_gcd(x, y)
+        assert list(g.coeffs) == poly_gcd_ref(x.coeffs, y.coeffs)
+        if x.degree > 0 and y.degree > 0:
+            heu = rational._heu_gcd(x._p, y._p)
+            assert heu is None or heu == rational._prs_gcd(x._p, y._p)
+    assert poly_gcd(*pairs[1]) % pc.monic() == Poly.zero()
+
+
+def test_retry_and_fallback(monkeypatch):
+    # f = z - 15 and g = z + 1 are coprime.  At the first evaluation point,
+    # xi = 31, f(31) = 16 and g(31) = 32 share 16, whose symmetric digits
+    # read back as z - 15 itself.  That candidate does not divide g, so the
+    # answer needs a second point, or the remainder sequence when only one
+    # point is allowed.
+    f, g = (-15, 1), (1, 1)
+    assert rational._heu_gcd(f, g) == (1,)
+    monkeypatch.setattr(rational, "HEU_GCD_MAX", 1)
+    assert rational._heu_gcd(f, g) is None
+    assert poly_gcd(Poly(f), Poly(g)) == Poly.one()
+    assert poly_gcd(Poly(f) * Poly(g), Poly(g) * Poly(g)) == Poly(g)
+
+
+def test_first_point_respects_the_bound():
+    # gcd(z^2 - z - 2, z^2 - 2z) = z - 2.  At xi = 4, below the bound
+    # 2 min(|f|, |g|) + 2 = 6, the values 10 and 8 share only 2, a constant
+    # that divides everything, so the answer would be 1.
+    f, g = (-2, -1, 1), (0, -2, 1)
+    assert rational._heu_gcd(f, g) == (-2, 1)
+    assert poly_gcd(Poly(f), Poly(g)) == Poly((-2, 1))
+
+
+@props
+@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs)
+def test_fallback_alone_is_exact(a, b, common):
+    pc = Poly(common)
+    x, y = Poly(a) * pc, Poly(b) * pc
+    expect = poly_gcd(x, y)
+    saved = rational.HEU_GCD_MAX
+    rational.HEU_GCD_MAX = 0
+    try:
+        assert poly_gcd(x, y) == expect
+        assert list(expect.coeffs) == poly_gcd_ref(x.coeffs, y.coeffs)
+    finally:
+        rational.HEU_GCD_MAX = saved
+
+
+@props
+@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs)
+def test_gcd_matches_sympy(a, b, common):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    pc = Poly(common)
+    for x, y in [(Poly(a), Poly(b)), (Poly(a) * pc, Poly(b) * pc)]:
+        sx = sympy.Poly(list(reversed(x.coeffs)) or [0], z, domain="QQ")
+        sy = sympy.Poly(list(reversed(y.coeffs)) or [0], z, domain="QQ")
+        expect = sympy.gcd(sx, sy).monic()
+        got = poly_gcd(x, y)
+        assert [Fraction(int(c.p), int(c.q))
+                for c in reversed(expect.all_coeffs())] == list(got.coeffs)

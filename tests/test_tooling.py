@@ -1,6 +1,8 @@
 """Source-level checks on the package itself."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import latkern.latency
 import latkern.transfer
 
 SRC = Path(latkern.__file__).parent
+SPANTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "spantrace.py"
 
 
 def test_no_assert_statements_in_package():
@@ -69,3 +72,20 @@ def test_certificate_holds_under_python_O():
     optimize, message = proc.stdout.splitlines()
     assert optimize == "1"
     assert "inverse not strictly causal" in message
+
+
+def test_benchmark_trace_entries_resolve():
+    # perfbench --trace 1 wraps these names from outside the library; a
+    # rename here would silently drop its span.  The module is only read.
+    spec = importlib.util.spec_from_file_location("spantrace", SPANTRACE)
+    spantrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spantrace)
+    missing = []
+    for metric, (module, attr) in spantrace.LAYER_ENTRIES.items():
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{metric}: {module}.{attr}")
+    assert len(spantrace.LAYER_ENTRIES) == 27
+    assert not missing, "unresolved trace entries: " + ", ".join(missing)
