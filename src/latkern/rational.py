@@ -123,6 +123,17 @@ class Poly:
             return self.coeffs[i]
         return Fraction(0)
 
+    def _top(self, count: int):
+        """The top `count` coefficients (all, if fewer), leading first.
+
+        Only a part of them is built here; all of them come from `coeffs`,
+        which caches them.
+        """
+        if count >= len(self._p):
+            return self.coeffs[::-1]
+        c = self._c
+        return [c * x for x in self._p[:-count - 1:-1]]
+
     @property
     def is_monic(self) -> bool:
         return bool(self._p) and self._c * self._p[-1] == 1
@@ -468,7 +479,10 @@ class RatFun:
     def leading_coeff(self) -> Fraction:
         if self.is_zero:
             raise ValueError("leading coefficient of zero undefined")
-        return self.num.lead / self.den.lead
+        # num.lead / den.lead, from the integer parts in one Fraction.
+        a, b = self.num._c, self.den._c
+        return Fraction(a.numerator * b.denominator * self.num._p[-1],
+                        a.denominator * b.numerator * self.den._p[-1])
 
     def laurent_coeff(self, t: int) -> Fraction:
         """Coefficient of z^-t in the expansion."""
@@ -486,17 +500,22 @@ class RatFun:
         if horizon < t0:  # also the zero function, of order ORD_INF
             return [Fraction(0)] * (horizon - start + 1)
         # Long division in descending powers of z; out[k] is at index t0+k.
-        n = self.num.degree
-        m = self.den.degree
-        a = self.num.coeffs
-        b = self.den.coeffs
-        blead = b[-1]
-        out: list[Fraction] = []
-        for k in range(horizon - t0 + 1):
-            acc = a[n - k] if k <= n else Fraction(0)
-            for i in range(1, min(k, m) + 1):
-                acc -= b[m - i] * out[k - i]
-            out.append(acc / blead)
+        # It reads only the top horizon - t0 + 1 coefficients of num and
+        # den, leading first: a[k] is the coefficient of z^(deg num - k).
+        count = horizon - t0 + 1
+        if count == 1:
+            out = [self.leading_coeff()]
+        else:
+            a = self.num._top(count)
+            b = self.den._top(count)
+            m = len(b) - 1
+            blead = b[0]
+            out = []
+            for k in range(count):
+                acc = a[k] if k < len(a) else Fraction(0)
+                for i in range(1, min(k, m) + 1):
+                    acc -= b[i] * out[k - i]
+                out.append(acc / blead)
         if start < t0:
             return [Fraction(0)] * (t0 - start) + out
         return out[start - t0:]

@@ -1,18 +1,23 @@
 """Truncated-series matrices: the convolution simulation harness.
 
 This is the independent cross-check path: transfer matrices are expanded
-entrywise, each entry in one pass, into coefficient matrices and composed
-by convolution and recursive series inversion only.  Agreement with the
-exact rational arithmetic on a window is the acceptance-level consistency
-test, and the `simulate` CLI subcommand runs inputs through it.  The
-`realize` subcommand checks l = (I + g f)^-1 v by the product
-(I + g f) l = v, not by inverting a series.
+entrywise, each entry in one pass, into truncated series and composed by
+convolution and recursive series inversion only.  Each entry is held as
+one integer sequence over one denominator, so a product convolves Python
+ints and builds no Fraction; coefficient matrices over Q are built only
+when they are read.  Agreement with the exact rational arithmetic on a
+window is the acceptance-level consistency test, and the `simulate` CLI
+subcommand runs inputs through it.  The `realize` subcommand checks
+l = (I + g f)^-1 v by the product (I + g f) l = v, not by inverting a
+series.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .rational import ORD_INF
@@ -47,20 +52,43 @@ def verification_horizon() -> int:
 
 class SeriesMatrix:
     """Matrix-valued truncated Laurent series: coefficient matrices
-    indexed start, start+1, ..., horizon."""
+    indexed start, start+1, ..., horizon.
 
-    __slots__ = ("start", "horizon", "coeffs", "rows", "cols")
+    Each entry is stored as one integer sequence over one positive integer
+    denominator: `_entries[r][c] = (nums, den)` gives the coefficient
+    nums[t - start] / den at index t.  The scale is not reduced, so equal
+    values may be stored over different denominators; `agrees_with`
+    compares by cross-multiplying.  `coeff(t)` builds the Fraction matrix
+    at t on first use and caches it.
+    """
+
+    __slots__ = ("start", "horizon", "rows", "cols", "_entries", "_fracs")
 
     def __init__(self, start: int, coeffs, horizon: int, rows: int, cols: int):
-        coeffs = [tuple(tuple(Fraction(c) for c in row) for row in m)
-                  for m in coeffs]
+        coeffs = list(coeffs)
         if len(coeffs) != horizon - start + 1:
             raise ValueError("coefficient count does not match window")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        for m in coeffs:
+            if len(m) != rows or any(len(row) != cols for row in m):
+                raise ValueError(f"coefficient matrix is not {rows} x {cols}")
+        self._fill(start, horizon, rows, cols,
+                   [[_over_lcm([Fraction(m[r][c]) for m in coeffs])
+                     for c in range(cols)] for r in range(rows)])
+
+    @classmethod
+    def _make(cls, start: int, horizon: int, rows: int, cols: int,
+              entries) -> SeriesMatrix:
+        """Trusted constructor: each sequence has horizon - start + 1 ints."""
+        self = object.__new__(cls)
+        self._fill(start, horizon, rows, cols, entries)
+        return self
+
+    def _fill(self, start, horizon, rows, cols, entries):
+        for name, value in (("start", start), ("horizon", horizon),
+                            ("rows", rows), ("cols", cols),
+                            ("_entries", entries),
+                            ("_fracs", [None] * (horizon - start + 1))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesMatrix is immutable")
@@ -69,38 +97,50 @@ class SeriesMatrix:
     def from_transfer(cls, f: TransferMatrix, horizon: int) -> SeriesMatrix:
         order = f.order()
         start = 0 if order == ORD_INF else min(order, 0)
-        windows = [[e.laurent_window(start, horizon) for e in row]
-                   for row in f.entries]
-        coeffs = [tuple(tuple(w[k] for w in row) for row in windows)
-                  for k in range(horizon - start + 1)]
-        return cls(start, coeffs, horizon, f.rows, f.cols)
+        return cls._make(start, horizon, f.rows, f.cols,
+                         [[_over_lcm(e.laurent_window(start, horizon))
+                           for e in row] for row in f.entries])
 
     def coeff(self, t: int):
         if t > self.horizon:
             raise ValueError(f"index {t} beyond horizon {self.horizon}")
         if t < self.start:
             return linalg.zeros(self.rows, self.cols)
-        return self.coeffs[t - self.start]
+        i = t - self.start
+        m = self._fracs[i]
+        if m is None:
+            m = tuple(tuple(Fraction(nums[i], den) for nums, den in row)
+                      for row in self._entries)
+            self._fracs[i] = m
+        return m
 
     def __mul__(self, other: SeriesMatrix) -> SeriesMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         start = self.start + other.start
         horizon = min(self.horizon + other.start, other.horizon + self.start)
-        out = []
-        for t in range(start, horizon + 1):
-            acc = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-            for i in range(self.start, t - other.start + 1):
-                a = self.coeff(i)
-                b = other.coeff(t - i)
-                for r in range(self.rows):
-                    arow = a[r]
-                    accr = acc[r]
-                    for c in range(other.cols):
-                        accr[c] += sum(arow[k] * b[k][c]
-                                       for k in range(self.cols))
-            out.append(acc)
-        return SeriesMatrix(start, out, horizon, self.rows, other.cols)
+        n = horizon - start + 1
+        entries = []
+        for arow in self._entries:
+            row = []
+            for c in range(other.cols):
+                # Schoolbook convolution of each pair, truncated to the
+                # window, then the sum of the partials over the lcm of
+                # their denominators.
+                parts = []
+                for (a, da), brow in zip(arow, other._entries):
+                    b, db = brow[c]
+                    parts.append(([sum(map(mul, a[:t + 1], b[t::-1]))
+                                   for t in range(n)], da * db))
+                den = math.lcm(*(d for _, d in parts))
+                acc = [0] * n
+                for part, d in parts:
+                    s = den // d
+                    acc = [x + s * y for x, y in zip(acc, part)]
+                row.append((acc, den))
+            entries.append(row)
+        return SeriesMatrix._make(start, horizon, self.rows, other.cols,
+                                  entries)
 
     def inverse(self) -> SeriesMatrix:
         """Series inverse by the convolution recurrence.
@@ -110,8 +150,9 @@ class SeriesMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("series inverse needs a square matrix")
-        if self.start < 0 and any(c for m in self.coeffs[:-self.start]
-                                  for row in m for c in row):
+        if self.start < 0 and any(any(nums[:-self.start])
+                                  for row in self._entries
+                                  for nums, _ in row):
             raise ValueError("series inverse needs a causal series")
         m0 = self.coeff(0)
         inv0 = linalg.invert(m0)
@@ -134,10 +175,29 @@ class SeriesMatrix:
 
     def agrees_with(self, other: SeriesMatrix) -> bool:
         """Coefficientwise equality on the common window."""
-        start = min(self.start, other.start)
-        horizon = min(self.horizon, other.horizon)
-        return all(self.coeff(t) == other.coeff(t)
-                   for t in range(start, horizon + 1))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        lo = min(self.start, other.start)
+        hi = min(self.horizon, other.horizon)
+        for arow, brow in zip(self._entries, other._entries):
+            for (a, da), (b, db) in zip(arow, brow):
+                a = _window(a, self.start, lo, hi)
+                b = _window(b, other.start, lo, hi)
+                if [x * db for x in a] != [y * da for y in b]:
+                    return False
+        return True
+
+
+def _over_lcm(fracs) -> tuple[list[int], int]:
+    """(integers, denominator): the Fractions over the lcm of theirs."""
+    den = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs], den
+
+
+def _window(seq, start: int, lo: int, hi: int) -> list[int]:
+    """Entries of seq (first index start >= lo) at indices lo..hi, zeros
+    before start."""
+    return ([0] * (start - lo) + seq)[:hi - lo + 1]
 
 
 def simulate_response(f: TransferMatrix, u, horizon: int):
@@ -147,6 +207,9 @@ def simulate_response(f: TransferMatrix, u, horizon: int):
     agrees with expanding the exact image f.apply(u) on the common window.
     """
     u = list(u)
+    if len(u) != f.cols:
+        raise ValueError(f"input has {len(u)} entries but the map has "
+                         f"{f.cols} columns")
     fs = SeriesMatrix.from_transfer(f, horizon)
     orders = [e.order() for e in u if not e.is_zero]
     ustart = min(orders) if orders else 0

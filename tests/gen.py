@@ -5,9 +5,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from latkern import linalg
 from latkern.rational import Poly, RatFun
 from latkern.transfer import TransferMatrix
+
+
+# Hypothesis strategy for exact coefficients: zero, small integers and
+# fractions with large numerators.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**4)))
 
 
 def rand_fraction(rng: random.Random, span: int = 5) -> Fraction:

@@ -108,6 +108,27 @@ def convolve_dicts(a, b, horizon):
     return {t: c for t, c in out.items() if c != 0}
 
 
+def series_product_coeff(a, a_start, b, b_start, t):
+    """Coefficient matrix at index t of the product of two matrix series.
+
+    a and b are lists of coefficient matrices (rows of Fractions) at
+    indices a_start, a_start + 1, ... and b_start, b_start + 1, ...;
+    indices outside a list are 0.  Schoolbook over Fraction: the sum of
+    a_i b_(t-i), one scalar product at a time.
+    """
+    rows, inner, cols = len(a[0]), len(b[0]), len(b[0][0])
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, ai in enumerate(a):
+        j = t - (a_start + i) - b_start
+        if not 0 <= j < len(b):
+            continue
+        for r in range(rows):
+            for c in range(cols):
+                for k in range(inner):
+                    out[r][c] += Fraction(ai[r][k]) * Fraction(b[j][k][c])
+    return tuple(tuple(row) for row in out)
+
+
 def add_dicts(a, b):
     out = dict(a)
     for t, c in b.items():

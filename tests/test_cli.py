@@ -188,6 +188,11 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     for horizon in ("-1", "-5", "0"):
         assert main(["simulate", f, u, "--horizon", horizon]) == 2
         capsys.readouterr()
+    u2 = write(tmp_path / "u2.json", TransferMatrix([[RatFun.const(1)],
+                                                     [z(-1)]]))
+    assert main(["--json", "simulate", f, u2]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "2 entries" in error and "1 columns" in error
     monkeypatch.setenv("LATKERN_HORIZON", "1001")
     over_cap = [["expand", f, "--terms", "1001"],
                 ["simulate", f, u, "--horizon", "1001"],

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latkern.rational import ORD_INF, Poly, RatFun, TruncatedSeries
 from oracles import add_dicts, convolve_dicts, expansion_oracle
 
-from gen import rand_poly, rand_ratfun
+from gen import rand_poly, rand_ratfun, rationals
 
 z = RatFun.zpow
 
@@ -103,6 +105,31 @@ def test_expand_is_ring_morphism_on_windows():
                 assert exp.coeff(t) == sd.get(t, Fraction(0))
         else:
             assert not sd
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=7),
+       st.lists(rationals, min_size=1, max_size=7),
+       st.integers(-8, 8), st.integers(0, 12), st.booleans())
+def test_laurent_window_matches_long_division(num, den, start, length, built):
+    if not any(den):
+        den = den[:-1] + [Fraction(1)]
+    r = RatFun(Poly(num), Poly(den))
+    if built:
+        # Coefficients cached beforehand give the same window.
+        r.num.coeffs, r.den.coeffs
+    horizon = start + length
+    oracle = expansion_oracle(r, horizon)
+    assert r.laurent_window(start, horizon) == [
+        oracle.get(t, Fraction(0)) for t in range(start, horizon + 1)]
+    assert r.laurent_coeff(horizon) == oracle.get(horizon, Fraction(0))
+
+
+def test_laurent_coeff_at_the_order_reads_two_coefficients():
+    r = RatFun(Poly([1, 2, 3, 4, 5]), Poly([7, 1, 1, 1, 1, 1, 1, 2]))
+    assert r.laurent_coeff(r.order()) == Fraction(5, 2)
+    # No Fraction list was built for num or den.
+    assert r.num._coeffs is None and r.den._coeffs is None
 
 
 def test_split_reconstruction_random():

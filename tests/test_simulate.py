@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latkern.rational import Poly, RatFun
 from latkern.simulate import (MAX_HORIZON, SeriesMatrix, simulate_response,
                               verification_horizon)
 from latkern.transfer import TransferMatrix
 
-from gen import rand_bicausal, rand_matrix, rand_ratfun
-from oracles import expansion_oracle
+from gen import rand_bicausal, rand_matrix, rand_ratfun, rationals
+from oracles import expansion_oracle, series_product_coeff
 
 z = RatFun.zpow
 
@@ -87,6 +89,119 @@ def test_series_product_window():
     assert prod.agrees_with(exact)
 
 
+@st.composite
+def coeff_lists(draw, rows, cols):
+    """(start, coefficient matrices): starts -2..1, 1..8 terms, and about
+    a quarter of the entries zero throughout."""
+    start = draw(st.integers(-2, 1))
+    length = draw(st.integers(1, 8))
+    zero = [Fraction(0)] * length
+    entries = [[zero if draw(st.integers(0, 3)) == 0
+                else draw(st.lists(rationals, min_size=length,
+                                   max_size=length))
+                for _ in range(cols)] for _ in range(rows)]
+    return start, [[[entries[r][c][k] for c in range(cols)]
+                    for r in range(rows)] for k in range(length)]
+
+
+def series(start, coeffs):
+    rows, cols = len(coeffs[0]), len(coeffs[0][0])
+    return SeriesMatrix(start, coeffs, start + len(coeffs) - 1, rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_series_product_matches_fraction_convolution(data):
+    p, m, q = (data.draw(st.integers(1, 3)) for _ in range(3))
+    sa, ca = data.draw(coeff_lists(p, m))
+    sb, cb = data.draw(coeff_lists(m, q))
+    a, b = series(sa, ca), series(sb, cb)
+    prod = a * b
+    assert (prod.rows, prod.cols) == (p, q)
+    assert prod.start == sa + sb
+    # The product is known only while both factors are.
+    assert prod.horizon == min(a.horizon + sb, b.horizon + sa)
+    for t in range(prod.start, prod.horizon + 1):
+        assert prod.coeff(t) == series_product_coeff(ca, sa, cb, sb, t)
+
+
+def _scaled(s, factors):
+    """The same series with entry (r, c) stored over factors[r][c] times
+    its denominator."""
+    entries = [[([x * k for x in nums], den * k)
+                for (nums, den), k in zip(row, krow)]
+               for row, krow in zip(s._entries, factors)]
+    return SeriesMatrix._make(s.start, s.horizon, s.rows, s.cols, entries)
+
+
+def test_agrees_with_ignores_the_integer_scale():
+    f = TransferMatrix([[RatFun(Poly([1, 2]), Poly([Fraction(1, 3), 0, 1])),
+                         RatFun.const(0)],
+                        [z(-2), RatFun(Poly([Fraction(5, 7)]), Poly([-1, 2]))]])
+    s = SeriesMatrix.from_transfer(f, 9)
+    scaled = _scaled(s, [[7, 5], [1, 12]])
+    assert scaled._entries != s._entries
+    assert s.agrees_with(scaled) and scaled.agrees_with(s)
+    assert all(scaled.coeff(t) == s.coeff(t) for t in range(s.start, 10))
+    # A product sums over the lcm of its partial denominators, so it is
+    # stored at another scale than the expansion of the exact product.
+    g = TransferMatrix([[RatFun(Poly([Fraction(2, 3)]), Poly([1, 1])), z(-1)],
+                        [RatFun.const(Fraction(1, 4)), z(-3)]])
+    prod = s * SeriesMatrix.from_transfer(g, 9)
+    exact = SeriesMatrix.from_transfer(f * g, prod.horizon)
+    assert ([d for row in prod._entries for _, d in row]
+            != [d for row in exact._entries for _, d in row])
+    assert prod.agrees_with(exact) and exact.agrees_with(prod)
+    # The common window starts at the earlier start; the later series is
+    # zero there.
+    early = SeriesMatrix(-2, [[[0]], [[0]], [[1]], [[Fraction(1, 2)]]], 1,
+                         1, 1)
+    late = SeriesMatrix(0, [[[1]], [[Fraction(1, 2)]], [[7]]], 2, 1, 1)
+    assert _scaled(early, [[4]]).agrees_with(_scaled(late, [[6]]))
+    earlier = SeriesMatrix(-2, [[[0]], [[5]], [[1]], [[Fraction(1, 2)]]], 1,
+                           1, 1)
+    assert not late.agrees_with(earlier)
+
+
+@pytest.mark.parametrize("where", ["start", "horizon"])
+def test_agrees_with_detects_one_changed_coefficient(where):
+    f = TransferMatrix([[RatFun(Poly([1, 2]), Poly([Fraction(1, 3), 0, 1])),
+                         z(1)],
+                        [RatFun(Poly([Fraction(5, 7)]), Poly([-1, 2])),
+                         RatFun.const(0)]])
+    horizon = 6
+    s = SeriesMatrix.from_transfer(f, horizon)
+    t = s.start if where == "start" else horizon
+    for r in range(2):
+        for c in range(2):
+            coeffs = [[list(row) for row in s.coeff(k)]
+                      for k in range(s.start, horizon + 1)]
+            coeffs[t - s.start][r][c] += Fraction(1, 10**6)
+            bumped = SeriesMatrix(s.start, coeffs, horizon, 2, 2)
+            assert not s.agrees_with(bumped)
+            assert not bumped.agrees_with(s)
+            assert not _scaled(bumped, [[3, 3], [3, 3]]).agrees_with(s)
+
+
+def test_constructor_checks_coefficient_shapes():
+    with pytest.raises(ValueError, match="not 1 x 1"):
+        SeriesMatrix(0, [[[1, 2]]], 0, 1, 1)
+    with pytest.raises(ValueError, match="not 2 x 1"):
+        SeriesMatrix(0, [[[1], [2]], [[3]]], 1, 2, 1)
+    with pytest.raises(ValueError, match="window"):
+        SeriesMatrix(0, [[[1]]], 1, 1, 1)
+
+
+def test_simulate_rejects_wrong_input_length_before_expanding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("f was expanded")
+
+    monkeypatch.setattr(SeriesMatrix, "from_transfer", refuse)
+    f = TransferMatrix([[z(-1), z(-2)]])
+    with pytest.raises(ValueError, match="3 entries .* 2 columns"):
+        simulate_response(f, [RatFun.const(1)] * 3, 5)
+
+
 def test_series_inverse_matches_exact_inverse():
     rng = random.Random(82)
     for _ in range(10):
@@ -101,6 +216,16 @@ def test_series_inverse_rejects_singular_constant():
     s = SeriesMatrix.from_transfer(TransferMatrix.scalar(z(-1)), 5)
     with pytest.raises(ValueError):
         s.inverse()
+
+
+def test_series_inverse_needs_a_causal_series():
+    # Stored from index -1 with a zero there: causal, so it inverts.
+    s = SeriesMatrix(-1, [[[0]], [[2]], [[1]]], 1, 1, 1)
+    inv = s.inverse()
+    assert [inv.coeff(t) for t in (0, 1)] == [((Fraction(1, 2),),),
+                                              ((Fraction(-1, 4),),)]
+    with pytest.raises(ValueError, match="causal"):
+        SeriesMatrix(-1, [[[3]], [[2]], [[1]]], 1, 1, 1).inverse()
 
 
 def test_verification_horizon_env(monkeypatch):
