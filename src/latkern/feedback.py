@@ -87,7 +87,16 @@ class FeedbackRealization:
     rho: TransferMatrix
     sigma: tuple  # reachability indices of v, nonincreasing
     nu: tuple     # latency indices of f, nonincreasing
-    loop: TransferMatrix  # I + g f, certified: loop^-1 v = l
+    loop: TransferMatrix  # I + g f, certified: loop l = v
+
+
+def _check_realization(loop: TransferMatrix, v: TransferMatrix,
+                       l: TransferMatrix):
+    """Certify l = loop^-1 v as loop l = v: loop = I + g f is bicausal
+    (causal, constant term I), so the two are the same identity, and the
+    check needs no inverse."""
+    if loop * l != v:
+        raise InternalCheckError("realization identity failed")
 
 
 def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealization:
@@ -123,8 +132,7 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
     if not g.classify().causal:
         raise InternalCheckError("feedback compensator is not causal")
     loop = TransferMatrix.identity(f.cols) + g * f
-    if loop.inverse() * v != l:
-        raise InternalCheckError("realization identity failed")
+    _check_realization(loop, v, l)
     sigma, _ = reachability_indices(v)
     nu = kernel.indices
     if any(s > nu_i for s, nu_i in zip(sigma, nu)):

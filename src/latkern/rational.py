@@ -6,14 +6,16 @@ element: the index of the first nonzero coefficient of its expansion in
 powers of z^-1 (larger order = more delay).  All arithmetic is exact;
 there is no floating point anywhere in this package.
 
-A `Poly` is stored as one rational content times a primitive integer
-polynomial, so its products, sums, divisions and gcds run on Python ints;
-only the content is a `Fraction`.  `poly_gcd` tries the heuristic GCDHEU
-first (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): one integer gcd
-of the two polynomials evaluated at a large integer, whose candidate is
-accepted only after exact trial division.  When a bounded number of tries
-fails it falls back to a primitive remainder sequence, so every gcd is
-exact.
+A `Poly` is stored as a rational content, kept as two coprime ints, times
+a primitive integer polynomial, so its products, sums, divisions and gcds
+run on Python ints alone; a `Fraction` is built only for a coefficient
+read from outside.  Polynomial gcds try the heuristic GCDHEU first (Char,
+Geddes and Gonnet, J. Symbolic Comput. 1989): one integer gcd of the two
+polynomials evaluated at a large integer, whose candidate is accepted only
+after exact trial division.  When a bounded number of tries fails they
+fall back to a primitive remainder sequence, so every gcd is exact.  The
+trial division yields the cofactors f/h and g/h, and `RatFun` reduces
+with them instead of dividing again.
 """
 
 from __future__ import annotations
@@ -42,36 +44,52 @@ class Poly:
     """Polynomial in z over Q: a rational content times a primitive part.
 
     `_p` holds integer coefficients ascending by power, with no trailing
-    zero, gcd 1 and a positive leading coefficient; `_c` is the Fraction
-    that scales it.  The zero polynomial is content 0 and `_p = ()`.  The
-    form is unique, so equal values have equal fields.  `coeffs` gives the
-    Fraction coefficients ascending by power, built once on first use.
+    zero, gcd 1 and a positive leading coefficient.  The content is the
+    reduced fraction `_n / _d` of two ints, with `_d > 0`.  The zero
+    polynomial is `_n = 0`, `_d = 1` and `_p = ()`.  The form is unique, so
+    equal values have equal fields.  Arithmetic builds no `Fraction`; one
+    is built only where a coefficient leaves the class: `coeffs` (built
+    once on first use), `coeff`, `lead` and `_top`.
     """
 
-    __slots__ = ("_c", "_p", "_coeffs")
+    __slots__ = ("_n", "_d", "_p", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [_frac(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         c, p = _primitive([c.numerator * (den // c.denominator) for c in cs])
-        _set_c(self, Fraction(c, den))
+        g = math.gcd(c, den)
+        _set_n(self, c // g)
+        _set_d(self, den // g)
         _set_p(self, p)
         _set_coeffs(self, None)
 
     @classmethod
-    def _make(cls, c: Fraction, p: tuple) -> Poly:
-        """Trusted constructor: p is primitive with a positive lead, c != 0."""
+    def _make(cls, n: int, d: int, p: tuple) -> Poly:
+        """Trusted constructor: p is primitive with a positive lead, and n/d
+        is a nonzero reduced fraction with d > 0."""
         self = object.__new__(cls)
-        _set_c(self, c)
+        _set_n(self, n)
+        _set_d(self, d)
         _set_p(self, p)
         _set_coeffs(self, None)
         return self
 
     @classmethod
-    def _scaled(cls, ints: list, scale: Fraction) -> Poly:
-        """scale * ints, for any integer list (trailing zeros allowed)."""
+    def _scaled(cls, ints: list, n: int, d: int) -> Poly:
+        """(n / d) * ints for any integer list (trailing zeros allowed) and
+        any n and d > 0: one gcd reduces the content."""
         c, p = _primitive(ints)
-        return cls._make(scale * c, p) if p else _ZERO
+        if not p:
+            return _ZERO
+        n *= c
+        g = math.gcd(n, d)
+        return cls._make(n // g, d // g, p)
+
+    @classmethod
+    def _monic_of(cls, p: tuple) -> Poly:
+        """The monic polynomial with primitive part p."""
+        return _ONE if len(p) == 1 else cls._make(1, p[-1], p)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -80,8 +98,8 @@ class Poly:
     def coeffs(self) -> tuple:
         cs = self._coeffs
         if cs is None:
-            c = self._c
-            cs = tuple(c * x for x in self._p)
+            n, d = self._n, self._d
+            cs = tuple(Fraction(n * x, d) for x in self._p)
             _set_coeffs(self, cs)
         return cs
 
@@ -101,7 +119,7 @@ class Poly:
     def z(cls, power: int = 1) -> Poly:
         if power < 0:
             raise ValueError("Poly.z needs a nonnegative power")
-        return cls._make(Fraction(1), (0,) * power + (1,))
+        return cls._make(1, 1, (0,) * power + (1,))
 
     @property
     def is_zero(self) -> bool:
@@ -116,7 +134,7 @@ class Poly:
     def lead(self) -> Fraction:
         if not self._p:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._c * self._p[-1]
+        return Fraction(self._n * self._p[-1], self._d)
 
     def coeff(self, i: int) -> Fraction:
         if 0 <= i < len(self._p):
@@ -131,17 +149,17 @@ class Poly:
         """
         if count >= len(self._p):
             return self.coeffs[::-1]
-        c = self._c
-        return [c * x for x in self._p[:-count - 1:-1]]
+        n, d = self._n, self._d
+        return [Fraction(n * x, d) for x in self._p[:-count - 1:-1]]
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._p) and self._c * self._p[-1] == 1
+        return bool(self._p) and self._n * self._p[-1] == self._d
 
     def monic(self) -> Poly:
         if not self._p:
             return self
-        return Poly._make(Fraction(1, self._p[-1]), self._p)
+        return Poly._monic_of(self._p)
 
     def shift(self, k: int) -> Poly:
         """Multiply by z^k, k >= 0."""
@@ -149,16 +167,15 @@ class Poly:
             raise ValueError("negative shift")
         if not self._p:
             return self
-        return Poly._make(self._c, (0,) * k + self._p)
+        return Poly._make(self._n, self._d, (0,) * k + self._p)
 
-    def _add(self, other: Poly, oc: Fraction) -> Poly:
-        """self + oc * (primitive part of other)."""
+    def _add(self, other: Poly, n2: int) -> Poly:
+        """self + (n2 / other._d) * (primitive part of other)."""
         if not other._p:
             return self
         if not self._p:
-            return Poly._make(oc, other._p)
-        c = self._c
-        n1, d1, n2, d2 = c.numerator, c.denominator, oc.numerator, oc.denominator
+            return Poly._make(n2, other._d, other._p)
+        n1, d1, d2 = self._n, self._d, other._d
         g = math.gcd(d1, d2)
         s1, s2 = n1 * (d2 // g), n2 * (d1 // g)
         h = math.gcd(s1, s2)
@@ -169,29 +186,32 @@ class Poly:
         out = [s1 * x for x in a] if s1 != 1 else list(a)
         for i, y in enumerate(b):
             out[i] += s2 * y
-        return Poly._scaled(out, Fraction(h, d1 // g * d2))
+        return Poly._scaled(out, h, d1 // g * d2)
 
     def __add__(self, other: Poly) -> Poly:
-        return self._add(other, other._c)
+        return self._add(other, other._n)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self._add(other, -other._c)
+        return self._add(other, -other._n)
 
     def __neg__(self) -> Poly:
         if not self._p:
             return self
-        return Poly._make(-self._c, self._p)
+        return Poly._make(-self._n, self._d, self._p)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             if not self._p or not other._p:
                 return _ZERO
             # Gauss's lemma: a product of primitive polynomials is primitive.
-            return Poly._make(self._c * other._c, _int_mul(self._p, other._p))
+            n, d = _content_mul(self._n, self._d, other._n, other._d)
+            return Poly._make(n, d, _int_mul(self._p, other._p))
         if isinstance(other, (int, Fraction)):
             if not other or not self._p:
                 return _ZERO
-            return Poly._make(self._c * other, self._p)
+            n, d = _content_mul(self._n, self._d,
+                                other.numerator, other.denominator)
+            return Poly._make(n, d, self._p)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -203,8 +223,13 @@ class Poly:
         if len(self._p) < len(other._p):
             return _ZERO, self
         q, r, den = _int_divmod(self._p, other._p)
-        quo = Poly._scaled(q, self._c / (other._c * den))
-        return quo, (Poly._scaled(r, self._c / den) if want_rem else None)
+        # quotient content: (n1 / d1) / ((n2 / d2) * den), den > 0
+        n, d = self._n * other._d, self._d * other._n * den
+        if d < 0:
+            n, d = -n, -d
+        quo = Poly._scaled(q, n, d)
+        return quo, (Poly._scaled(r, self._n, self._d * den)
+                     if want_rem else None)
 
     def __divmod__(self, other: Poly):
         return self._divide(other, True)
@@ -217,10 +242,10 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self._p == other._p
-                and self._c == other._c)
+                and self._n == other._n and self._d == other._d)
 
     def __hash__(self):
-        return hash(("Poly", self._c, self._p))
+        return hash(("Poly", self._n, self._d, self._p))
 
     def __bool__(self) -> bool:
         return bool(self._p)
@@ -248,11 +273,19 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-_set_c = Poly._c.__set__
+_set_n = Poly._n.__set__
+_set_d = Poly._d.__set__
 _set_p = Poly._p.__set__
 _set_coeffs = Poly._coeffs.__set__
-_ZERO = Poly._make(Fraction(0), ())
-_ONE = Poly._make(Fraction(1), (1,))
+_ZERO = Poly._make(0, 1, ())
+_ONE = Poly._make(1, 1, (1,))
+
+
+def _content_mul(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1 / d1) * (n2 / d2) for reduced fractions, reduced by two
+    cross gcds on the smaller factors."""
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
 
 
 def _primitive(c: list[int]) -> tuple[int, tuple]:
@@ -315,10 +348,14 @@ def _int_divmod(a: tuple, b: tuple) -> tuple[list, list, int]:
     return q, r, den
 
 
-def _int_divides(a: tuple, b: tuple) -> bool:
-    """True when the primitive b divides a; over Q and over Z this is the
-    same question (Gauss's lemma)."""
-    return not any(_int_divmod(a, b)[1])
+def _int_exact_quo(a: tuple, b: tuple):
+    """a / b for primitive integer polynomials when b divides a, else None.
+
+    A primitive divisor leaves an integer quotient (Gauss's lemma), which
+    the long division finds without scaling.
+    """
+    q, r, den = _int_divmod(a, b)
+    return None if den != 1 or any(r) else tuple(q)
 
 
 def _prs_gcd(x: tuple, y: tuple) -> tuple:
@@ -333,15 +370,16 @@ def _prs_gcd(x: tuple, y: tuple) -> tuple:
 
 
 def _heu_gcd(f: tuple, g: tuple):
-    """Primitive gcd of primitive integer polynomials by GCDHEU, or None.
+    """(h, f / h, g / h) for primitive integer polynomials by GCDHEU, or None.
 
     With xi >= 2 min(|f|, |g|) + 2 (max norms), the primitive part h of
     the symmetric xi-adic digits of gcd(f(xi), g(xi)) is gcd(f, g) exactly
     when h divides both f and g (Char, Geddes and Gonnet 1989), so a
-    candidate that passes trial division is the gcd.  A constant
-    candidate divides everything, so it needs no division.  The first xi
-    exceeds the bound by 27, as in sympy's heuristicgcd: on the kernel
-    workload that lets 98% of calls succeed at the first xi instead of 70%.
+    candidate that passes trial division is the gcd, and the trial
+    division gives the two cofactors.  A constant candidate divides
+    everything, so it needs no division.  The first xi exceeds the bound
+    by 27, as in sympy's heuristicgcd: on the kernel workload that lets
+    98% of calls succeed at the first xi instead of 70%.
     """
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(HEU_GCD_MAX):
@@ -361,10 +399,32 @@ def _heu_gcd(f: tuple, g: tuple):
                 digits.append(d)
                 gam = (gam - d) // xi
             h = _primitive(digits)[1]
-            if len(h) == 1 or (_int_divides(f, h) and _int_divides(g, h)):
-                return h
+            if len(h) == 1:
+                return h, f, g
+            cf = _int_exact_quo(f, h)
+            if cf is not None:
+                cg = _int_exact_quo(g, h)
+                if cg is not None:
+                    return h, cf, cg
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+def _gcd_cofactors(x: tuple, y: tuple) -> tuple[tuple, tuple, tuple]:
+    """(h, x / h, y / h) with h the primitive gcd of the nonzero primitive
+    integer polynomials x and y: GCDHEU, else a primitive PRS whose
+    cofactors come from one exact division each."""
+    if len(x) == 1 or len(y) == 1:
+        return (1,), x, y
+    if x == y:
+        return x, (1,), (1,)
+    found = _heu_gcd(x, y)
+    if found is not None:
+        return found
+    h = _prs_gcd(x, y)
+    if len(h) == 1:
+        return h, x, y
+    return h, _int_exact_quo(x, h), _int_exact_quo(y, h)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -373,25 +433,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    x, y = a._p, b._p
-    if len(x) == 1 or len(y) == 1:
-        return _ONE
-    if x == y:
-        h = x
-    else:
-        h = _heu_gcd(x, y)
-        if h is None:
-            h = _prs_gcd(x, y)
-    if len(h) == 1:
-        return _ONE
-    return Poly._make(Fraction(1, h[-1]), h)
+    return Poly._monic_of(_gcd_cofactors(a._p, b._p)[0])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero or b.is_zero:
-        return Poly.zero()
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
+        return _ZERO
+    return Poly._monic_of(_int_mul(a._p, _gcd_cofactors(a._p, b._p)[2]))
 
 
 class RatFun:
@@ -416,14 +464,8 @@ class RatFun:
         if num.is_zero:
             num, den = Poly.zero(), Poly.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.lead
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            _, p, q = _gcd_cofactors(num._p, den._p)
+            num, den = _over_monic(num._n, num._d, p, den._n, den._d, q)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -480,9 +522,9 @@ class RatFun:
         if self.is_zero:
             raise ValueError("leading coefficient of zero undefined")
         # num.lead / den.lead, from the integer parts in one Fraction.
-        a, b = self.num._c, self.den._c
-        return Fraction(a.numerator * b.denominator * self.num._p[-1],
-                        a.denominator * b.numerator * self.den._p[-1])
+        num, den = self.num, self.den
+        return Fraction(num._n * den._d * num._p[-1],
+                        num._d * den._n * den._p[-1])
 
     def laurent_coeff(self, t: int) -> Fraction:
         """Coefficient of z^-t in the expansion."""
@@ -549,22 +591,25 @@ class RatFun:
         if other.is_zero:
             return self
         onum = other.num if sign > 0 else -other.num
-        if self.den.degree == 0 and other.den.degree == 0:
+        den1, den2 = self.den, other.den
+        if den1.degree == 0 and den2.degree == 0:
             return RatFun._raw(self.num + onum, Poly.one())
-        g = poly_gcd(self.den, other.den)
-        if g.degree == 0:
-            num = self.num * other.den + onum * self.den
+        g, e1, e2 = _gcd_cofactors(den1._p, den2._p)
+        if len(g) == 1:
+            num = self.num * den2 + onum * den1
             if num.is_zero:
                 return RatFun._raw(Poly.zero(), Poly.one())
-            return RatFun._raw(num, self.den * other.den)
-        num = self.num * (other.den // g) + onum * (self.den // g)
+            return RatFun._raw(num, den1 * den2)
+        # The dens are monic, so den_i // monic(g) = monic(e_i).
+        m1, m2 = Poly._monic_of(e1), Poly._monic_of(e2)
+        num = self.num * m2 + onum * m1
         if num.is_zero:
             return RatFun._raw(Poly.zero(), Poly.one())
-        h = poly_gcd(num, g)
-        if h.degree > 0:
-            num = num // h
-        den = (self.den // g) * (other.den // h)
-        return RatFun._raw(num, den)
+        h, cn, cg = _gcd_cofactors(num._p, g)
+        if len(h) > 1:  # num // monic(h)
+            num = Poly._make(*_content_mul(num._n, num._d, h[-1], 1), cn)
+        # den2 // monic(h) = monic((g / h) e2)
+        return RatFun._raw(num, m1 * Poly._monic_of(_int_mul(cg, e2)))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -595,21 +640,14 @@ class RatFun:
         if self.is_zero or num2.is_zero:
             return RatFun._raw(Poly.zero(), Poly.one())
         num1, den1 = self.num, self.den
-        if den2.degree > 0 and num1.degree > 0:
-            g = poly_gcd(num1, den2)
-            if g.degree > 0:
-                num1, den2 = num1 // g, den2 // g
-        if den1.degree > 0 and num2.degree > 0:
-            g = poly_gcd(num2, den1)
-            if g.degree > 0:
-                num2, den1 = num2 // g, den1 // g
-        num = num1 * num2
-        den = den1 * den2
-        lead = den.lead
-        if lead != 1:
-            inv = 1 / lead
-            num, den = num * inv, den * inv
-        return RatFun._raw(num, den)
+        p1, q1, p2, q2 = num1._p, den1._p, num2._p, den2._p
+        if len(q2) > 1 and len(p1) > 1:
+            _, p1, q2 = _gcd_cofactors(p1, q2)
+        if len(q1) > 1 and len(p2) > 1:
+            _, p2, q1 = _gcd_cofactors(p2, q1)
+        return RatFun._raw(*_over_monic(
+            num1._n * num2._n, num1._d * num2._d, _int_mul(p1, p2),
+            den1._n * den2._n, den1._d * den2._d, _int_mul(q1, q2)))
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -637,12 +675,9 @@ class RatFun:
     def inverse(self) -> RatFun:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        num, den = self.den, self.num
-        lead = den.lead
-        if lead != 1:
-            inv = 1 / lead
-            num, den = num * inv, den * inv
-        return RatFun._raw(num, den)
+        num, den = self.num, self.den
+        return RatFun._raw(*_over_monic(den._n, den._d, den._p,
+                                        num._n, num._d, num._p))
 
     def __pow__(self, k: int) -> RatFun:
         if k < 0:
@@ -681,6 +716,24 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self.num!r}, {self.den!r})"
+
+
+def _over_monic(n: int, d: int, p: tuple, dn: int, dd: int,
+                q: tuple) -> tuple[Poly, Poly]:
+    """(num, den) for ((n / d) p) / ((dn / dd) q) with den monic.
+
+    p and q are coprime primitive parts, and d, dd > 0.  A den that is
+    monic already (a product of monic factors) leaves n / d as it is;
+    otherwise its scale moves into the numerator.  One gcd then reduces
+    the numerator's content.
+    """
+    lead = q[-1]
+    if dn * lead != dd:
+        n, d = n * dd, d * dn * lead
+        if d < 0:
+            n, d = -n, -d
+    g = math.gcd(n, d)
+    return Poly._make(n // g, d // g, p), Poly._monic_of(q)
 
 
 def _coerce(x) -> RatFun | None:

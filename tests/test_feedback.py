@@ -1,10 +1,12 @@
 """Closed loops, feedback realizations, worst-case precompensators."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from latkern import feedback
 from latkern.feedback import (PreconditionError, StateSpace, closed_loop,
                               from_state_space, is_nonlatency_check,
                               static_feedback_realizable,
@@ -14,7 +16,7 @@ from latkern.latency import latency_kernel
 from latkern.polymatrix import reachability_indices
 from latkern.rational import Poly, RatFun
 from latkern.simulate import SeriesMatrix
-from latkern.transfer import TransferMatrix
+from latkern.transfer import InternalCheckError, TransferMatrix
 
 from gen import (rand_bicausal, rand_matrix, rand_state_pair,
                  rand_strictly_causal_injective)
@@ -156,6 +158,36 @@ def test_vg_representation_random_pipeline():
         v_inv = rep.v.inverse()
         shifted = v_inv * (d * z(-1))
         assert all(e.is_polynomial for row in shifted.entries for e in row)
+
+
+def test_realization_identity_rejects_perturbations(monkeypatch):
+    rng = random.Random(75)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    l = rand_bicausal(rng, 2, 2)
+    rep = vg_representation(f, l)
+    feedback._check_realization(rep.loop, rep.v, l)
+
+    def bump(m):
+        # a strictly causal change to one entry keeps every map causal
+        return m + TransferMatrix([[z(-3) if (i, j) == (0, 0) else 0
+                                    for j in range(m.cols)]
+                                   for i in range(m.rows)])
+
+    for loop, v in [(bump(rep.loop), rep.v), (rep.loop, bump(rep.v))]:
+        with pytest.raises(InternalCheckError,
+                           match="realization identity failed"):
+            feedback._check_realization(loop, v, l)
+    # End to end: a feedback term off by a strictly causal map perturbs
+    # the loop inside vg_representation.
+    exact = feedback.causal_factor
+
+    def off(f, h, kernel=None):
+        outcome = exact(f, h, kernel=kernel)
+        return replace(outcome, g=bump(outcome.g))
+
+    monkeypatch.setattr(feedback, "causal_factor", off)
+    with pytest.raises(InternalCheckError, match="realization identity failed"):
+        vg_representation(f, l)
 
 
 def test_worst_case_examples():

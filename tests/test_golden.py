@@ -25,25 +25,49 @@ def _inputs():
     l = rand_bicausal(rng, 2, 2)
     g = rand_matrix(rng, 2, 3, 3)
     u = TransferMatrix([[rand_ratfun(rng, 3)] for _ in range(3)])
-    return {"f.json": f, "l.json": l, "g.json": g, "u.json": u}
+    # Kernel-path inputs, drawn after the ones above so those stay fixed:
+    # h_yes = c f with c causal factors; h_no is a random map; post and
+    # two-sided are bicausal compensations of f.
+    h_yes = rand_bicausal(rng, 3, 1) * f
+    h_no = rand_matrix(rng, 3, 2, 1)
+    post = rand_bicausal(rng, 3, 1) * f
+    two_sided = rand_bicausal(rng, 3, 1) * f * rand_bicausal(rng, 2, 1)
+    return {"f.json": f, "l.json": l, "g.json": g, "u.json": u,
+            "h_yes.json": h_yes, "h_no.json": h_no, "post.json": post,
+            "two_sided.json": two_sided}
 
 
+# (test id, argv, exit code, digest); the kernel path is covered by
+# latency, factor (one yes, one no) and equivalence (post, two-sided).
 GOLDEN = [
-    (["realize", "f.json", "l.json", "--out-dir", "out"],
+    ("realize", ["realize", "f.json", "l.json", "--out-dir", "out"], 0,
      "deecbe353539fce1eb8f66dee0cf8ba9f9405aea379934f2bcbbb5d5af41cc3a"),
-    (["simulate", "g.json", "u.json", "--horizon", "25"],
+    ("simulate", ["simulate", "g.json", "u.json", "--horizon", "25"], 0,
      "8798ce7e13a9475e33ec681899125d018a1db33517cf108878c91777d78fba7a"),
-    (["expand", "g.json", "--terms", "25"],
+    ("expand", ["expand", "g.json", "--terms", "25"], 0,
      "b737ef618993e6dfcfa8867093f16426d8fc2cc40d45628cfab94fba1290a925"),
+    ("latency", ["latency", "f.json"], 0,
+     "3d76ce014dd8ba24440954f5792babaa2b2e0e54aeafba65b58cc2adfbcb45a2"),
+    ("factor-yes", ["factor", "f.json", "h_yes.json"], 0,
+     "59228849c2319c8435db75b2800dc24cecab06216b12f9bdbadc48c56918f728"),
+    ("factor-no", ["factor", "f.json", "h_no.json"], 1,
+     "4514176a5e4140a81f37bf292fe3882361f00c929eb7e9a9aa0b39dee6bbc17a"),
+    ("equiv-post", ["equiv", "f.json", "post.json", "--mode", "post"], 0,
+     "06b6617a580e1a56973e36290250f1b7185ef1a15b5a04254a825b7bfca02e5c"),
+    ("equiv-two-sided",
+     ["equiv", "f.json", "two_sided.json", "--mode", "two-sided"], 0,
+     "39f72290b3ca101b24b4e6361e8fb1ce6cc4bdbafc262b6b1d32071d02f3144d"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a[0] for a, _ in GOLDEN])
-def test_json_stdout_digest(argv, digest, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv,code,digest", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_json_stdout_digest(argv, code, digest, tmp_path, capsys,
+                            monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LATKERN_HORIZON", raising=False)
     for name, matrix in _inputs().items():
         dump_matrix(matrix, name)
-    assert main(["--json"] + argv) == 0
+    assert main(["--json"] + argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

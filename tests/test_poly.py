@@ -39,12 +39,13 @@ def ref(cs):
 
 def assert_canonical(p: Poly):
     if p.is_zero:
-        assert p._p == () and p._c == 0
+        assert p._p == () and (p._n, p._d) == (0, 1)
         return
     assert all(isinstance(x, int) for x in p._p)
     assert p._p[-1] > 0
     assert math.gcd(*p._p) == 1
-    assert isinstance(p._c, Fraction) and p._c != 0
+    assert isinstance(p._n, int) and isinstance(p._d, int)
+    assert p._n != 0 and p._d > 0 and math.gcd(p._n, p._d) == 1
 
 
 @props
@@ -88,7 +89,7 @@ def test_canonical_form_is_unique(a, s):
     assert Poly(p.coeffs) == p
     # the same value reached through a scaled copy has equal fields
     same = Poly([c * s for c in a]) * (1 / s)
-    assert (same._c, same._p) == (p._c, p._p)
+    assert (same._n, same._d, same._p) == (p._n, p._d, p._p)
     assert same == p and hash(same) == hash(p)
     assert p.degree == len(ref(a)) - 1
     assert all(p.coeff(i) == c for i, c in enumerate(ref(a)))
@@ -117,7 +118,7 @@ def test_heuristic_gcd_agrees_with_prs(a, b, common, sa, sb):
         assert list(g.coeffs) == poly_gcd_ref(x.coeffs, y.coeffs)
         if x.degree > 0 and y.degree > 0:
             heu = rational._heu_gcd(x._p, y._p)
-            assert heu is None or heu == rational._prs_gcd(x._p, y._p)
+            assert heu is None or heu[0] == rational._prs_gcd(x._p, y._p)
     assert poly_gcd(*pairs[1]) % pc.monic() == Poly.zero()
 
 
@@ -128,7 +129,7 @@ def test_retry_and_fallback(monkeypatch):
     # answer needs a second point, or the remainder sequence when only one
     # point is allowed.
     f, g = (-15, 1), (1, 1)
-    assert rational._heu_gcd(f, g) == (1,)
+    assert rational._heu_gcd(f, g) == ((1,), f, g)
     monkeypatch.setattr(rational, "HEU_GCD_MAX", 1)
     assert rational._heu_gcd(f, g) is None
     assert poly_gcd(Poly(f), Poly(g)) == Poly.one()
@@ -140,7 +141,7 @@ def test_first_point_respects_the_bound():
     # 2 min(|f|, |g|) + 2 = 6, the values 10 and 8 share only 2, a constant
     # that divides everything, so the answer would be 1.
     f, g = (-2, -1, 1), (0, -2, 1)
-    assert rational._heu_gcd(f, g) == (-2, 1)
+    assert rational._heu_gcd(f, g) == ((-2, 1), (1, 1), (0, 1))
     assert poly_gcd(Poly(f), Poly(g)) == Poly((-2, 1))
 
 
@@ -172,3 +173,78 @@ def test_gcd_matches_sympy(a, b, common):
         got = poly_gcd(x, y)
         assert [Fraction(int(c.p), int(c.q))
                 for c in reversed(expect.all_coeffs())] == list(got.coeffs)
+
+
+def _ratfun(num, den, factor):
+    """RatFun from coefficient lists, with `factor` planted in both."""
+    return RatFun(Poly(num) * factor, Poly(den) * factor)
+
+
+def _ratfun_ref(num, den):
+    """RatFun(num, den) from Fraction reference coefficient lists."""
+    return RatFun(Poly(num), Poly(den))
+
+
+@props
+@given(coeffs, nonzero_coeffs, nonzero_coeffs, nonzero_coeffs, scalar)
+def test_every_result_is_canonical(a, b, c, common, s):
+    pa, pb, pc = Poly(a), Poly(b), Poly(common)
+    polys = [pa, pa + pb, pa - pb, pa * pb, pa * s, pa * 3, -pa,
+             pb.monic(), pb.shift(2), *divmod(pa * pc, pb)]
+    x = _ratfun(a, b, pc)
+    y = _ratfun(c, common, Poly(b))
+    ratfuns = [x, y, x + y, x - y, x * y, y.inverse(), (x - y) + y]
+    if not x.is_zero:
+        ratfuns += [y / x, x.inverse()]
+    for r in ratfuns:
+        assert r.den.is_monic
+        polys += [r.num, r.den]
+    for p in polys:
+        assert_canonical(p)
+
+
+@props
+@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs)
+def test_gcd_cofactors_rebuild_their_inputs(a, b, common):
+    pc = Poly(common)
+    x, y = (Poly(a) * pc)._p, (Poly(b) * pc)._p
+    expect = poly_gcd_ref(x, y)
+    saved = rational.HEU_GCD_MAX
+    try:
+        # GCDHEU, then the remainder-sequence fallback alone
+        for heu_max in (saved, 0):
+            rational.HEU_GCD_MAX = heu_max
+            g, ca, cb = rational._gcd_cofactors(x, y)
+            if heu_max == 0:
+                assert rational._heu_gcd(x, y) is None
+            assert poly_mul_ref(g, ca) == list(x)
+            assert poly_mul_ref(g, cb) == list(y)
+            assert g[-1] > 0 and math.gcd(*g) == 1
+            assert [Fraction(c, g[-1]) for c in g] == expect
+    finally:
+        rational.HEU_GCD_MAX = saved
+
+
+@props
+@given(coeffs, nonzero_coeffs, coeffs, nonzero_coeffs, nonzero_coeffs)
+def test_ratfun_operations_match_reference(an, ad, bn, bd, common):
+    # The planted factors give the product its cross-cancellations and the
+    # sum a shared denominator factor; in the last pair, x + y cancels it.
+    pc = Poly(common)
+    x = _ratfun(an, ad, pc)
+    pairs = [(x, _ratfun(bn, bd, Poly(ad))),
+             (x, RatFun(Poly(bn), Poly(bd) * Poly(ad))),
+             (x, RatFun(Poly(bn), Poly(bd)) - x)]
+    for x, y in pairs:
+        xn, xd, yn, yd = x.num.coeffs, x.den.coeffs, y.num.coeffs, y.den.coeffs
+        neg_yn = [-c for c in yn]
+        assert x + y == _ratfun_ref(
+            poly_add_ref(poly_mul_ref(xn, yd), poly_mul_ref(yn, xd)),
+            poly_mul_ref(xd, yd))
+        assert x - y == _ratfun_ref(
+            poly_add_ref(poly_mul_ref(xn, yd), poly_mul_ref(neg_yn, xd)),
+            poly_mul_ref(xd, yd))
+        assert x * y == _ratfun_ref(poly_mul_ref(xn, yn), poly_mul_ref(xd, yd))
+        if not y.is_zero:
+            assert x / y == _ratfun_ref(poly_mul_ref(xn, yd),
+                                        poly_mul_ref(xd, yn))
