@@ -12,6 +12,7 @@ certificate (a bug, never a "no").  Exits 2 and 3 print the same
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,7 +230,10 @@ def _render_text(obj, indent=0):
     return lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as
+    it was, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="latkern",
         description="Exact causal factorization, latency kernels and "
@@ -306,9 +310,6 @@ def _fail(args, exc, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    # The parser is a web of reference cycles.  Not holding it while the
-    # command runs lets the cycle collector free it young, instead of
-    # promoting it to an older generation that is collected rarely.
     args = build_parser().parse_args(argv)
     try:
         report, code = args.run(args)

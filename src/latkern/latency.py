@@ -30,6 +30,8 @@ class LatencyKernel:
     generator          m x m nonsingular, columns ordered by nondecreasing
                        order; generator^-1 is strictly causal for strictly
                        causal f.
+    generator_inv      generator^-1, certified by generator * generator_inv
+                       == I.
     poly_generator     strictly polynomial ordered proper generator of the
                        same module (entries in z*K[z]); None when f is not
                        strictly causal, where no such basis exists.
@@ -41,6 +43,7 @@ class LatencyKernel:
     """
 
     generator: TransferMatrix
+    generator_inv: TransferMatrix
     poly_generator: TransferMatrix | None
     orders: tuple
     indices: tuple
@@ -49,7 +52,7 @@ class LatencyKernel:
 
     def contains(self, u) -> bool:
         """Membership of the input vector u in the kernel module."""
-        image = self.generator.inverse().apply(u)
+        image = self.generator_inv.apply(u)
         return all(e.is_causal for e in image)
 
 
@@ -59,7 +62,10 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
     Route: Smith form at infinity f = b1 * delta * b2, so an input u has a
     proper response exactly when b2*u lands in diag(z^sigma) * Omega^-;
     the generator is therefore b2^-1 * diag(z^sigma), column-reduced to an
-    ordered proper basis.  Each step carries an exact certificate.
+    ordered proper basis d = b2^-1 * diag(z^sigma) * w.  Smith form and
+    column reduction carry b2^-1 and w^-1, so d^-1 = w^-1 * diag(z^-sigma)
+    * b2 is a product, not an inversion; d * d^-1 == I certifies both
+    carried inverses at once.  Each step carries an exact certificate.
     """
     m = f.cols
     smith = smith_at_infinity(f)
@@ -67,16 +73,26 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
         raise KernelNotFinitelyGenerated(
             "latency kernel is not finitely generated: map has rank "
             f"{len(smith.sigma)} < {m} (not injective)")
-    shifts = TransferMatrix.diag([RatFun.zpow(s) for s in smith.sigma])
-    raw = smith.b2.inverse() * shifts
+    sigma = smith.sigma
+    # raw = b2^-1 * diag(z^sigma) and raw^-1 = diag(z^-sigma) * b2, each
+    # built by scaling columns or rows.
+    raw = TransferMatrix([[e * RatFun.zpow(s) for e, s in zip(row, sigma)]
+                          for row in smith.b2_inv.entries])
     basis, _ = column_reduce_at_infinity(raw)
     d = basis.columns
+    raw_inv = TransferMatrix([[e * RatFun.zpow(-s) for e in row]
+                              for row, s in zip(smith.b2.entries, sigma)])
+    d_inv = basis.w_inv * raw_inv
+    if d * d_inv != TransferMatrix.identity(m):
+        raise InternalCheckError("kernel generator times its carried inverse "
+                                 "is not the identity")
     strictly_causal = f.classify().strictly_causal
-    poly = strictly_polynomial_basis(d) if strictly_causal else None
+    poly = strictly_polynomial_basis(d, d_inv) if strictly_causal else None
     orders = basis.orders
     indices = tuple(-o - 1 for o in orders)
     return LatencyKernel(
         generator=d,
+        generator_inv=d_inv,
         poly_generator=poly,
         orders=orders,
         indices=indices,
@@ -85,16 +101,17 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
     )
 
 
-def strictly_polynomial_basis(d: TransferMatrix) -> TransferMatrix:
+def strictly_polynomial_basis(d: TransferMatrix,
+                              d_inv: TransferMatrix) -> TransferMatrix:
     """Strictly polynomial generator of the module generated by d.
 
     Truncates every entry to its z^+k, k >= 1 terms.  Valid for ordered
     proper generators of latency kernels of strictly causal injective
-    maps, where the truncation drops only a causal remainder.  Both
-    certificates use one inverse of d: d^-1 is strictly causal (the stated
-    precondition), and d^-1 * result is bicausal (same module both ways).
+    maps, where the truncation drops only a causal remainder.  d_inv must
+    be d^-1, which both certificates use: d^-1 is strictly causal (the
+    stated precondition), and d^-1 * result is bicausal (same module both
+    ways).
     """
-    d_inv = d.inverse()
     if not d_inv.classify().strictly_causal:
         raise InternalCheckError("kernel generator inverse not strictly causal")
     out = []

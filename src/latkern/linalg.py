@@ -68,11 +68,14 @@ def _echelon(rows, limit_cols=None, weight=None):
         rows[r], rows[pr] = rows[pr], rows[r]
         p = rows[r][c]
         factors.append(p if pr == r else -p)
-        rows[r] = [x / p for x in rows[r]]
+        # A zero entry stays as it is: dividing or subtracting it is a
+        # no-op that still costs a full field operation.
+        rows[r] = [x / p if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

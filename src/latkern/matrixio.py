@@ -20,17 +20,20 @@ class InputFormatError(ValueError):
     """Malformed matrix file or coefficient string."""
 
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+# The denominator takes no sign, as in Fraction's own string syntax.
+_COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def _parse_coeff(raw) -> Fraction:
     if isinstance(raw, str):
-        if not _COEFF_RE.match(raw.strip()):
+        text = raw.strip()
+        if not _COEFF_RE.match(text):
             raise InputFormatError(
                 f"bad coefficient {raw!r}: expected an exact 'a' or 'a/b' "
                 "integer string (no decimals)")
+        num, _, den = text.partition("/")
         try:
-            return Fraction(raw)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError as exc:
             raise InputFormatError(f"bad coefficient {raw!r}: {exc}") from exc
     if isinstance(raw, int) and not isinstance(raw, bool):

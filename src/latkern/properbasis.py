@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .rational import ORD_INF, RatFun
-from .transfer import InternalCheckError, TransferMatrix
+from .transfer import InternalCheckError, TransferMatrix, _dot
 
 
 def column_order(col):
@@ -44,10 +44,17 @@ def leading_data(cols):
 
 @dataclass(frozen=True)
 class ProperBasis:
+    """A proper basis; w_inv, when set, expresses the reduced matrix in it.
+
+    column_reduce_at_infinity(m) sets w_inv to the inverse of its
+    transformation w, so m = columns * w_inv.
+    """
+
     columns: TransferMatrix
     orders: tuple
     leading_matrix: tuple
     ordered: bool = False
+    w_inv: TransferMatrix | None = None
 
 
 def proper_independence_check(cols):
@@ -68,7 +75,8 @@ def column_reduce_at_infinity(m: TransferMatrix):
 
     Returns (ProperBasis, w) with columns = m*w and w bicausal, so both the
     field span and the generated power-series module are unchanged.  The
-    result is ordered: column orders are nondecreasing.
+    result is ordered: column orders are nondecreasing.  The basis carries
+    w^-1, built by mirroring each column operation on w as row operations.
 
     When the leading coefficients admit a dependency, the dependent column
     of maximal order (ties: lowest index) is replaced by the combination
@@ -79,8 +87,10 @@ def column_reduce_at_infinity(m: TransferMatrix):
     if m.rank() != m.cols:
         raise ValueError("column reduction needs full column rank; "
                          "drop dependent columns first")
-    cols = [list(m.column(j)) for j in range(m.cols)]
-    w = TransferMatrix.identity(m.cols)
+    n = m.cols
+    cols = m.columns()
+    w_cols = TransferMatrix.identity(n).columns()
+    w_inv = [list(row) for row in TransferMatrix.identity(n).entries]
     while True:
         orders, lead_matrix = leading_data(cols)
         alpha = linalg.nullspace_vector(lead_matrix)
@@ -88,29 +98,39 @@ def column_reduce_at_infinity(m: TransferMatrix):
             break
         support = [i for i, a in enumerate(alpha) if a != 0]
         j = max(support, key=lambda i: (orders[i], -i))
-        combo = [RatFun.const(0)] * len(cols[0])
-        elem = [[RatFun.const(1 if r == c else 0) for c in range(m.cols)]
-                for r in range(m.cols)]
-        for i in support:
-            factor = RatFun.const(alpha[i]) * RatFun.zpow(orders[i] - orders[j])
-            elem[i][j] = factor
-            combo = [acc + factor * e for acc, e in zip(combo, cols[i])]
+        # Column j of both cols and w becomes sum_i factor_i * column i.
+        factors = [RatFun.const(alpha[i]) * RatFun.zpow(orders[i] - orders[j])
+                   for i in support]
+        combo = _combine(factors, [cols[i] for i in support])
         new_order = column_order(combo)
         if new_order != ORD_INF and new_order <= orders[j]:
             raise InternalCheckError("lead cancellation did not raise the "
                                      "column order")
         cols[j] = combo
-        w = w * TransferMatrix(elem)
+        w_cols[j] = _combine(factors, [w_cols[i] for i in support])
+        # Mirrored on w^-1: row i -= (factor_i / factor_j) * row j for
+        # i != j, then row j /= factor_j (factor_j is the constant alpha_j).
+        scale = RatFun.const(1 / alpha[j])
+        for i, factor in zip(support, factors):
+            if i != j:
+                c = factor * scale
+                w_inv[i] = [x - c * y for x, y in zip(w_inv[i], w_inv[j])]
+        w_inv[j] = [scale * y for y in w_inv[j]]
 
     orders, _ = leading_data(cols)
-    perm = sorted(range(len(cols)), key=lambda i: (orders[i], i))
-    pmat = TransferMatrix([[1 if perm[j] == i else 0 for j in range(m.cols)]
-                           for i in range(m.cols)])
+    perm = sorted(range(n), key=lambda i: (orders[i], i))
     cols = [cols[i] for i in perm]
-    w = w * pmat
     orders, lead_matrix = leading_data(cols)
     basis = TransferMatrix.from_columns(cols)
-    return ProperBasis(basis, tuple(orders), lead_matrix, ordered=True), w
+    w_inv = TransferMatrix([w_inv[i] for i in perm])
+    return (ProperBasis(basis, tuple(orders), lead_matrix, ordered=True,
+                        w_inv=w_inv),
+            TransferMatrix.from_columns([w_cols[i] for i in perm]))
+
+
+def _combine(factors, vectors):
+    """sum_k factors[k] * vectors[k], entrywise."""
+    return [_dot(factors, entries) for entries in zip(*vectors)]
 
 
 def extend_to_proper_basis(partial: ProperBasis | None, ambient_dim: int) -> TransferMatrix | None:
@@ -146,21 +166,24 @@ class SmithAtInfinity:
     """Factorization f = b1 * delta * b2 with b1, b2 bicausal.
 
     delta is rows x cols with z^-sigma[i] on the diagonal and zeros
-    elsewhere; sigma is nondecreasing with one entry per rank.
+    elsewhere; sigma is nondecreasing with one entry per rank.  b2_inv is
+    b2^-1, built alongside b2 from the same elementary operations; it is
+    not checked here (latency_kernel certifies the generator it yields).
     """
 
     b1: TransferMatrix
     sigma: tuple
     b2: TransferMatrix
-
-    def delta(self, rows: int, cols: int) -> TransferMatrix:
-        d = [[RatFun.const(0) for _ in range(cols)] for _ in range(rows)]
-        for i, s in enumerate(self.sigma):
-            d[i][i] = RatFun.zpow(-s)
-        return TransferMatrix(d)
+    b2_inv: TransferMatrix
 
     def reassemble(self) -> TransferMatrix:
-        return self.b1 * self.delta(self.b1.rows, self.b2.rows) * self.b2
+        """b1 * delta * b2, as (b1's first r columns, each times its
+        z^-sigma) * (b2's first r rows), where r = len(sigma)."""
+        r = len(self.sigma)
+        shifts = [RatFun.zpow(-s) for s in self.sigma]
+        left = TransferMatrix([[e * s for e, s in zip(row, shifts)]
+                               for row in self.b1.entries])
+        return left * TransferMatrix(self.b2.entries[:r])
 
 
 def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
@@ -169,14 +192,16 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
     The pivot is the global minimum-order entry of the working submatrix
     (ties row-major); elimination multipliers are then proper, so both
     accumulated transformations stay bicausal.  Orders never drop below
-    the pivot order, which makes sigma nondecreasing.
+    the pivot order, which makes sigma nondecreasing.  Every row
+    operation on b2 is mirrored by the inverse column operation on b2_inv.
     """
     if f.is_zero:
         raise ValueError("Smith form at infinity of the zero matrix")
     p, m = f.rows, f.cols
-    work = [[f.entry(i, j) for j in range(m)] for i in range(p)]
-    b1 = [[RatFun.const(1 if i == j else 0) for j in range(p)] for i in range(p)]
-    b2 = [[RatFun.const(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    work = [list(row) for row in f.entries]
+    b1 = [list(row) for row in TransferMatrix.identity(p).entries]
+    b2 = [list(row) for row in TransferMatrix.identity(m).entries]
+    b2_inv = [row[:] for row in b2]
 
     def swap_rows(a, b):
         if a != b:
@@ -189,6 +214,8 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
             for row in work:
                 row[a], row[b] = row[b], row[a]
             b2[a], b2[b] = b2[b], b2[a]
+            for row in b2_inv:
+                row[a], row[b] = row[b], row[a]
 
     sigma = []
     k = 0
@@ -223,6 +250,8 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
             for row in work:
                 row[j] = row[j] - c * row[k]
             b2[k] = [a + c * b for a, b in zip(b2[k], b2[j])]
+            for row in b2_inv:
+                row[j] = row[j] - c * row[k]
         sigma.append(pivot.order())
         k += 1
 
@@ -230,9 +259,11 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
     for i, s in enumerate(sigma):
         unit = work[i][i] * RatFun.zpow(s)
         b2[i] = [unit * e for e in b2[i]]
+        for row in b2_inv:
+            row[i] = row[i] / unit
 
     result = SmithAtInfinity(TransferMatrix(b1), tuple(sigma),
-                             TransferMatrix(b2))
+                             TransferMatrix(b2), TransferMatrix(b2_inv))
     if result.reassemble() != f:
         raise InternalCheckError("Smith form does not reassemble the map")
     return result

@@ -489,7 +489,12 @@ class RatFun:
 
     @classmethod
     def const(cls, c) -> RatFun:
-        return cls(Poly.const(c))
+        """The constant c over 1, which is canonical as it is."""
+        if not isinstance(c, (int, Fraction)):
+            c = _frac(c)
+        if not c:
+            return cls._raw(_ZERO, _ONE)
+        return cls._raw(Poly._make(c.numerator, c.denominator, (1,)), _ONE)
 
     @property
     def is_zero(self) -> bool:

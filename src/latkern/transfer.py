@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from . import linalg
 from .linalg import _echelon, _kernel_vector
@@ -165,11 +167,9 @@ class TransferMatrix:
         if isinstance(other, TransferMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            n = self.cols
-            return TransferMatrix(
-                [[sum((self.entries[i][k] * other.entries[k][j]
-                       for k in range(n)), RatFun.const(0))
-                  for j in range(other.cols)] for i in range(self.rows)])
+            cols = list(zip(*other.entries))
+            return TransferMatrix([[_dot(row, col) for col in cols]
+                                   for row in self.entries])
         other = _entry(other)
         return TransferMatrix([[a * other for a in row] for row in self.entries])
 
@@ -189,8 +189,7 @@ class TransferMatrix:
         u = [_entry(x) for x in u]
         if len(u) != self.cols:
             raise ValueError(f"input length {len(u)} != {self.cols} columns")
-        return tuple(sum((row[k] * u[k] for k in range(self.cols)),
-                         RatFun.const(0)) for row in self.entries)
+        return tuple(_dot(row, u) for row in self.entries)
 
     @property
     def is_zero(self) -> bool:
@@ -279,6 +278,11 @@ class TransferMatrix:
 
     def __repr__(self) -> str:
         return f"TransferMatrix({self.rows}x{self.cols})"
+
+
+def _dot(xs, ys) -> RatFun:
+    """sum x * y over a nonempty pair of sequences, from the first term."""
+    return reduce(add, map(mul, xs, ys))
 
 
 def _total_degree(r: RatFun) -> int:

@@ -2,10 +2,11 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from latkern.cli import main
+from latkern.cli import build_parser, main
 from latkern.matrixio import (InputFormatError, dump_matrix, load_matrix,
                               matrix_from_json, matrix_to_json)
 from latkern.rational import Poly, RatFun
@@ -233,3 +234,48 @@ def test_failed_certificate_exits_3(tmp_path, capsys, monkeypatch):
     assert diag == {"command": "latency", "error": "forced certificate failure"}
     assert main(["latency", f]) == 3
     assert "forced certificate failure" in capsys.readouterr().err
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    # main parses with one parser per process; no call may leave state in
+    # it that changes a later call, usage errors included.
+    f = write(tmp_path / "f.json", TransferMatrix.diag([z(-1), z(-3)]))
+    g = write(tmp_path / "g.json", TransferMatrix.diag([z(-2), z(-3)]))
+    u = write(tmp_path / "u.json", TransferMatrix([[RatFun.const(1)],
+                                                   [z(-1)]]))
+    calls = [["--json", "latency", f],
+             ["--json", "equiv", f, g, "--mode", "post"],
+             ["expand", f, "--terms", "3"],
+             ["--json", "factor", f, f, "--static"],
+             ["--json", "factor", f, f],
+             ["--json", "equiv", f, f, "--mode", "two-sided"],
+             ["--json", "simulate", f, u, "--horizon", "4"],
+             ["classify", f]]
+    first = {}
+    for argv in calls + calls[::-1] + calls:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert first.setdefault(tuple(argv), (code, out)) == (code, out)
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", f, g, "--mode", "sideways"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert build_parser() is build_parser()
+
+
+def test_coefficient_strings_parse_exactly(tmp_path, capsys):
+    entry = {"num": ["+3", "-4/6", " 7 ", "0/5", "12/1"], "den": ["1"]}
+    m = matrix_from_json({"rows": 1, "cols": 1, "entries": [[entry]]})
+    assert m.entry(0, 0) == RatFun(Poly([3, Fraction(-2, 3), 7, 0, 12]))
+    for raw, match in (("1/0", r"bad coefficient '1/0': Fraction\(1, 0\)"),
+                       ("3/-5", "bad coefficient '3/-5': expected an exact"),
+                       ("1.5", "bad coefficient '1.5': expected an exact")):
+        obj = {"rows": 1, "cols": 1,
+               "entries": [[{"num": [raw], "den": ["1"]}]]}
+        with pytest.raises(InputFormatError, match=match):
+            matrix_from_json(obj)
+    bad = tmp_path / "zero_den.json"
+    bad.write_text(json.dumps({"rows": 1, "cols": 1,
+                               "entries": [[{"num": ["2/0"], "den": ["1"]}]]}))
+    assert main(["--json", "classify", str(bad)]) == 2
+    assert "Fraction(2, 0)" in json.loads(capsys.readouterr().out)["error"]

@@ -1,5 +1,6 @@
 """Latency kernels: construction, membership, indices, equivalences."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from latkern.latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                              latency_kernel, module_contains,
                              strictly_polynomial_basis)
+from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import image_is_proper
@@ -71,22 +73,24 @@ def test_kernel_soundness_random():
 
 def test_strictly_polynomial_examples():
     d = TransferMatrix.scalar(RatFun(Poly([1, 1])))
-    out = strictly_polynomial_basis(d)
+    out = strictly_polynomial_basis(d, d.inverse())
     assert out == TransferMatrix.scalar(z(1))
     assert (d.inverse() * out).classify().bicausal
 
     d2 = TransferMatrix.diag([z(1), z(3)])
-    assert strictly_polynomial_basis(d2) == d2
+    assert strictly_polynomial_basis(d2, d2.inverse()) == d2
 
     d3 = TransferMatrix.scalar(RatFun(Poly([1, 1, 1]), Poly([0, 1])))
-    assert strictly_polynomial_basis(d3) == TransferMatrix.scalar(z(1))
+    assert (strictly_polynomial_basis(d3, d3.inverse())
+            == TransferMatrix.scalar(z(1)))
 
 
 def test_strictly_polynomial_rejects_non_strictly_causal_inverse():
     # identity has a bicausal inverse, so it is no latency-kernel generator
     # of a strictly causal map; the precondition check must say so.
     with pytest.raises(InternalCheckError, match="inverse not strictly causal"):
-        strictly_polynomial_basis(TransferMatrix.identity(2))
+        strictly_polynomial_basis(TransferMatrix.identity(2),
+                                  TransferMatrix.identity(2))
 
 
 def test_strictly_polynomial_zero_constant_terms():
@@ -211,3 +215,45 @@ def test_state_pairs_are_nonlatent():
         f = from_state_space(StateSpace(a, b))
         k = latency_kernel(f)
         assert all(v == 0 for v in k.indices)
+
+
+def test_kernel_carries_certified_generator_inverse():
+    rng = random.Random(44)
+    for m in range(1, 5):
+        for p in (m, m + 1):
+            f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                  max_deg=1)
+            k = latency_kernel(f)
+            assert k.generator * k.generator_inv == TransferMatrix.identity(m)
+            assert k.generator_inv == k.generator.inverse()
+
+
+def _corrupt(m):
+    rows = [list(row) for row in m.entries]
+    rows[0][-1] = rows[0][-1] + 1
+    return TransferMatrix(rows)
+
+
+def test_corrupt_smith_inverse_is_caught(monkeypatch):
+    def corrupted(f):
+        s = smith_at_infinity(f)
+        return dataclasses.replace(s, b2_inv=_corrupt(s.b2_inv))
+
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
+    f, _ = rand_strictly_causal_injective(random.Random(45), 2, 2, max_nu=2,
+                                          max_deg=1)
+    with pytest.raises(InternalCheckError, match="carried inverse"):
+        latency_kernel(f)
+
+
+def test_corrupt_column_reduction_inverse_is_caught(monkeypatch):
+    def corrupted(a):
+        pb, w = column_reduce_at_infinity(a)
+        return dataclasses.replace(pb, w_inv=_corrupt(pb.w_inv)), w
+
+    monkeypatch.setattr("latkern.latency.column_reduce_at_infinity",
+                        corrupted)
+    f, _ = rand_strictly_causal_injective(random.Random(46), 2, 2, max_nu=2,
+                                          max_deg=1)
+    with pytest.raises(InternalCheckError, match="carried inverse"):
+        latency_kernel(f)

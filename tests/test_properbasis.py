@@ -14,7 +14,8 @@ from latkern.rational import ORD_INF, RatFun
 from latkern.transfer import TransferMatrix
 from oracles import min_minor_order
 
-from gen import rand_full_rank_matrix, rand_nonzero_matrix, rand_ratfun
+from gen import (rand_full_rank_matrix, rand_nonzero_matrix, rand_ratfun,
+                 rand_strictly_causal_injective)
 
 z = RatFun.zpow
 one = RatFun.const(1)
@@ -189,3 +190,29 @@ def test_order_chain_examples():
 def test_order_chain_rejects_improper_generator():
     with pytest.raises(ValueError, match="properly independent"):
         order_chain(TransferMatrix.from_columns([[one, zero], [one, z(-1)]]))
+
+
+def test_smith_carries_b2_inverse_random():
+    rng = random.Random(36)
+    for m in range(1, 5):
+        for p in (m, m + 1):
+            f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                  max_deg=1)
+            s = smith_at_infinity(f)
+            assert s.b2 * s.b2_inv == TransferMatrix.identity(m)
+    for _ in range(10):
+        # wide and rank-deficient maps too: every column op is mirrored
+        p, m = rng.randint(1, 3), rng.randint(1, 3)
+        s = smith_at_infinity(rand_nonzero_matrix(rng, p, m, 2))
+        assert s.b2 * s.b2_inv == TransferMatrix.identity(m)
+
+
+def test_column_reduce_carries_w_inverse_random():
+    rng = random.Random(37)
+    for m in range(1, 5):
+        for p in (m, m + 1):
+            f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                  max_deg=1)
+            pb, w = column_reduce_at_infinity(f)
+            assert w * pb.w_inv == TransferMatrix.identity(m)
+            assert pb.columns * pb.w_inv == f

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +61,8 @@ def test_certificate_holds_under_python_O():
         "from latkern.transfer import InternalCheckError, TransferMatrix\n"
         "print(sys.flags.optimize)\n"
         "try:\n"
-        "    strictly_polynomial_basis(TransferMatrix.identity(2))\n"
+        "    i2 = TransferMatrix.identity(2)\n"
+        "    strictly_polynomial_basis(i2, i2)\n"
         "except InternalCheckError as exc:\n"
         "    print(exc)\n"
         "else:\n"
@@ -89,3 +91,20 @@ def test_benchmark_trace_entries_resolve():
             missing.append(f"{metric}: {module}.{attr}")
     assert len(spantrace.LAYER_ENTRIES) == 27
     assert not missing, "unresolved trace entries: " + ", ".join(missing)
+
+
+def test_latency_kernel_inverts_no_matrix(monkeypatch):
+    # Smith form and column reduction carry b2^-1 and w^-1, so building
+    # the kernel, its strictly polynomial basis and a membership test
+    # needs no Gauss-Jordan inversion.
+    from gen import rand_strictly_causal_injective
+
+    def refuse(self):
+        raise RuntimeError("TransferMatrix.inverse called")
+
+    f, nu = rand_strictly_causal_injective(random.Random(47), 3, 3,
+                                           max_nu=2, max_deg=1)
+    monkeypatch.setattr(latkern.transfer.TransferMatrix, "inverse", refuse)
+    k = latkern.latency.latency_kernel(f)
+    assert k.indices == nu and k.poly_generator is not None
+    assert k.contains(k.generator.column(0))
