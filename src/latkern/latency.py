@@ -10,11 +10,12 @@ indices, the exact obstruction to realizing precompensators as feedback.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .properbasis import (OrderChain, column_reduce_at_infinity,
-                          extend_to_proper_basis, order_chain,
-                          smith_at_infinity)
+from .properbasis import (OrderChain, SmithAtInfinity,
+                          column_reduce_at_infinity, extend_to_proper_basis,
+                          order_chain, smith_at_infinity)
 from .rational import RatFun
 from .transfer import InternalCheckError, TransferMatrix
 
@@ -32,23 +33,37 @@ class LatencyKernel:
                        causal f.
     generator_inv      generator^-1, certified by generator * generator_inv
                        == I.
-    poly_generator     strictly polynomial ordered proper generator of the
-                       same module (entries in z*K[z]); None when f is not
-                       strictly causal, where no such basis exists.
     orders             column orders of generator (nondecreasing).
     indices            latency indices nu_i = -order_i - 1, nonincreasing.
     chain              order chain / latency chain of the module.
     strictly_causal_input  False flags the advisory case where f had
                        order <= 0 and indices may be negative.
+    smith              the Smith form at infinity f = b1 * delta * b2 the
+                       kernel was read from, with b1^-1 and b2^-1.
+    raw_generator      b2^-1 * diag(z^sigma), the generator before column
+                       reduction.  raw_generator * b1^-1[:m, :] is a left
+                       inverse of f, which causal_factor builds g from.
+    poly_generator     strictly polynomial ordered proper generator of the
+                       same module (entries in z*K[z]); None when f is not
+                       strictly causal, where no such basis exists.  Built
+                       and certified on first read only: factorization and
+                       equivalence never read it.
     """
 
     generator: TransferMatrix
     generator_inv: TransferMatrix
-    poly_generator: TransferMatrix | None
     orders: tuple
     indices: tuple
     chain: OrderChain
     strictly_causal_input: bool
+    smith: SmithAtInfinity
+    raw_generator: TransferMatrix
+
+    @functools.cached_property
+    def poly_generator(self) -> TransferMatrix | None:
+        if not self.strictly_causal_input:
+            return None
+        return strictly_polynomial_basis(self.generator, self.generator_inv)
 
     def contains(self, u) -> bool:
         """Membership of the input vector u in the kernel module."""
@@ -86,18 +101,17 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
     if d * d_inv != TransferMatrix.identity(m):
         raise InternalCheckError("kernel generator times its carried inverse "
                                  "is not the identity")
-    strictly_causal = f.classify().strictly_causal
-    poly = strictly_polynomial_basis(d, d_inv) if strictly_causal else None
     orders = basis.orders
     indices = tuple(-o - 1 for o in orders)
     return LatencyKernel(
         generator=d,
         generator_inv=d_inv,
-        poly_generator=poly,
         orders=orders,
         indices=indices,
         chain=order_chain(d),
-        strictly_causal_input=strictly_causal,
+        strictly_causal_input=f.classify().strictly_causal,
+        smith=smith,
+        raw_generator=raw,
     )
 
 
@@ -148,7 +162,11 @@ def module_contains(d1: TransferMatrix, d2: TransferMatrix) -> ContainmentResult
     certificate; equality holds when r is bicausal.  On failure the witness
     names the improper entry.
     """
-    r = d1.inverse() * d2
+    return _ratio_containment(d1.inverse() * d2)
+
+
+def _ratio_containment(r: TransferMatrix) -> ContainmentResult:
+    """module_contains(d1, d2) given the ratio r = d1^-1 * d2."""
     for i in range(r.rows):
         for j in range(r.cols):
             e = r.entry(i, j)
@@ -209,6 +227,9 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
     two_sided: f2 = l_po * f1 * l_pr      <=>  equal latency index lists;
                l_pr is the order-preserving module isomorphism d1 * d2^-1,
                l_po the induced left factor.
+
+    Kernel containment and l_pr are products with the inverses the
+    kernels carry, so no kernel generator is inverted here.
     """
     if (f1.rows, f1.cols) != (f2.rows, f2.cols):
         raise ValueError("equivalence needs equal shapes")
@@ -225,13 +246,13 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
     k1 = latency_kernel(f1)
     k2 = latency_kernel(f2)
     if mode == "post":
-        fwd = module_contains(k1.generator, k2.generator)
+        fwd = _ratio_containment(k1.generator_inv * k2.generator)
         if not fwd.contains:
             u = k2.generator.column(fwd.witness[1])
             return EquivalenceResult(
                 False, "post", witness=tuple(u),
                 detail="kernel of second map not inside kernel of first")
-        bwd = module_contains(k2.generator, k1.generator)
+        bwd = _ratio_containment(k2.generator_inv * k1.generator)
         if not bwd.contains:
             u = k1.generator.column(bwd.witness[1])
             return EquivalenceResult(
@@ -245,7 +266,7 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
                 False, "two_sided",
                 witness=(k1.indices, k2.indices),
                 detail="latency index lists differ")
-        l_pr = k1.generator * k2.generator.inverse()
+        l_pr = k1.generator * k2.generator_inv
         if not l_pr.classify().bicausal:
             raise InternalCheckError("index-matched generators gave a "
                                      "non-bicausal precompensator")

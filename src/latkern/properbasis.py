@@ -148,17 +148,30 @@ def extend_to_proper_basis(partial: ProperBasis | None, ambient_dim: int) -> Tra
         return None
     lead_cols = ([[partial.leading_matrix[i][j] for i in range(ambient_dim)]
                   for j in range(k)] if partial is not None else [])
-    chosen = []
-    current = linalg.rank(tuple(zip(*lead_cols))) if lead_cols else 0
-    for i in range(ambient_dim):
-        candidate = [Fraction(1 if r == i else 0) for r in range(ambient_dim)]
-        trial = lead_cols + chosen + [candidate]
-        if linalg.rank(tuple(zip(*trial))) > current + len(chosen):
-            chosen.append(candidate)
-            if len(chosen) == ambient_dim - k:
-                break
+    chosen = _unit_completion(lead_cols, ambient_dim)
     return TransferMatrix.from_columns(
-        [[RatFun.const(c) for c in col] for col in chosen])
+        [[RatFun.const(1 if r == i else 0) for r in range(ambient_dim)]
+         for i in chosen])
+
+
+def _unit_completion(lead_cols, ambient_dim: int) -> tuple:
+    """Indices of the unit vectors that complete span(lead_cols) to K^n.
+
+    Greedy from the lowest index, so the choice depends only on the span
+    of the constant vectors lead_cols, not on the vectors themselves.
+    """
+    vectors = [list(c) for c in lead_cols]
+    rank = linalg.rank(tuple(zip(*vectors))) if vectors else 0
+    chosen = []
+    for i in range(ambient_dim):
+        if rank == ambient_dim:
+            break
+        unit = [Fraction(1 if r == i else 0) for r in range(ambient_dim)]
+        if linalg.rank(tuple(zip(*(vectors + [unit])))) > rank:
+            vectors.append(unit)
+            chosen.append(i)
+            rank += 1
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)
@@ -166,15 +179,37 @@ class SmithAtInfinity:
     """Factorization f = b1 * delta * b2 with b1, b2 bicausal.
 
     delta is rows x cols with z^-sigma[i] on the diagonal and zeros
-    elsewhere; sigma is nondecreasing with one entry per rank.  b2_inv is
-    b2^-1, built alongside b2 from the same elementary operations; it is
-    not checked here (latency_kernel certifies the generator it yields).
+    elsewhere; sigma is nondecreasing with one entry per rank.  b1_inv and
+    b2_inv are b1^-1 and b2^-1, built alongside b1 and b2 from the same
+    elementary operations; they are not checked here (latency_kernel
+    certifies the generator b2_inv yields, causal_factor the factor b1_inv
+    yields).
+
+    For injective f (rank m = cols) the first m columns of b1 span the
+    image of f, and b1 is bicausal, so their constant terms are
+    independent: those columns are a proper basis of the image, all of
+    order 0.  The rows m.. of b1_inv annihilate the image.
     """
 
     b1: TransferMatrix
     sigma: tuple
     b2: TransferMatrix
     b2_inv: TransferMatrix
+    b1_inv: TransferMatrix
+
+    def image_complement(self) -> tuple:
+        """Unit columns completing the image of f to a proper basis of K^p.
+
+        The leading coefficients of a proper basis of a space span the
+        space of all its leading coefficients, which depends on the space
+        only; here that is the span of the constant terms of b1's first r
+        columns.  So these are the columns extend_to_proper_basis picks
+        for any proper basis of the image, column-reduced or not.
+        """
+        r = len(self.sigma)
+        lead_cols = [[row[j].laurent_coeff(0) for row in self.b1.entries]
+                     for j in range(r)]
+        return _unit_completion(lead_cols, self.b1.rows)
 
     def reassemble(self) -> TransferMatrix:
         """b1 * delta * b2, as (b1's first r columns, each times its
@@ -193,7 +228,9 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
     (ties row-major); elimination multipliers are then proper, so both
     accumulated transformations stay bicausal.  Orders never drop below
     the pivot order, which makes sigma nondecreasing.  Every row
-    operation on b2 is mirrored by the inverse column operation on b2_inv.
+    operation on b2 is mirrored by the inverse column operation on b2_inv,
+    and every column operation on b1 by the inverse row operation on
+    b1_inv.
     """
     if f.is_zero:
         raise ValueError("Smith form at infinity of the zero matrix")
@@ -201,6 +238,7 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
     work = [list(row) for row in f.entries]
     b1 = [list(row) for row in TransferMatrix.identity(p).entries]
     b2 = [list(row) for row in TransferMatrix.identity(m).entries]
+    b1_inv = [row[:] for row in b1]
     b2_inv = [row[:] for row in b2]
 
     def swap_rows(a, b):
@@ -208,6 +246,7 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
             work[a], work[b] = work[b], work[a]
             for row in b1:
                 row[a], row[b] = row[b], row[a]
+            b1_inv[a], b1_inv[b] = b1_inv[b], b1_inv[a]
 
     def swap_cols(a, b):
         if a != b:
@@ -243,6 +282,7 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
             work[i] = [a - c * b for a, b in zip(work[i], work[k])]
             for row in b1:
                 row[k] = row[k] + c * row[i]
+            b1_inv[i] = [a - c * b for a, b in zip(b1_inv[i], b1_inv[k])]
         for j in range(k + 1, m):
             if work[k][j].is_zero:
                 continue
@@ -263,7 +303,8 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
             row[i] = row[i] / unit
 
     result = SmithAtInfinity(TransferMatrix(b1), tuple(sigma),
-                             TransferMatrix(b2), TransferMatrix(b2_inv))
+                             TransferMatrix(b2), TransferMatrix(b2_inv),
+                             TransferMatrix(b1_inv))
     if result.reassemble() != f:
         raise InternalCheckError("Smith form does not reassemble the map")
     return result

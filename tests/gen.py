@@ -65,14 +65,26 @@ def rand_bicausal(rng: random.Random, n: int, max_deg: int = 3) -> TransferMatri
         const = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
         if linalg.invert(linalg.mat(const)) is not None:
             break
+    return _with_causal_tail(rng, const, max_deg)
+
+
+def rand_causal(rng: random.Random, p: int, m: int,
+                max_deg: int = 3) -> TransferMatrix:
+    """Random constant term plus a strictly causal tail, as rand_bicausal
+    but p x m and with no invertibility requirement."""
+    const = [[rand_fraction(rng) for _ in range(m)] for _ in range(p)]
+    return _with_causal_tail(rng, const, max_deg)
+
+
+def _with_causal_tail(rng, const, max_deg):
     entries = []
-    for i in range(n):
+    for const_row in const:
         row = []
-        for j in range(n):
+        for c in const_row:
             tail = [rand_fraction(rng) if rng.random() < 0.6 else Fraction(0)
                     for _ in range(max_deg)]
-            # const + tail[0] z^-1 + ... as (const*z^d + ...)/z^d
-            coeffs = list(reversed(tail)) + [const[i][j]]
+            # c + tail[0] z^-1 + ... as (c*z^d + ...)/z^d
+            coeffs = list(reversed(tail)) + [c]
             row.append(RatFun(Poly(coeffs), Poly.z(max_deg)))
         entries.append(row)
     return TransferMatrix(entries)
@@ -94,6 +106,13 @@ def rand_strictly_causal_injective(rng: random.Random, p: int, m: int,
               for j in range(m)] for i in range(p)]
     return b1 * TransferMatrix(delta) * b2, tuple(sorted((s - 1 for s in sigma),
                                                          reverse=True))
+
+
+def corrupt_entry(m: TransferMatrix) -> TransferMatrix:
+    """m with its top-right entry raised by 1, for corruption tests."""
+    rows = [list(row) for row in m.entries]
+    rows[0][-1] = rows[0][-1] + 1
+    return TransferMatrix(rows)
 
 
 def rand_state_pair(rng: random.Random, n: int, m: int):

@@ -3,7 +3,9 @@
 Everything here recomputes quantities by definitions only: schoolbook
 long division for expansions, permutation-sum determinants for minors,
 window scans for properness.  None of it shares code with the library's
-decision procedures.
+decision procedures, except reference_causal_factor, which keeps an
+earlier construction of the causal factor built from other library
+routines.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from latkern.properbasis import (column_reduce_at_infinity,
+                                 extend_to_proper_basis)
 from latkern.rational import ORD_INF, RatFun
+from latkern.transfer import TransferMatrix
 
 
 def long_division(num_coeffs, den_coeffs, horizon):
@@ -216,3 +221,21 @@ def image_is_proper(f, u, floor=None) -> bool:
             acc = add_dicts(acc, d)
         image_dicts.append(acc)
     return all(all(t >= 0 for t in d) for d in image_dicts)
+
+
+def reference_causal_factor(f, h):
+    """g with g*f = h that is zero on the constant completion of the image.
+
+    The construction from a column-reduced image basis: reduce f to a
+    proper basis f*w of its image, extend it by unit columns to a proper
+    basis of the output space, and solve g * [f*w, units] = [h*w, 0] by
+    inverting that basis.  Valid whenever h = g*f has a causal solution.
+    """
+    pb, w = column_reduce_at_infinity(f)
+    completion = extend_to_proper_basis(pb, f.rows)
+    basis = pb.columns
+    target = h * w
+    if completion is not None:
+        basis = basis.hstack(completion)
+        target = target.hstack(TransferMatrix.zero(h.rows, completion.cols))
+    return target * basis.inverse()

@@ -1,16 +1,23 @@
 """Causal and static factorization decisions."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
+import pytest
+
+from latkern.cli import main
 from latkern.factor import (causal_factor, constant_matrix, static_factor)
 from latkern.latency import latency_kernel
+from latkern.matrixio import dump_matrix
+from latkern.properbasis import smith_at_infinity
 from latkern.rational import Poly, RatFun
-from latkern.transfer import TransferMatrix
-from oracles import image_is_proper
+from latkern.transfer import InternalCheckError, TransferMatrix
+from oracles import image_is_proper, reference_causal_factor
 
-from gen import (rand_matrix, rand_nonzero_matrix,
-                 rand_strictly_causal_injective)
+from gen import (corrupt_entry, rand_causal, rand_matrix,
+                 rand_nonzero_matrix, rand_strictly_causal_injective)
 
 z = RatFun.zpow
 
@@ -50,6 +57,73 @@ def test_causal_factor_soundness_random():
         else:
             assert image_is_proper(f, list(out.witness))
             assert not image_is_proper(h, list(out.witness))
+
+
+def test_causal_factor_matches_reference_construction():
+    # g is h on the image of f and zero on the unit columns completing it;
+    # the reference builds the same map from a column-reduced image basis
+    # and one inversion, so the two must agree entry for entry.
+    rng = random.Random(56)
+    yes = 0
+    for m in range(1, 4):
+        for p in (m, m + 1, m + 2):
+            for q in range(1, 4):
+                f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                      max_deg=1)
+                if rng.random() < 0.8:
+                    h = rand_causal(rng, q, p, 1) * f
+                else:
+                    h = rand_matrix(rng, q, m, 1)
+                out = causal_factor(f, h)
+                if out.decision:
+                    yes += 1
+                    assert out.g == reference_causal_factor(f, h)
+    assert yes >= 20
+
+
+def test_corrupt_smith_b1_inverse_is_caught(monkeypatch, tmp_path, capsys):
+    def corrupted(f):
+        s = smith_at_infinity(f)
+        return dataclasses.replace(s, b1_inv=corrupt_entry(s.b1_inv))
+
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
+    rng = random.Random(57)
+    f, _ = rand_strictly_causal_injective(rng, 2, 2, max_nu=2, max_deg=1)
+    h = rand_causal(rng, 2, 2, 1) * f
+    with pytest.raises(InternalCheckError,
+                       match="causal factor reconstruction failed"):
+        causal_factor(f, h)
+    fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
+    dump_matrix(f, fp)
+    dump_matrix(h, hp)
+    assert main(["--json", "factor", fp, hp]) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag == {"command": "factor",
+                    "error": "causal factor reconstruction failed"}
+
+
+def test_singular_complement_block_is_a_failed_certificate(monkeypatch,
+                                                           tmp_path, capsys):
+    # Rows m.. of b1^-1 restricted to the complement columns must be
+    # invertible; zeroing them is a library fault (exit 3), not bad input.
+    def corrupted(f):
+        s = smith_at_infinity(f)
+        m = len(s.sigma)
+        rows = [list(row) for row in s.b1_inv.entries]
+        rows[m:] = [[RatFun.const(0)] * len(row) for row in rows[m:]]
+        return dataclasses.replace(s, b1_inv=TransferMatrix(rows))
+
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
+    rng = random.Random(59)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    h = rand_causal(rng, 2, 3, 1) * f
+    with pytest.raises(InternalCheckError, match="complement block"):
+        causal_factor(f, h)
+    fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
+    dump_matrix(f, fp)
+    dump_matrix(h, hp)
+    assert main(["--json", "factor", fp, hp]) == 3
+    assert "complement block" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_order_consistent_maps_absorb_higher_order():

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import latkern.latency
+from latkern.factor import causal_factor
 from latkern.latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                              latency_kernel, module_contains,
                              strictly_polynomial_basis)
@@ -13,8 +15,8 @@ from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import image_is_proper
 
-from gen import (rand_bicausal, rand_ratfun, rand_state_pair,
-                 rand_strictly_causal_injective)
+from gen import (corrupt_entry, rand_bicausal, rand_causal, rand_ratfun,
+                 rand_state_pair, rand_strictly_causal_injective)
 
 z = RatFun.zpow
 
@@ -228,16 +230,10 @@ def test_kernel_carries_certified_generator_inverse():
             assert k.generator_inv == k.generator.inverse()
 
 
-def _corrupt(m):
-    rows = [list(row) for row in m.entries]
-    rows[0][-1] = rows[0][-1] + 1
-    return TransferMatrix(rows)
-
-
 def test_corrupt_smith_inverse_is_caught(monkeypatch):
     def corrupted(f):
         s = smith_at_infinity(f)
-        return dataclasses.replace(s, b2_inv=_corrupt(s.b2_inv))
+        return dataclasses.replace(s, b2_inv=corrupt_entry(s.b2_inv))
 
     monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
     f, _ = rand_strictly_causal_injective(random.Random(45), 2, 2, max_nu=2,
@@ -249,7 +245,7 @@ def test_corrupt_smith_inverse_is_caught(monkeypatch):
 def test_corrupt_column_reduction_inverse_is_caught(monkeypatch):
     def corrupted(a):
         pb, w = column_reduce_at_infinity(a)
-        return dataclasses.replace(pb, w_inv=_corrupt(pb.w_inv)), w
+        return dataclasses.replace(pb, w_inv=corrupt_entry(pb.w_inv)), w
 
     monkeypatch.setattr("latkern.latency.column_reduce_at_infinity",
                         corrupted)
@@ -257,3 +253,32 @@ def test_corrupt_column_reduction_inverse_is_caught(monkeypatch):
                                           max_deg=1)
     with pytest.raises(InternalCheckError, match="carried inverse"):
         latency_kernel(f)
+
+
+def test_polynomial_generator_built_on_first_read_only(monkeypatch):
+    build = strictly_polynomial_basis
+    calls = []
+
+    def refuse(d, d_inv):
+        raise RuntimeError("strictly_polynomial_basis called")
+
+    def counting(d, d_inv):
+        calls.append(d)
+        return build(d, d_inv)
+
+    rng = random.Random(58)
+    f, nu = rand_strictly_causal_injective(rng, 3, 3, max_nu=2, max_deg=1)
+    monkeypatch.setattr(latkern.latency, "strictly_polynomial_basis", refuse)
+    assert causal_factor(f, rand_causal(rng, 2, 3, 1) * f).decision
+    f2 = rand_bicausal(rng, 3, 1) * f
+    assert compensation_equivalence(f, f2, "post").equivalent
+    assert compensation_equivalence(f, f2 * rand_bicausal(rng, 3, 1),
+                                    "two_sided").equivalent
+
+    monkeypatch.setattr(latkern.latency, "strictly_polynomial_basis",
+                        counting)
+    k = latency_kernel(f)
+    assert k.indices == nu and not calls
+    poly = k.poly_generator
+    assert k.poly_generator is poly and len(calls) == 1
+    assert poly == build(k.generator, k.generator_inv)

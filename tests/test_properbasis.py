@@ -200,11 +200,14 @@ def test_smith_carries_b2_inverse_random():
                                                   max_deg=1)
             s = smith_at_infinity(f)
             assert s.b2 * s.b2_inv == TransferMatrix.identity(m)
+            assert s.b1 * s.b1_inv == TransferMatrix.identity(p)
     for _ in range(10):
-        # wide and rank-deficient maps too: every column op is mirrored
+        # wide and rank-deficient maps too: every row and column op is
+        # mirrored
         p, m = rng.randint(1, 3), rng.randint(1, 3)
         s = smith_at_infinity(rand_nonzero_matrix(rng, p, m, 2))
         assert s.b2 * s.b2_inv == TransferMatrix.identity(m)
+        assert s.b1 * s.b1_inv == TransferMatrix.identity(p)
 
 
 def test_column_reduce_carries_w_inverse_random():

@@ -53,11 +53,16 @@ def test_internal_check_error_defined_once():
 
 
 def test_certificate_holds_under_python_O():
-    # The same precondition check as in test_latency, in an interpreter
-    # that strips assert statements.
+    # The same precondition check as in test_latency, and the factor
+    # reconstruction check against a corrupted b1^-1 as in test_factor, in
+    # an interpreter that strips assert statements.
     script = (
-        "import sys\n"
+        "import dataclasses, sys\n"
+        "import latkern.latency\n"
+        "from latkern.factor import causal_factor\n"
         "from latkern.latency import strictly_polynomial_basis\n"
+        "from latkern.properbasis import smith_at_infinity\n"
+        "from latkern.rational import RatFun\n"
         "from latkern.transfer import InternalCheckError, TransferMatrix\n"
         "print(sys.flags.optimize)\n"
         "try:\n"
@@ -66,14 +71,28 @@ def test_certificate_holds_under_python_O():
         "except InternalCheckError as exc:\n"
         "    print(exc)\n"
         "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "def corrupted(f):\n"
+        "    s = smith_at_infinity(f)\n"
+        "    rows = [list(row) for row in s.b1_inv.entries]\n"
+        "    rows[0][-1] = rows[0][-1] + 1\n"
+        "    return dataclasses.replace(s, b1_inv=TransferMatrix(rows))\n"
+        "latkern.latency.smith_at_infinity = corrupted\n"
+        "f = TransferMatrix.diag([RatFun.zpow(-1), RatFun.zpow(-2)])\n"
+        "try:\n"
+        "    causal_factor(f, f)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
         "    sys.exit('no InternalCheckError under -O')\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    optimize, message = proc.stdout.splitlines()
+    optimize, precondition, reconstruction = proc.stdout.splitlines()
     assert optimize == "1"
-    assert "inverse not strictly causal" in message
+    assert "inverse not strictly causal" in precondition
+    assert reconstruction == "causal factor reconstruction failed"
 
 
 def test_benchmark_trace_entries_resolve():
