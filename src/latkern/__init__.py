@@ -10,9 +10,8 @@ from .rational import ORD_INF, Poly, RatFun, TruncatedSeries, poly_gcd, poly_lcm
 from .transfer import (CausalityReport, InternalCheckError,
                        SingularMatrixError, TransferMatrix)
 from .properbasis import (OrderChain, ProperBasis, SmithAtInfinity,
-                          column_reduce_at_infinity, extend_to_proper_basis,
-                          order_chain, proper_independence_check,
-                          smith_at_infinity)
+                          column_reduce_at_infinity, order_chain,
+                          proper_independence_check, smith_at_infinity)
 from .latency import (ContainmentResult, EquivalenceResult,
                       KernelNotFinitelyGenerated, LatencyKernel,
                       compensation_equivalence, latency_kernel,

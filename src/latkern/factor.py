@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .latency import InternalCheckError, LatencyKernel, latency_kernel
 from .rational import ORD_INF, Poly, RatFun, poly_lcm
-from .transfer import SingularMatrixError, TransferMatrix
+from .transfer import TransferMatrix
 
 
 @dataclass(frozen=True)
@@ -35,20 +35,13 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
     failure the returned witness u has f(u) proper of order 0 while h(u)
     is improper.
 
-    The yes-branch reads g off the kernel's Smith form f = b1*delta*b2.
-    With E = b1^-1 and raw = b2^-1 * diag(z^sigma), raw * E[:m, :] is a
-    left inverse of f, so g0 = (h * raw) * E[:m, :] has g0 * f = h; it is
-    causal because h * raw is (raw and the generator span the same module,
-    whose image under h was just found proper) and E is bicausal.  When
-    p > m, g is g0 made zero on the unit columns I that complete the image
-    of f to a proper basis: g = g0 - g0[:, I] * E[m:, I]^-1 * E[m:, :].
-    E[m:, :] annihilates the image, so g * f = h still, and E[m:, I] is
-    invertible because the columns I complement the image.  I is the
-    completion extend_to_proper_basis picks for any proper basis of the
-    image (SmithAtInfinity.image_complement), so g is the map that is h
-    on the image and zero on the same complement as a construction from a
-    column-reduced image basis would give.  No matrix of size p is
-    inverted, and f is not column-reduced again.
+    The yes-branch reads g off the kernel's Smith form f = b1*delta*b2
+    (LatencyKernel.left_factor): g is h on the image of f and zero on the
+    unit columns that complete the image (SmithAtInfinity.image_complement).
+    It is causal because h * raw is (raw = b2^-1 * diag(z^sigma) and the
+    generator span the same module, whose image under h was just found
+    proper) and b1^-1 is bicausal.  No matrix of size p is inverted, and
+    f is not column-reduced again.
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")
@@ -66,20 +59,7 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
         witness = tuple(scale * e for e in bad)
         return FactorOutcome(False, witness=witness)
 
-    m = f.cols
-    b1_inv = k.smith.b1_inv.entries
-    g = (h * k.raw_generator) * TransferMatrix(b1_inv[:m])
-    if f.rows > m:
-        cols = k.smith.image_complement()
-        block = TransferMatrix([[row[i] for i in cols] for row in b1_inv[m:]])
-        try:
-            block_inv = block.inverse()
-        except SingularMatrixError:
-            raise InternalCheckError("image complement block of b1^-1 is "
-                                     "singular") from None
-        g_on_cols = TransferMatrix([[row[i] for i in cols]
-                                    for row in g.entries])
-        g = g - (g_on_cols * block_inv) * TransferMatrix(b1_inv[m:])
+    g = k.left_factor(h)
     if g * f != h:
         raise InternalCheckError("causal factor reconstruction failed")
     if not g.classify().causal:

@@ -14,10 +14,10 @@ import functools
 from dataclasses import dataclass
 
 from .properbasis import (OrderChain, SmithAtInfinity,
-                          column_reduce_at_infinity, extend_to_proper_basis,
-                          order_chain, smith_at_infinity)
+                          column_reduce_at_infinity, order_chain,
+                          smith_at_infinity)
 from .rational import RatFun
-from .transfer import InternalCheckError, TransferMatrix
+from .transfer import InternalCheckError, SingularMatrixError, TransferMatrix
 
 
 class KernelNotFinitelyGenerated(ValueError):
@@ -42,7 +42,7 @@ class LatencyKernel:
                        kernel was read from, with b1^-1 and b2^-1.
     raw_generator      b2^-1 * diag(z^sigma), the generator before column
                        reduction.  raw_generator * b1^-1[:m, :] is a left
-                       inverse of f, which causal_factor builds g from.
+                       inverse of f, which left_factor builds on.
     poly_generator     strictly polynomial ordered proper generator of the
                        same module (entries in z*K[z]); None when f is not
                        strictly causal, where no such basis exists.  Built
@@ -69,6 +69,39 @@ class LatencyKernel:
         """Membership of the input vector u in the kernel module."""
         image = self.generator_inv.apply(u)
         return all(e.is_causal for e in image)
+
+    def left_factor(self, h: TransferMatrix,
+                    on_complement: TransferMatrix | None = None
+                    ) -> TransferMatrix:
+        """The g with g * f == h that sends the image complement to C.
+
+        With E = b1^-1, raw_generator * E[:m, :] is a left inverse of f,
+        so g0 = (h * raw_generator) * E[:m, :] has g0 * f = h.  When p > m,
+        let I be the unit columns that complete the image of f
+        (SmithAtInfinity.image_complement) and C = on_complement (zero
+        when None); then g = g0 - (g0[:, I] - C) * E[m:, I]^-1 * E[m:, :].
+        E[m:, :] annihilates the image, so g * f = h, and g[:, I] = C.  The
+        image and the columns I span the output space, so g is the only
+        such map.
+        A singular E[m:, I] raises InternalCheckError.  Uncertified: each
+        caller checks g * f == h and the causality it needs.
+        """
+        e = self.smith.b1_inv.entries
+        m = self.generator.cols
+        g = (h * self.raw_generator) * TransferMatrix(e[:m])
+        if len(e) == m:
+            return g
+        cols = self.smith.image_complement()
+        block = TransferMatrix([[row[i] for i in cols] for row in e[m:]])
+        try:
+            block_inv = block.inverse()
+        except SingularMatrixError:
+            raise InternalCheckError("image complement block of b1^-1 is "
+                                     "singular") from None
+        excess = TransferMatrix([[row[i] for i in cols] for row in g.entries])
+        if on_complement is not None:
+            excess = excess - on_complement
+        return g - (excess * block_inv) * TransferMatrix(e[m:])
 
 
 def latency_kernel(f: TransferMatrix) -> LatencyKernel:
@@ -185,37 +218,16 @@ class EquivalenceResult:
     detail: str = ""
 
 
-def _require_injective(f: TransferMatrix, name: str):
-    if f.rank() != f.cols:
-        raise KernelNotFinitelyGenerated(
-            f"{name} is not injective; equivalence via latency kernels "
-            "requires full column rank")
-
-
-def _bicausal_left_factor(f1: TransferMatrix, f2: TransferMatrix) -> TransferMatrix:
-    """Bicausal l with f2 = l * f1, given equal latency kernels.
-
-    Column-reduce both maps to proper bases of their images, extend each
-    with constant columns to a proper basis of the output space, and map
-    basis to basis: the image part carries f1's coordinates to f2's, the
-    complement part is matched columnwise.
-    """
-    p = f1.rows
-    pb1, w1 = column_reduce_at_infinity(f1)
-    pb2, _ = column_reduce_at_infinity(f2)
-    r1 = extend_to_proper_basis(pb1, p)
-    r2 = extend_to_proper_basis(pb2, p)
-    target = f2 * w1
-    source = pb1.columns
-    if r1 is not None:
-        source = source.hstack(r1)
-        target = target.hstack(r2)
-    l = target * source.inverse()
-    if not l.classify().bicausal:
-        raise InternalCheckError("constructed left factor is not bicausal")
-    if l * f1 != f2:
-        raise InternalCheckError("constructed left factor does not map f1 to f2")
-    return l
+def _kernel_of_injective(f: TransferMatrix, name: str) -> LatencyKernel:
+    """latency_kernel(f), refusing a map of deficient column rank by name."""
+    if not f.is_zero:  # smith_at_infinity refuses the zero map on its own
+        try:
+            return latency_kernel(f)
+        except KernelNotFinitelyGenerated:
+            pass
+    raise KernelNotFinitelyGenerated(
+        f"{name} is not injective; equivalence via latency kernels "
+        "requires full column rank")
 
 
 def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
@@ -229,22 +241,23 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
                l_po the induced left factor.
 
     Kernel containment and l_pr are products with the inverses the
-    kernels carry, so no kernel generator is inverted here.
+    kernels carry, so no kernel generator is inverted here.  l and l_po
+    are read off f1's Smith factors by LatencyKernel.left_factor: the
+    unique map that takes f1 to f2 (post) or to f2 * l_pr^-1 (two_sided)
+    and the unit columns completing f1's image to those completing f2's.
     """
     if (f1.rows, f1.cols) != (f2.rows, f2.cols):
         raise ValueError("equivalence needs equal shapes")
     if mode == "pre":
         res = compensation_equivalence(f1.transpose(), f2.transpose(), "post")
-        # _bicausal_left_factor certified post * f1^T == f2^T, which is
-        # f1 * pre == f2 transposed exactly.
+        # post mode certified post * f1^T == f2^T, which is f1 * pre == f2
+        # transposed exactly.
         pre = res.post.transpose() if res.post is not None else None
         detail = f"on the transposed maps: {res.detail}" if res.detail else ""
         return EquivalenceResult(res.equivalent, "pre", pre=pre,
                                  witness=res.witness, detail=detail)
-    _require_injective(f1, "first map")
-    _require_injective(f2, "second map")
-    k1 = latency_kernel(f1)
-    k2 = latency_kernel(f2)
+    k1 = _kernel_of_injective(f1, "first map")
+    k2 = _kernel_of_injective(f2, "second map")
     if mode == "post":
         fwd = _ratio_containment(k1.generator_inv * k2.generator)
         if not fwd.contains:
@@ -258,9 +271,8 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
             return EquivalenceResult(
                 False, "post", witness=tuple(u),
                 detail="kernel of first map not inside kernel of second")
-        l = _bicausal_left_factor(f1, f2)
-        return EquivalenceResult(True, "post", post=l)
-    if mode == "two_sided":
+        l_pr, source, target = None, f1, f2
+    elif mode == "two_sided":
         if k1.indices != k2.indices:
             return EquivalenceResult(
                 False, "two_sided",
@@ -270,7 +282,18 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
         if not l_pr.classify().bicausal:
             raise InternalCheckError("index-matched generators gave a "
                                      "non-bicausal precompensator")
-        # certifies l_po * (f1 * l_pr) == f2, the two-sided identity
-        l_po = _bicausal_left_factor(f1 * l_pr, f2)
-        return EquivalenceResult(True, "two_sided", post=l_po, pre=l_pr)
-    raise ValueError(f"unknown mode {mode!r}; use post, pre or two_sided")
+        # l_po * f1 = f2 * l_pr^-1, and l_pr^-1 = d2 * d1^-1
+        source = f1 * l_pr
+        target = f2 * (k2.generator * k1.generator_inv)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; use post, pre or two_sided")
+    # f2's image complement, as unit columns, is where l sends f1's
+    cols = k2.smith.image_complement()
+    units = (TransferMatrix([[1 if r == i else 0 for i in cols]
+                             for r in range(f2.rows)]) if cols else None)
+    l = k1.left_factor(target, units)
+    if not l.classify().bicausal:
+        raise InternalCheckError("constructed left factor is not bicausal")
+    if l * source != f2:
+        raise InternalCheckError("constructed left factor does not map f1 to f2")
+    return EquivalenceResult(True, mode, post=l, pre=l_pr)

@@ -53,7 +53,6 @@ class ProperBasis:
     columns: TransferMatrix
     orders: tuple
     leading_matrix: tuple
-    ordered: bool = False
     w_inv: TransferMatrix | None = None
 
 
@@ -123,35 +122,13 @@ def column_reduce_at_infinity(m: TransferMatrix):
     orders, lead_matrix = leading_data(cols)
     basis = TransferMatrix.from_columns(cols)
     w_inv = TransferMatrix([w_inv[i] for i in perm])
-    return (ProperBasis(basis, tuple(orders), lead_matrix, ordered=True,
-                        w_inv=w_inv),
+    return (ProperBasis(basis, tuple(orders), lead_matrix, w_inv=w_inv),
             TransferMatrix.from_columns([w_cols[i] for i in perm]))
 
 
 def _combine(factors, vectors):
     """sum_k factors[k] * vectors[k], entrywise."""
     return [_dot(factors, entries) for entries in zip(*vectors)]
-
-
-def extend_to_proper_basis(partial: ProperBasis | None, ambient_dim: int) -> TransferMatrix | None:
-    """Constant unit columns completing the leading coefficients to K^n.
-
-    The union of the partial basis and the returned columns is a proper
-    basis of the full n-dimensional Laurent space, and the two spans form
-    a proper direct sum.  Returns None when the partial basis is full;
-    partial=None stands for the empty basis and yields identity columns.
-    """
-    k = partial.columns.cols if partial is not None else 0
-    if k > ambient_dim:
-        raise ValueError("partial basis larger than ambient space")
-    if k == ambient_dim:
-        return None
-    lead_cols = ([[partial.leading_matrix[i][j] for i in range(ambient_dim)]
-                  for j in range(k)] if partial is not None else [])
-    chosen = _unit_completion(lead_cols, ambient_dim)
-    return TransferMatrix.from_columns(
-        [[RatFun.const(1 if r == i else 0) for r in range(ambient_dim)]
-         for i in chosen])
 
 
 def _unit_completion(lead_cols, ambient_dim: int) -> tuple:
@@ -182,8 +159,8 @@ class SmithAtInfinity:
     elsewhere; sigma is nondecreasing with one entry per rank.  b1_inv and
     b2_inv are b1^-1 and b2^-1, built alongside b1 and b2 from the same
     elementary operations; they are not checked here (latency_kernel
-    certifies the generator b2_inv yields, causal_factor the factor b1_inv
-    yields).
+    certifies the generator b2_inv yields, causal_factor and
+    compensation_equivalence the left factors b1_inv yields).
 
     For injective f (rank m = cols) the first m columns of b1 span the
     image of f, and b1 is bicausal, so their constant terms are
@@ -203,8 +180,9 @@ class SmithAtInfinity:
         The leading coefficients of a proper basis of a space span the
         space of all its leading coefficients, which depends on the space
         only; here that is the span of the constant terms of b1's first r
-        columns.  So these are the columns extend_to_proper_basis picks
-        for any proper basis of the image, column-reduced or not.
+        columns.  The completion is greedy from the lowest index, so two
+        maps with the same image get the same columns, whichever proper
+        basis of it the completion starts from.
         """
         r = len(self.sigma)
         lead_cols = [[row[j].laurent_coeff(0) for row in self.b1.entries]

@@ -515,10 +515,6 @@ class RatFun:
         return self.is_zero or self.order() >= 0
 
     @property
-    def is_strictly_causal(self) -> bool:
-        return self.is_zero or self.order() >= 1
-
-    @property
     def is_unit(self) -> bool:
         """Unit of the power-series ring: order exactly zero."""
         return not self.is_zero and self.order() == 0

@@ -232,15 +232,6 @@ class TransferMatrix:
         work = [list(row) for row in self.entries]
         return len(_echelon(work, weight=_total_degree)[0])
 
-    def kernel_vector(self):
-        """A vector of RatFun spanning part of the right kernel, or None.
-
-        Normalized so its first nonzero entry is 1.
-        """
-        work = [list(row) for row in self.entries]
-        pivots, _ = _echelon(work, weight=_total_degree)
-        return _kernel_vector(work, pivots, self.cols, RatFun.const(1))
-
     def det(self) -> RatFun:
         if not self.is_square:
             raise ValueError("determinant of a nonsquare matrix")

@@ -3,9 +3,9 @@
 Everything here recomputes quantities by definitions only: schoolbook
 long division for expansions, permutation-sum determinants for minors,
 window scans for properness.  None of it shares code with the library's
-decision procedures, except reference_causal_factor, which keeps an
-earlier construction of the causal factor built from other library
-routines.
+decision procedures, except reference_causal_factor and
+reference_left_factor, which keep earlier constructions of the causal and
+the bicausal left factor built from column reduction and one inversion.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from latkern.properbasis import (column_reduce_at_infinity,
-                                 extend_to_proper_basis)
+from latkern import linalg
+from latkern.properbasis import column_reduce_at_infinity
 from latkern.rational import ORD_INF, RatFun
 from latkern.transfer import TransferMatrix
 
@@ -239,3 +239,53 @@ def reference_causal_factor(f, h):
         basis = basis.hstack(completion)
         target = target.hstack(TransferMatrix.zero(h.rows, completion.cols))
     return target * basis.inverse()
+
+
+def extend_to_proper_basis(partial, ambient_dim: int):
+    """Constant unit columns completing the leading coefficients to K^n.
+
+    The union of the proper basis partial and the returned columns is a
+    proper basis of the full n-dimensional Laurent space, and the two
+    spans form a proper direct sum.  Unit vectors are tried from the
+    lowest index and kept when they raise the rank.  Returns None when the
+    partial basis is full; partial=None stands for the empty basis and
+    yields identity columns.
+    """
+    k = partial.columns.cols if partial is not None else 0
+    if k > ambient_dim:
+        raise ValueError("partial basis larger than ambient space")
+    if k == ambient_dim:
+        return None
+    rows = ([list(row) for row in partial.leading_matrix] if k
+            else [[] for _ in range(ambient_dim)])
+    chosen = []
+    for i in range(ambient_dim):
+        trial = [row + [Fraction(1 if r == i else 0)]
+                 for r, row in enumerate(rows)]
+        if linalg.rank(trial) == len(trial[0]):
+            rows = trial
+            chosen.append(i)
+    return TransferMatrix.from_columns(
+        [[RatFun.const(1 if r == i else 0) for r in range(ambient_dim)]
+         for i in chosen])
+
+
+def reference_left_factor(f1, f2):
+    """Bicausal l with f2 = l * f1, given equal latency kernels.
+
+    The construction from column-reduced image bases: reduce both maps to
+    proper bases of their images, extend each with unit columns to a
+    proper basis of the output space, and map basis to basis by inverting
+    the first: the image part carries f1's coordinates to f2's, the
+    complement part is matched columnwise.
+    """
+    pb1, w1 = column_reduce_at_infinity(f1)
+    pb2, _ = column_reduce_at_infinity(f2)
+    r1 = extend_to_proper_basis(pb1, f1.rows)
+    r2 = extend_to_proper_basis(pb2, f1.rows)
+    target = f2 * w1
+    source = pb1.columns
+    if r1 is not None:
+        source = source.hstack(r1)
+        target = target.hstack(r2)
+    return target * source.inverse()

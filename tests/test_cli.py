@@ -82,6 +82,20 @@ def test_equiv_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_equiv_refuses_non_injective_maps(tmp_path, capsys):
+    flat = write(tmp_path / "flat.json",
+                 TransferMatrix([[z(-1), z(-1)], [z(-1), z(-1)]]))
+    f = write(tmp_path / "f.json", TransferMatrix.diag([z(-1), z(-2)]))
+    zero = write(tmp_path / "zero.json", TransferMatrix.zero(2, 2))
+    for args, name in (([flat, f], "first map"), ([f, flat], "second map"),
+                       ([zero, f], "first map")):
+        assert main(["--json", "equiv", *args, "--mode", "post"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "equiv",
+            "error": f"{name} is not injective; equivalence via latency "
+                     "kernels requires full column rank"}
+
+
 def test_realize_command_writes_files(tmp_path, capsys):
     f = write(tmp_path / "f.json", TransferMatrix.scalar(z(-2)))
     l = write(tmp_path / "l.json",

@@ -13,7 +13,7 @@ from latkern.latency import (KernelNotFinitelyGenerated, compensation_equivalenc
 from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
-from oracles import image_is_proper
+from oracles import image_is_proper, reference_left_factor
 
 from gen import (corrupt_entry, rand_bicausal, rand_causal, rand_ratfun,
                  rand_state_pair, rand_strictly_causal_injective)
@@ -282,3 +282,67 @@ def test_polynomial_generator_built_on_first_read_only(monkeypatch):
     poly = k.poly_generator
     assert k.poly_generator is poly and len(calls) == 1
     assert poly == build(k.generator, k.generator_inv)
+
+
+def test_equivalence_compensators_match_reference_construction():
+    # The compensators are read off the first map's Smith factors; the
+    # reference builds them from column-reduced image bases and one
+    # inversion of size p.  Both are the unique map taking f1 to f2 and the
+    # unit complement of f1's image to that of f2's, so they must agree.
+    # Two pairs of each shape.
+    rng = random.Random(61)
+    for m in range(1, 4):
+        for p in 2 * (m, m + 1, m + 2):
+            f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                  max_deg=1)
+            f2 = rand_bicausal(rng, p, 1) * f
+            res = compensation_equivalence(f, f2, "post")
+            assert res.equivalent
+            assert res.post == reference_left_factor(f, f2)
+
+            g1 = f.transpose()
+            g2 = g1 * rand_bicausal(rng, p, 1)
+            res = compensation_equivalence(g1, g2, "pre")
+            assert res.equivalent
+            assert res.pre == reference_left_factor(
+                f, g2.transpose()).transpose()
+
+            f2 = rand_bicausal(rng, p, 1) * f * rand_bicausal(rng, m, 1)
+            res = compensation_equivalence(f, f2, "two_sided")
+            assert res.equivalent
+            assert res.post == reference_left_factor(f * res.pre, f2)
+
+
+def test_post_equivalence_inverts_only_complement_blocks(monkeypatch):
+    # No column reduction beyond one per kernel, no inversion at p = m and
+    # only the (p - m)-square complement block at p > m.
+    inverse = TransferMatrix.inverse
+    reduce = column_reduce_at_infinity
+    shapes, reductions = [], []
+
+    def counting_inverse(self):
+        shapes.append((self.rows, self.cols))
+        return inverse(self)
+
+    def counting_reduce(a):
+        reductions.append(a)
+        return reduce(a)
+
+    monkeypatch.setattr(TransferMatrix, "inverse", counting_inverse)
+    monkeypatch.setattr(latkern.latency, "column_reduce_at_infinity",
+                        counting_reduce)
+    rng = random.Random(62)
+    for m in (1, 2, 3):
+        for p in (m, m + 1, m + 2):
+            f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                  max_deg=1)
+            shapes.clear()
+            reductions.clear()
+            res = compensation_equivalence(f, rand_bicausal(rng, p, 1) * f,
+                                           "post")
+            assert res.equivalent
+            assert len(reductions) == 2
+            if p == m:
+                assert not shapes
+            else:
+                assert shapes and set(shapes) == {(p - m, p - m)}

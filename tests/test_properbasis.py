@@ -6,13 +6,12 @@ import pytest
 
 from latkern import linalg
 from latkern.properbasis import (ProperBasis, column_order,
-                                 column_reduce_at_infinity,
-                                 extend_to_proper_basis, leading_data,
+                                 column_reduce_at_infinity, leading_data,
                                  order_chain, proper_independence_check,
                                  smith_at_infinity)
 from latkern.rational import ORD_INF, RatFun
 from latkern.transfer import TransferMatrix
-from oracles import min_minor_order
+from oracles import extend_to_proper_basis, min_minor_order
 
 from gen import (rand_full_rank_matrix, rand_nonzero_matrix, rand_ratfun,
                  rand_strictly_causal_injective)

@@ -53,14 +53,15 @@ def test_internal_check_error_defined_once():
 
 
 def test_certificate_holds_under_python_O():
-    # The same precondition check as in test_latency, and the factor
-    # reconstruction check against a corrupted b1^-1 as in test_factor, in
-    # an interpreter that strips assert statements.
+    # The same precondition check as in test_latency, and the factor and
+    # post-equivalence reconstruction checks against a corrupted b1^-1 as
+    # in test_factor, in an interpreter that strips assert statements.
     script = (
         "import dataclasses, sys\n"
         "import latkern.latency\n"
         "from latkern.factor import causal_factor\n"
-        "from latkern.latency import strictly_polynomial_basis\n"
+        "from latkern.latency import (compensation_equivalence,\n"
+        "                             strictly_polynomial_basis)\n"
         "from latkern.properbasis import smith_at_infinity\n"
         "from latkern.rational import RatFun\n"
         "from latkern.transfer import InternalCheckError, TransferMatrix\n"
@@ -84,15 +85,23 @@ def test_certificate_holds_under_python_O():
         "except InternalCheckError as exc:\n"
         "    print(exc)\n"
         "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "l = TransferMatrix([[1, 0], [1, 2]])\n"
+        "try:\n"
+        "    compensation_equivalence(f, l * f, 'post')\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
         "    sys.exit('no InternalCheckError under -O')\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    optimize, precondition, reconstruction = proc.stdout.splitlines()
+    optimize, precondition, reconstruction, left = proc.stdout.splitlines()
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
     assert reconstruction == "causal factor reconstruction failed"
+    assert left == "constructed left factor does not map f1 to f2"
 
 
 def test_benchmark_trace_entries_resolve():
