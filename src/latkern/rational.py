@@ -563,6 +563,57 @@ class RatFun:
             return [Fraction(0)] * (t0 - start) + out
         return out[start - t0:]
 
+    def laurent_ints(self, start: int, horizon: int) -> tuple[list[int], int]:
+        """laurent_window(start, horizon) as (ints, den): the coefficients
+        over the least common denominator den, built without Fractions.
+
+        The long division runs on the primitive parts of num and den, each
+        coefficient kept as a reduced pair (M_k, D_k).  Step k works over
+        the lcm L of the denominators it reads and reduces
+        (a_k L - sum b_i M_(k-i) L/D_(k-i)) / (b_0 L) with one gcd; the
+        content is applied once, at the end.  Carrying powers of b_0
+        instead would skip the gcds, but at m = 5 the b_0 of an entry of
+        I + g f has over 400 bits while the reduced D_k grow by about 100
+        bits a step.
+        """
+        if horizon < start:
+            return [], 1
+        t0 = self.order()
+        if horizon < t0:  # also the zero function, of order ORD_INF
+            return [0] * (horizon - start + 1), 1
+        num, den = self.num, self.den
+        count = horizon - t0 + 1
+        a = num._p[:-count - 1:-1]
+        b = den._p[:-count - 1:-1]
+        b0 = b[0]
+        taps = [(i, bi) for i, bi in enumerate(b) if i and bi]
+        nums, dens = [], []
+        for k in range(count):
+            terms = [(bi, nums[k - i], dens[k - i]) for i, bi in taps
+                     if i <= k and nums[k - i]]
+            ak = a[k] if k < len(a) else 0
+            if terms:
+                scale = _lcm_chain(d for _, _, d in terms)
+                acc = ak * scale - sum(bi * m * (scale // d)
+                                       for bi, m, d in terms)
+            else:
+                scale, acc = 1, ak
+            scale *= b0
+            g = math.gcd(acc, scale)
+            nums.append(acc // g)
+            dens.append(scale // g)
+        lo = max(start - t0, 0)
+        nums, dens = nums[lo:], dens[lo:]
+        # Over the lcm of the reduced pairs the ints have no common factor
+        # with it; the content n/d (d > 0: den is monic) needs one more gcd.
+        common = math.lcm(*dens)
+        n, d = num._n * den._d, num._d * den._n
+        ints = [n * m * (common // dk) for m, dk in zip(nums, dens)]
+        common *= d
+        g = math.gcd(common, *ints)
+        pad = [0] * max(t0 - start, 0)
+        return pad + [x // g for x in ints], common // g
+
     def expand(self, horizon: int) -> TruncatedSeries:
         """Truncated Laurent expansion up to index `horizon` inclusive."""
         if self.is_zero:
@@ -735,6 +786,19 @@ def _over_monic(n: int, d: int, p: tuple, dn: int, dd: int,
             n, d = -n, -d
     g = math.gcd(n, d)
     return Poly._make(n // g, d // g, p), Poly._monic_of(q)
+
+
+def _lcm_chain(ds) -> int:
+    """lcm of positive ints, trying a remainder before each gcd.
+
+    A remainder is cheaper than a gcd, and the denominators a long
+    division reads, latest first, often divide the first one.
+    """
+    out = 1
+    for d in ds:
+        if out % d:
+            out = out // math.gcd(out, d) * d
+    return out
 
 
 def _coerce(x) -> RatFun | None:

@@ -1,15 +1,15 @@
 """Truncated-series matrices: the convolution simulation harness.
 
 This is the independent cross-check path: transfer matrices are expanded
-entrywise, each entry in one pass, into truncated series and composed by
-convolution and recursive series inversion only.  Each entry is held as
-one integer sequence over one denominator, so a product convolves Python
-ints and builds no Fraction; coefficient matrices over Q are built only
-when they are read.  Agreement with the exact rational arithmetic on a
-window is the acceptance-level consistency test, and the `simulate` CLI
-subcommand runs inputs through it.  The `realize` subcommand checks
-l = (I + g f)^-1 v by the product (I + g f) l = v, not by inverting a
-series.
+entrywise, each entry in one integer pass (`RatFun.laurent_ints`), into
+truncated series and composed by convolution and recursive series
+inversion only.  Each entry is held as one integer sequence over one
+denominator, so neither the expansion nor a product builds a Fraction;
+coefficient matrices over Q are built only when they are read.
+Agreement with the exact rational arithmetic on a window is the
+acceptance-level consistency test, and the `simulate` CLI subcommand runs
+inputs through it.  The `realize` subcommand checks l = (I + g f)^-1 v by
+the product (I + g f) l = v, not by inverting a series.
 """
 
 from __future__ import annotations
@@ -95,11 +95,17 @@ class SeriesMatrix:
 
     @classmethod
     def from_transfer(cls, f: TransferMatrix, horizon: int) -> SeriesMatrix:
+        """The expansion of f from min(order, 0) to horizon.
+
+        Each entry comes from `RatFun.laurent_ints` over its least common
+        denominator, the same pair as `_over_lcm(laurent_window(...))`,
+        with no Fraction built.
+        """
         order = f.order()
         start = 0 if order == ORD_INF else min(order, 0)
         return cls._make(start, horizon, f.rows, f.cols,
-                         [[_over_lcm(e.laurent_window(start, horizon))
-                           for e in row] for row in f.entries])
+                         [[e.laurent_ints(start, horizon) for e in row]
+                          for row in f.entries])
 
     def coeff(self, t: int):
         if t > self.horizon:
@@ -213,7 +219,9 @@ def simulate_response(f: TransferMatrix, u, horizon: int):
     fs = SeriesMatrix.from_transfer(f, horizon)
     orders = [e.order() for e in u if not e.is_zero]
     ustart = min(orders) if orders else 0
-    # Per index: perfbench's peak_rss_mb rises with series throughput.
+    # Per index, on Fractions: laurent_ints here took series 34 -> 132
+    # ops/s but peak_rss_mb +63%, since the benchmark keeps every
+    # operation's stdout (ROADMAP item 1).
     ucoeffs = [[[e.laurent_coeff(t)] for e in u]
                for t in range(min(ustart, 0), horizon + 1)]
     us = SeriesMatrix(min(ustart, 0), ucoeffs, horizon, len(u), 1)

@@ -1,13 +1,16 @@
 """Scalar arithmetic: orders, leading coefficients, expansion, truncations."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkern.rational import ORD_INF, Poly, RatFun, TruncatedSeries
+from latkern.simulate import _over_lcm
 from oracles import add_dicts, convolve_dicts, expansion_oracle
 
 from gen import rand_poly, rand_ratfun, rationals
@@ -123,6 +126,54 @@ def test_laurent_window_matches_long_division(num, den, start, length, built):
     assert r.laurent_window(start, horizon) == [
         oracle.get(t, Fraction(0)) for t in range(start, horizon + 1)]
     assert r.laurent_coeff(horizon) == oracle.get(horizon, Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=7),
+       st.lists(rationals, min_size=1, max_size=7),
+       st.integers(-10, 8), st.integers(-2, 14))
+def test_laurent_ints_is_the_window_over_its_lcm(num, den, start, length):
+    # Covers the zero function, improper entries (order < 0), windows
+    # starting before or after the order, horizons before the order and
+    # empty windows (length < 0).
+    if not any(den):
+        den = den[:-1] + [Fraction(1)]
+    r = RatFun(Poly(num), Poly(den))
+    horizon = start + length
+    assert r.laurent_ints(start, horizon) == _over_lcm(
+        r.laurent_window(start, horizon))
+
+
+def test_laurent_ints_with_a_highly_composite_lead():
+    lead = 2**20 * 3**10 * 5**8
+    for num, den in [(Poly([7, -3, 1]), Poly([1, 6, -2, lead])),
+                     (Poly([1, 0, 0, 0, 0, 9]), Poly([3, 0, lead])),
+                     (Poly([5, lead]), Poly([lead - 1, 12, lead]))]:
+        r = RatFun(num, den)
+        for start, horizon in [(-4, 30), (r.order(), 40), (9, 25)]:
+            assert r.laurent_ints(start, horizon) == _over_lcm(
+                r.laurent_window(start, horizon))
+
+
+def test_laurent_ints_on_the_realize_loop_at_m4():
+    # The entries of I + g f that the realize cross-check expands, on the
+    # benchmark's 4 x 4 plant family; their leads have hundreds of bits.
+    from latkern.feedback import vg_representation
+    instances = _perfbench_module("instances")
+    rng = random.Random(12)
+    f, _ = instances.injective_plant(rng, 4, 4, (1, 2, 3, 4), 1)
+    loop = vg_representation(f, instances.rand_bicausal(rng, 4, 2)).loop
+    for row in loop.entries:
+        for e in row:
+            assert e.laurent_ints(0, 40) == _over_lcm(e.laurent_window(0, 40))
+
+
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_laurent_coeff_at_the_order_reads_two_coefficients():

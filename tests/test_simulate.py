@@ -202,6 +202,38 @@ def test_simulate_rejects_wrong_input_length_before_expanding(monkeypatch):
         simulate_response(f, [RatFun.const(1)] * 3, 5)
 
 
+def test_expansion_builds_no_fraction_window(monkeypatch, tmp_path, capsys):
+    # The cross-check expands on integers.  laurent_coeff still reads one
+    # index through laurent_window, so only windows of two or more
+    # indices are refused.
+    from latkern.cli import main
+    from latkern.matrixio import dump_matrix
+
+    window = RatFun.laurent_window
+
+    def refuse(self, start, horizon):
+        if horizon > start:
+            raise AssertionError("laurent_window expanded a window")
+        return window(self, start, horizon)
+
+    rng = random.Random(83)
+    f = rand_matrix(rng, 2, 2, 3)
+    monkeypatch.setattr(RatFun, "laurent_window", refuse)
+    s = SeriesMatrix.from_transfer(f, 12)
+    for t in range(s.start, 13):
+        assert s.coeff(t) == f.markov(t)
+
+    plant = TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]])
+    loop = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                           [RatFun.const(2), RatFun.const(1)]])
+    paths = [str(tmp_path / "f.json"), str(tmp_path / "l.json")]
+    dump_matrix(plant, paths[0])
+    dump_matrix(loop, paths[1])
+    assert main(["--json", "realize", *paths,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert '"exit_status": 0' in capsys.readouterr().out
+
+
 def test_series_inverse_matches_exact_inverse():
     rng = random.Random(82)
     for _ in range(10):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -52,12 +53,15 @@ def test_internal_check_error_defined_once():
     assert latkern.latency.InternalCheckError is latkern.transfer.InternalCheckError
 
 
-def test_certificate_holds_under_python_O():
-    # The same precondition check as in test_latency, and the factor and
+def test_certificate_holds_under_python_O(tmp_path):
+    # The same precondition check as in test_latency, the factor and
     # post-equivalence reconstruction checks against a corrupted b1^-1 as
-    # in test_factor, in an interpreter that strips assert statements.
+    # in test_factor, and the realize cross-check against a v moved by one
+    # coefficient as in test_cli, in an interpreter that strips assert
+    # statements.
     script = (
         "import dataclasses, sys\n"
+        "import latkern.cli\n"
         "import latkern.latency\n"
         "from latkern.factor import causal_factor\n"
         "from latkern.latency import (compensation_equivalence,\n"
@@ -92,16 +96,38 @@ def test_certificate_holds_under_python_O():
         "except InternalCheckError as exc:\n"
         "    print(exc)\n"
         "else:\n"
-        "    sys.exit('no InternalCheckError under -O')\n")
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "from latkern.feedback import vg_representation\n"
+        "from latkern.matrixio import dump_matrix\n"
+        "from latkern.rational import Poly\n"
+        "latkern.latency.smith_at_infinity = smith_at_infinity\n"
+        "z = RatFun.zpow\n"
+        "f = TransferMatrix([[z(-1), z(-2)], [0, z(-3)]])\n"
+        "l = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],\n"
+        "                    [2, 1]])\n"
+        "true = vg_representation(f, l)\n"
+        "bump = TransferMatrix([[0, 0], [3 * z(-1), 0]])\n"
+        "wrong = dataclasses.replace(true, v=true.v + bump)\n"
+        "latkern.cli.vg_representation = lambda f, l: wrong\n"
+        "paths = [sys.argv[1] + '/f.json', sys.argv[1] + '/l.json']\n"
+        "dump_matrix(f, paths[0])\n"
+        "dump_matrix(l, paths[1])\n"
+        "code = latkern.cli.main(['--json', 'realize', *paths,\n"
+        "                         '--out-dir', sys.argv[1] + '/out'])\n"
+        "print(code, file=sys.stderr)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    optimize, precondition, reconstruction, left = proc.stdout.splitlines()
+    optimize, precondition, reconstruction, left, *realize = (
+        proc.stdout.splitlines())
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
     assert reconstruction == "causal factor reconstruction failed"
     assert left == "constructed left factor does not map f1 to f2"
+    assert proc.stderr.splitlines()[-1] == "3"
+    assert json.loads("\n".join(realize)) == {
+        "command": "realize", "error": "simulation cross-check failed"}
 
 
 def test_benchmark_trace_entries_resolve():
