@@ -35,7 +35,6 @@ class LatencyKernel:
                        == I.
     orders             column orders of generator (nondecreasing).
     indices            latency indices nu_i = -order_i - 1, nonincreasing.
-    chain              order chain / latency chain of the module.
     strictly_causal_input  False flags the advisory case where f had
                        order <= 0 and indices may be negative.
     smith              the Smith form at infinity f = b1 * delta * b2 the
@@ -48,13 +47,15 @@ class LatencyKernel:
                        strictly causal, where no such basis exists.  Built
                        and certified on first read only: factorization and
                        equivalence never read it.
+    chain              order chain / latency chain of the module.  Built
+                       on first read, as poly_generator is: only the
+                       latency command reads it.
     """
 
     generator: TransferMatrix
     generator_inv: TransferMatrix
     orders: tuple
     indices: tuple
-    chain: OrderChain
     strictly_causal_input: bool
     smith: SmithAtInfinity
     raw_generator: TransferMatrix
@@ -64,6 +65,10 @@ class LatencyKernel:
         if not self.strictly_causal_input:
             return None
         return strictly_polynomial_basis(self.generator, self.generator_inv)
+
+    @functools.cached_property
+    def chain(self) -> OrderChain:
+        return order_chain(self.generator)
 
     def contains(self, u) -> bool:
         """Membership of the input vector u in the kernel module."""
@@ -141,7 +146,6 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
         generator_inv=d_inv,
         orders=orders,
         indices=indices,
-        chain=order_chain(d),
         strictly_causal_input=f.classify().strictly_causal,
         smith=smith,
         raw_generator=raw,

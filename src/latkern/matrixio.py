@@ -3,12 +3,15 @@
 Entries are {num, den} coefficient lists, ascending by power of z, every
 coefficient an exact decimal string "a" or "a/b".  No floating point is
 accepted anywhere in the format; round-tripping reproduces the canonical
-matrix bit for bit.
+matrix bit for bit.  A coefficient list is read straight into an integer
+polynomial over the lcm of its denominators, with no `Fraction` per
+coefficient; constant matrices are read through the same parser.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -24,7 +27,8 @@ class InputFormatError(ValueError):
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def _parse_coeff(raw) -> Fraction:
+def _parse_pair(raw) -> tuple[int, int]:
+    """(n, d) with d > 0 for one coefficient, not reduced."""
     if isinstance(raw, str):
         text = raw.strip()
         if not _COEFF_RE.match(text):
@@ -32,14 +36,27 @@ def _parse_coeff(raw) -> Fraction:
                 f"bad coefficient {raw!r}: expected an exact 'a' or 'a/b' "
                 "integer string (no decimals)")
         num, _, den = text.partition("/")
-        try:
-            return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError as exc:
-            raise InputFormatError(f"bad coefficient {raw!r}: {exc}") from exc
+        n, d = int(num), int(den or 1)
+        if not d:
+            # the message Fraction(n, 0) raises
+            raise InputFormatError(f"bad coefficient {raw!r}: Fraction({n}, 0)")
+        return n, d
     if isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
+        return raw, 1
     raise InputFormatError(
         f"coefficients must be integer or 'a/b' strings, got {raw!r}")
+
+
+def _parse_coeff(raw) -> Fraction:
+    return Fraction(*_parse_pair(raw))
+
+
+def _poly_from_json(raws) -> Poly:
+    """The polynomial of a coefficient list, built over the lcm of its
+    denominators without a Fraction per coefficient."""
+    pairs = [_parse_pair(c) for c in raws]
+    den = math.lcm(*(d for _, d in pairs))
+    return Poly._scaled([n * (den // d) for n, d in pairs], 1, den)
 
 
 def _coeff_str(c: Fraction) -> str:
@@ -49,11 +66,11 @@ def _coeff_str(c: Fraction) -> str:
 def _entry_from_json(obj) -> RatFun:
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise InputFormatError(f"matrix entry must be a num/den object, got {obj!r}")
-    num = Poly(_parse_coeff(c) for c in obj["num"])
+    num = _poly_from_json(obj["num"])
     den_list = obj["den"]
     if not den_list:
         raise InputFormatError("empty denominator coefficient list")
-    den = Poly(_parse_coeff(c) for c in den_list)
+    den = _poly_from_json(den_list)
     if den.is_zero:
         raise InputFormatError("zero denominator in matrix entry")
     return RatFun(num, den)

@@ -15,7 +15,10 @@ polynomials evaluated at a large integer, whose candidate is accepted only
 after exact trial division.  When a bounded number of tries fails they
 fall back to a primitive remainder sequence, so every gcd is exact.  The
 trial division yields the cofactors f/h and g/h, and `RatFun` reduces
-with them instead of dividing again.
+with them instead of dividing again.  Delays make most operands on the
+kernel path divisible by z, so each gcd first splits off the common and
+the excess powers of z, which changes no result, and runs GCDHEU or the
+remainder sequence only on parts with a nonzero constant term.
 """
 
 from __future__ import annotations
@@ -413,11 +416,28 @@ def _heu_gcd(f: tuple, g: tuple):
 def _gcd_cofactors(x: tuple, y: tuple) -> tuple[tuple, tuple, tuple]:
     """(h, x / h, y / h) with h the primitive gcd of the nonzero primitive
     integer polynomials x and y: GCDHEU, else a primitive PRS whose
-    cofactors come from one exact division each."""
+    cofactors come from one exact division each.
+
+    Powers of z are split off first.  z is prime in Z[z] and divides
+    neither stripped part, so with x = z^vx x' and y = z^vy y',
+    gcd(x, y) = z^min(vx, vy) gcd(x', y').  The primitive gcd with a
+    positive lead is unique and the cofactors are exact quotients, so the
+    result is the same as without the split; a monomial z^k leaves a
+    constant part and needs no GCDHEU evaluation at all.
+    """
     if len(x) == 1 or len(y) == 1:
         return (1,), x, y
     if x == y:
         return x, (1,), (1,)
+    if not (x[0] and y[0]):
+        vx = vy = 0
+        while not x[vx]:
+            vx += 1
+        while not y[vy]:
+            vy += 1
+        v = min(vx, vy)
+        h, cx, cy = _gcd_cofactors(x[vx:], y[vy:])
+        return (0,) * v + h, (0,) * (vx - v) + cx, (0,) * (vy - v) + cy
     found = _heu_gcd(x, y)
     if found is not None:
         return found
@@ -428,7 +448,8 @@ def _gcd_cofactors(x: tuple, y: tuple) -> tuple[tuple, tuple, tuple]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd: GCDHEU on the primitive parts, else a primitive PRS."""
+    """Monic gcd: powers of z split off the primitive parts, then GCDHEU,
+    else a primitive PRS."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:

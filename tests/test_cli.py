@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from latkern import matrixio
 from latkern.cli import build_parser, main
 from latkern.matrixio import (InputFormatError, dump_matrix, load_matrix,
                               matrix_from_json, matrix_to_json)
@@ -293,3 +294,33 @@ def test_coefficient_strings_parse_exactly(tmp_path, capsys):
                                "entries": [[{"num": ["2/0"], "den": ["1"]}]]}))
     assert main(["--json", "classify", str(bad)]) == 2
     assert "Fraction(2, 0)" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_loader_matches_the_fraction_route(tmp_path, capsys):
+    # Non-canonical files: unreduced "6/4", JSON integers, the common
+    # factor z + 2 planted in num and den, and an empty num list.
+    entries = [
+        {"num": ["6/4", 2, "-10/15"], "den": ["4/6", "0", "8/12"]},
+        {"num": ["4/6", "1/3"], "den": ["-6/3", "2/2", 1]},
+        {"num": [], "den": ["3/9", 5]},
+        {"num": ["0/7", "-12/8"], "den": [0, 0, "21/14"]},
+    ]
+    obj = {"rows": 1, "cols": len(entries), "entries": [entries]}
+    got = matrix_from_json(obj)
+
+    def fields(p):
+        return p._n, p._d, p._p
+
+    for e, raw in zip(got.entries[0], entries):
+        num, den = (Poly([Fraction(c) for c in raw[k]]) for k in ("num", "den"))
+        assert fields(matrixio._poly_from_json(raw["num"])) == fields(num)
+        assert fields(matrixio._poly_from_json(raw["den"])) == fields(den)
+        want = RatFun(num, den)
+        assert (fields(e.num), fields(e.den)) == (fields(want.num),
+                                                  fields(want.den))
+    for raw in (True, "1.5", "3/-5"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": 1, "cols": 1,
+                                   "entries": [[{"num": [raw], "den": ["1"]}]]}))
+        assert main(["--json", "classify", str(bad)]) == 2
+        assert "coefficient" in json.loads(capsys.readouterr().out)["error"]

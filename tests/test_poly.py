@@ -8,6 +8,7 @@ sympy.
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkern import rational
-from latkern.matrixio import matrix_from_json, matrix_to_json
+from latkern.cli import main
+from latkern.matrixio import dump_matrix, matrix_from_json, matrix_to_json
 from latkern.rational import Poly, RatFun, poly_gcd
 from latkern.transfer import TransferMatrix
+from gen import rand_causal, rand_strictly_causal_injective
 from oracles import (poly_add_ref, poly_divmod_ref, poly_gcd_ref,
                      poly_mul_ref)
 
@@ -203,15 +206,13 @@ def test_every_result_is_canonical(a, b, c, common, s):
         assert_canonical(p)
 
 
-@props
-@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs)
-def test_gcd_cofactors_rebuild_their_inputs(a, b, common):
-    pc = Poly(common)
-    x, y = (Poly(a) * pc)._p, (Poly(b) * pc)._p
+def _check_cofactors(x: tuple, y: tuple):
+    """_gcd_cofactors on x and y by GCDHEU, then by the remainder-sequence
+    fallback alone: the cofactors rebuild x and y, and the gcd is
+    primitive with a positive lead and agrees with the reference."""
     expect = poly_gcd_ref(x, y)
     saved = rational.HEU_GCD_MAX
     try:
-        # GCDHEU, then the remainder-sequence fallback alone
         for heu_max in (saved, 0):
             rational.HEU_GCD_MAX = heu_max
             g, ca, cb = rational._gcd_cofactors(x, y)
@@ -223,6 +224,53 @@ def test_gcd_cofactors_rebuild_their_inputs(a, b, common):
             assert [Fraction(c, g[-1]) for c in g] == expect
     finally:
         rational.HEU_GCD_MAX = saved
+
+
+@props
+@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs)
+def test_gcd_cofactors_rebuild_their_inputs(a, b, common):
+    pc = Poly(common)
+    _check_cofactors((Poly(a) * pc)._p, (Poly(b) * pc)._p)
+
+
+@props
+@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs,
+       st.integers(0, 4), st.integers(0, 4))
+def test_gcd_cofactors_split_powers_of_z(a, b, common, va, vb):
+    # z^va x c and z^vb y c, then pure monomials, and pairs that are equal
+    # or constant once their powers of z are split off
+    pc = Poly(common)
+    x, y = Poly(a) * pc, Poly(b) * pc
+    za, zb = Poly.z(va), Poly.z(vb)
+    pairs = [(za * x, zb * y), (za, zb * y), (za * x, zb), (za, zb),
+             (za * x, zb * x), (za * pc, pc)]
+    for u, w in pairs:
+        _check_cofactors(u._p, w._p)
+
+
+def test_no_gcd_runs_on_a_multiple_of_z(monkeypatch, tmp_path):
+    # Delays make most gcd operands on the kernel path multiples of z;
+    # _gcd_cofactors splits the powers of z off before either algorithm.
+    calls = []
+
+    def refuse(run):
+        def guarded(f, g):
+            if not (f[0] and g[0]):
+                raise AssertionError(f"gcd of a multiple of z: {f}, {g}")
+            calls.append(run.__name__)
+            return run(f, g)
+        return guarded
+
+    monkeypatch.setattr(rational, "_heu_gcd", refuse(rational._heu_gcd))
+    monkeypatch.setattr(rational, "_prs_gcd", refuse(rational._prs_gcd))
+    rng = random.Random(14)
+    f, _ = rand_strictly_causal_injective(rng, 3, 3)
+    h = rand_causal(rng, 3, 3, 1) * f
+    fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
+    dump_matrix(f, fp)
+    dump_matrix(h, hp)
+    assert main(["--json", "factor", fp, hp]) == 0
+    assert calls
 
 
 @props
