@@ -18,7 +18,7 @@ from .latency import (ContainmentResult, EquivalenceResult,
                       module_contains, strictly_polynomial_basis)
 from .factor import FactorOutcome, causal_factor, constant_matrix, static_factor
 from .polymatrix import (CoprimeFraction, PolyMatrix, column_reduce_poly,
-                         hermite_gcrd, is_unimodular, poly_module_contains,
+                         hermite_gcrd, poly_module_contains,
                          polynomial_kernel_module, reachability_indices,
                          right_coprime_fraction)
 from .feedback import (FeedbackRealization, PreconditionError, StateSpace,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .factor import causal_factor, static_factor
+from .factor import causal_factor, constant_matrix, static_factor
 from .latency import InternalCheckError, latency_kernel
 from .polymatrix import (poly_module_contains, polynomial_kernel_module,
                          reachability_indices, right_coprime_fraction)
@@ -294,7 +294,6 @@ def static_state_feedback_test(ss: StateSpace,
     if gain_matrix is None:
         raise InternalCheckError("static factor missing despite a positive "
                                  "containment test")
-    from .factor import constant_matrix
     gain = constant_matrix(gain_matrix)
     if TransferMatrix.from_constant(static_part) \
             + gain_matrix * f != l_inv:

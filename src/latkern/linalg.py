@@ -49,15 +49,13 @@ def _echelon(rows, limit_cols=None, weight=None):
     has the least weight(entry) when weight is given; the reduced form is
     the same for every choice.
 
-    Returns (pivot columns, determinant factors): the pivot entries, each
-    negated when its step swapped two rows.  For a square matrix of full
-    rank their product is the determinant; callers that need it multiply.
+    Returns the list of pivot columns; its length is the rank.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if limit_cols is None:
         limit_cols = ncols
-    pivots, factors = [], []
+    pivots = []
     r = 0
     for c in range(limit_cols):
         cands = [i for i in range(r, nrows) if rows[i][c]]
@@ -67,7 +65,6 @@ def _echelon(rows, limit_cols=None, weight=None):
             cands, key=lambda i: weight(rows[i][c]))
         rows[r], rows[pr] = rows[pr], rows[r]
         p = rows[r][c]
-        factors.append(p if pr == r else -p)
         # A zero entry stays as it is: dividing or subtracting it is a
         # no-op that still costs a full field operation.
         rows[r] = [x / p if x else x for x in rows[r]]
@@ -80,7 +77,7 @@ def _echelon(rows, limit_cols=None, weight=None):
         r += 1
         if r == nrows:
             break
-    return pivots, factors
+    return pivots
 
 
 def _kernel_vector(rows, pivots, ncols, one):
@@ -105,7 +102,7 @@ def rank(a) -> int:
     rows = [list(row) for row in a]
     if not rows:
         return 0
-    return len(_echelon(rows)[0])
+    return len(_echelon(rows))
 
 
 def nullspace_vector(a):
@@ -114,7 +111,7 @@ def nullspace_vector(a):
     Normalized so its first nonzero entry is 1.
     """
     rows = [list(row) for row in a]
-    pivots = _echelon(rows)[0] if rows else []
+    pivots = _echelon(rows) if rows else []
     return _kernel_vector(rows, pivots, shape(a)[1], Fraction(1))
 
 
@@ -125,7 +122,7 @@ def solve(a, b):
     """
     p, m = shape(a)
     rows = [list(row) + [bv] for row, bv in zip(a, b)]
-    pivots, _ = _echelon(rows, m)
+    pivots = _echelon(rows, m)
     for r in range(len(pivots), p):
         if rows[r][m] != 0:
             return None
@@ -141,7 +138,7 @@ def invert(a):
     if n != m:
         raise ValueError("inverse of a nonsquare matrix")
     rows = [list(row) + list(e) for row, e in zip(a, eye(n))]
-    pivots, _ = _echelon(rows, n)
+    pivots = _echelon(rows, n)
     if len(pivots) < n:
         return None
     return tuple(tuple(rows[i][n:]) for i in range(n))

@@ -95,11 +95,13 @@ def _grid(obj, what: str):
     """The entry grid of a {rows, cols, entries} object, shape-checked."""
     if not isinstance(obj, dict):
         raise InputFormatError(f"{what} file must hold a JSON object")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        grid = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"missing or bad matrix fields: {exc}") from exc
+    rows, cols, grid = (obj.get(k) for k in ("rows", "cols", "entries"))
+    for name, size in (("rows", rows), ("cols", cols)):
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise InputFormatError(
+                f"{name} must be a JSON integer of at least 1, got {size!r}")
+    if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
+        raise InputFormatError("entries must be a list of rows")
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise InputFormatError(
             f"entry grid does not match declared shape {rows}x{cols}")

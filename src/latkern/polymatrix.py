@@ -5,6 +5,11 @@ A right coprime fraction v = N * P^-1 with P column-reduced exposes the
 reachability structure of a rational map: the column degrees of P are its
 reachability indices and deg det P the minimal state dimension.  P also
 generates the module of polynomial inputs with polynomial response.
+
+Hermite elimination and column reduction carry the inverses of their
+unimodular transformations, so the fraction is read off u^-1 and certified
+by a rank over Q and polynomial products: no determinant is computed and
+no matrix is inverted over Q(z).
 """
 
 from __future__ import annotations
@@ -84,13 +89,6 @@ class PolyMatrix:
                            for j in range(self.cols))
                      for row in self.entries)
 
-    def det(self) -> Poly:
-        d = self.to_transfer().det()
-        if not d.is_polynomial:
-            raise InternalCheckError("determinant of a polynomial matrix "
-                                     "came out non-polynomial")
-        return d.num
-
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -122,19 +120,16 @@ def _poly(x) -> Poly:
     raise TypeError(f"not a polynomial entry: {x!r}")
 
 
-def is_unimodular(u: PolyMatrix) -> bool:
-    d = u.det()
-    return d.degree == 0
-
-
 def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     """Greatest common right divisor of (a, b) with unimodular certificate.
 
-    Returns (r, u) with u * [a; b] = [r; 0], u unimodular and r in Hermite
-    form: upper triangular, monic diagonal, entries above each pivot of
-    lower degree.  Requires the stacked matrix to have full column rank.
-    Pivot at each step is the minimum-degree nonzero entry (ties: lowest
-    row), reduced by polynomial division until the column is cleared.
+    Returns (r, u, u_inv) with u * [a; b] = [r; 0] and r in Hermite form:
+    upper triangular, monic diagonal, entries above each pivot of lower
+    degree.  Requires the stacked matrix to have full column rank.  Pivot
+    at each step is the minimum-degree nonzero entry (ties: lowest row),
+    reduced by polynomial division until the column is cleared.  Each row
+    operation is mirrored on u_inv as the inverse column operation, and
+    u * u_inv == I certifies that u is unimodular.
     """
     if a.cols != b.cols:
         raise ValueError("stacked matrices need matching column counts")
@@ -143,18 +138,21 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     nrows = len(work)
     if nrows < c:
         raise ValueError("stacked matrix cannot have full column rank")
-    u = [[Poly.one() if i == j else Poly.zero() for j in range(nrows)]
-         for i in range(nrows)]
+    u = [list(row) for row in PolyMatrix.identity(nrows).entries]
+    # Columns of u^-1, so each mirrored column operation is a row update.
+    u_inv = [list(row) for row in PolyMatrix.identity(nrows).entries]
 
     def swap(i, j):
         if i != j:
             work[i], work[j] = work[j], work[i]
             u[i], u[j] = u[j], u[i]
+            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
 
     def combine(i, j, q):
-        # row i -= q * row j
+        # row i -= q * row j; on u^-1, column j += q * column i
         work[i] = [x - q * y for x, y in zip(work[i], work[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        u_inv[j] = [x + q * y for x, y in zip(u_inv[j], u_inv[i])]
 
     for col in range(c):
         while True:
@@ -175,36 +173,39 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
             inv = Fraction(1) / lead
             work[col] = [x * inv for x in work[col]]
             u[col] = [x * inv for x in u[col]]
+            u_inv[col] = [x * lead for x in u_inv[col]]
         for i in range(col)[::-1]:
             if work[i][col].degree >= work[col][col].degree:
                 combine(i, col, work[i][col] // work[col][col])
 
     r = PolyMatrix([work[i][:c] for i in range(c)])
-    cert = PolyMatrix(u)
     if any(not work[i][j].is_zero for i in range(c, nrows) for j in range(c)):
         raise InternalCheckError("elimination left residue below the divisor")
-    if not is_unimodular(cert):
+    u, u_inv = PolyMatrix(u), PolyMatrix(list(zip(*u_inv)))
+    if u * u_inv != PolyMatrix.identity(nrows):
         raise InternalCheckError("row transformation is not unimodular")
-    return r, cert
+    return r, u, u_inv
 
 
 def column_reduce_poly(p: PolyMatrix):
     """Column-reduced form of a nonsingular polynomial matrix.
 
-    Returns (p', v) with p' = p * v, v unimodular, and the matrix of
-    highest-column-degree coefficients of p' nonsingular; the sum of
-    column degrees then equals deg det p.
+    Returns (p', w, w_inv) with p' = p * w, w unimodular with inverse w_inv
+    (each column operation mirrored as row operations), and the matrix of
+    highest-column-degree coefficients of p' nonsingular; the sum of column
+    degrees then equals deg det p.  Each step lowers one column degree, so
+    a singular p, and only a singular p, reaches a zero column: ValueError.
     """
     if p.rows != p.cols:
         raise ValueError("column reduction here expects a square matrix")
-    if p.det().is_zero:
-        raise ValueError("column reduction of a singular matrix")
     n = p.cols
     cols = [[p.entries[i][j] for i in range(n)] for j in range(n)]
-    v = [[Poly.one() if i == j else Poly.zero() for j in range(n)]
-         for i in range(n)]
+    w_cols = [list(row) for row in PolyMatrix.identity(n).entries]
+    w_inv = [list(row) for row in PolyMatrix.identity(n).entries]
     while True:
         degs = [max(e.degree for e in col) for col in cols]
+        if min(degs) < 0:
+            raise ValueError("column reduction of a singular matrix")
         high = tuple(tuple(cols[j][i].coeff(degs[j]) for j in range(n))
                      for i in range(n))
         alpha = linalg.nullspace_vector(high)
@@ -212,22 +213,27 @@ def column_reduce_poly(p: PolyMatrix):
             break
         support = [i for i, x in enumerate(alpha) if x != 0]
         j = max(support, key=lambda i: (degs[i], -i))
+        # Column j of both p and w becomes sum_i factor_i * column i.
+        factors = [Poly.const(alpha[i]).shift(degs[j] - degs[i])
+                   for i in support]
         new_col = [Poly.zero()] * n
-        new_vcol = [Poly.zero()] * n
-        for i in support:
-            factor = Poly.const(alpha[i]).shift(degs[j] - degs[i])
+        new_wcol = [Poly.zero()] * n
+        for i, factor in zip(support, factors):
             new_col = [acc + factor * e for acc, e in zip(new_col, cols[i])]
-            new_vcol = [acc + factor * e
-                        for acc, e in zip(new_vcol, (row[i] for row in v))]
+            new_wcol = [acc + factor * e for acc, e in zip(new_wcol, w_cols[i])]
         if max(e.degree for e in new_col) >= degs[j]:
             raise InternalCheckError("lead cancellation did not lower the "
                                      "column degree")
         cols[j] = new_col
-        for i in range(n):
-            v[i][j] = new_vcol[i]
+        w_cols[j] = new_wcol
+        # Mirrored on w^-1: row j /= alpha_j, then row i -= factor_i * row j
+        # for i != j.
+        pivot = [y * (1 / alpha[j]) for y in w_inv[j]]
+        for i, factor in zip(support, factors):
+            w_inv[i] = pivot if i == j else [
+                x - factor * y for x, y in zip(w_inv[i], pivot)]
     reduced = PolyMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-    cert = PolyMatrix(v)
-    return reduced, cert
+    return reduced, PolyMatrix(list(zip(*w_cols))), PolyMatrix(w_inv)
 
 
 @dataclass(frozen=True)
@@ -246,8 +252,12 @@ class CoprimeFraction:
 def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
     """Right coprime fraction of a rational matrix.
 
-    Starts from the common-denominator fraction v = A * (d I)^-1, divides
-    out the GCRD of (A, d I), and column-reduces the denominator.  The
+    From v = A * (d I)^-1, one Hermite elimination u * [A; d I] = [r; 0]
+    divides out the GCRD r: the first m columns of u^-1 are [A; d I] * r^-1,
+    numerator on top of denominator.  The denominator is column-reduced
+    (by w) and certified so by the rank of its high-coefficient matrix;
+    (w^-1 * u[:m, :]) * [num; den] == I is a Bezout identity certifying
+    coprimeness, and num == v * den that the fraction reproduces v.  The
     denominator generates the module of polynomial inputs whose image
     under v is polynomial.
     """
@@ -257,22 +267,18 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
             d = poly_lcm(d, e.den)
     m = v.cols
     abar = PolyMatrix([[e.num * (d // e.den) for e in row] for row in v.entries])
-    dmat = PolyMatrix.scalar_diag(d, m)
-    r, _ = hermite_gcrd(abar, dmat)
-    r_inv = r.to_transfer().inverse()
-    num = PolyMatrix.from_transfer(abar.to_transfer() * r_inv)
-    den = PolyMatrix.from_transfer(dmat.to_transfer() * r_inv)
-    den, cert = column_reduce_poly(den)
-    num = num * cert
-    degrees = den.column_degrees()
-    if den.det().degree != sum(degrees):
+    _, u, u_inv = hermite_gcrd(abar, PolyMatrix.scalar_diag(d, m))
+    fraction = [row[:m] for row in u_inv.entries]
+    den, w, w_inv = column_reduce_poly(PolyMatrix(fraction[v.rows:]))
+    num = PolyMatrix(fraction[:v.rows]) * w
+    if linalg.rank(den.high_coefficient_matrix()) != m:
         raise InternalCheckError("column-reduced denominator degree mismatch")
-    if num.to_transfer() * den.to_transfer().inverse() != v:
-        raise InternalCheckError("coprime fraction does not reproduce the map")
-    gc, _ = hermite_gcrd(num, den)
-    if not is_unimodular(gc):
+    bezout = w_inv * PolyMatrix(u.entries[:m])
+    if bezout * PolyMatrix(num.entries + den.entries) != PolyMatrix.identity(m):
         raise InternalCheckError("extracted fraction is not coprime")
-    return CoprimeFraction(num, den, degrees)
+    if num.to_transfer() != v * den.to_transfer():
+        raise InternalCheckError("coprime fraction does not reproduce the map")
+    return CoprimeFraction(num, den, den.column_degrees())
 
 
 def reachability_indices(v: TransferMatrix):

@@ -8,7 +8,6 @@ the static/strictly-causal decomposition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -230,16 +229,7 @@ class TransferMatrix:
     def rank(self) -> int:
         """Rank over the rational function field."""
         work = [list(row) for row in self.entries]
-        return len(_echelon(work, weight=_total_degree)[0])
-
-    def det(self) -> RatFun:
-        if not self.is_square:
-            raise ValueError("determinant of a nonsquare matrix")
-        work = [list(row) for row in self.entries]
-        pivots, factors = _echelon(work, weight=_total_degree)
-        if len(pivots) < self.rows:
-            return RatFun.const(0)
-        return math.prod(factors, start=RatFun.const(1))
+        return len(_echelon(work, weight=_total_degree))
 
     def inverse(self) -> TransferMatrix:
         """Exact inverse; raises SingularMatrixError with a kernel witness."""
@@ -248,7 +238,7 @@ class TransferMatrix:
         n = self.rows
         work = [list(row) + [RatFun.const(1 if i == j else 0) for j in range(n)]
                 for i, row in enumerate(self.entries)]
-        pivots, _ = _echelon(work, n, _total_degree)
+        pivots = _echelon(work, n, _total_degree)
         if len(pivots) < n:
             raise SingularMatrixError(
                 _kernel_vector(work, pivots, n, RatFun.const(1)))

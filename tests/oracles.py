@@ -5,7 +5,9 @@ long division for expansions, permutation-sum determinants for minors,
 window scans for properness.  None of it shares code with the library's
 decision procedures, except reference_causal_factor and
 reference_left_factor, which keep earlier constructions of the causal and
-the bicausal left factor built from column reduction and one inversion.
+the bicausal left factor built from column reduction and one inversion,
+and reference_coprime_fraction, which keeps the earlier coprime fraction
+built by inverting the GCRD over Q(z).
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from latkern import linalg
+from latkern.polymatrix import (CoprimeFraction, PolyMatrix,
+                                column_reduce_poly, hermite_gcrd)
 from latkern.properbasis import column_reduce_at_infinity
-from latkern.rational import ORD_INF, RatFun
+from latkern.rational import ORD_INF, Poly, RatFun, poly_lcm
 from latkern.transfer import TransferMatrix
 
 
@@ -289,3 +293,38 @@ def reference_left_factor(f1, f2):
         source = source.hstack(r1)
         target = target.hstack(r2)
     return target * source.inverse()
+
+
+def reference_coprime_fraction(v):
+    """Right coprime fraction v = num * den^-1 with column-reduced den.
+
+    The construction by inversion: divide the GCRD r of (A, d I) out of
+    the common-denominator fraction v = A * (d I)^-1 as num = A * r^-1 and
+    den = d * r^-1 over Q(z), then column-reduce den.  Degree, reproduction
+    and coprimeness are checked by permutation-sum determinants, an
+    inverse of den and a second GCRD.
+    """
+    d = Poly.one()
+    for row in v.entries:
+        for e in row:
+            d = poly_lcm(d, e.den)
+    m = v.cols
+    abar = PolyMatrix([[e.num * (d // e.den) for e in row] for row in v.entries])
+    dmat = PolyMatrix.scalar_diag(d, m)
+    r, _, _ = hermite_gcrd(abar, dmat)
+    r_inv = r.to_transfer().inverse()
+    num = PolyMatrix.from_transfer(abar.to_transfer() * r_inv)
+    den = PolyMatrix.from_transfer(dmat.to_transfer() * r_inv)
+    den, cert, _ = column_reduce_poly(den)
+    num = num * cert
+    degrees = den.column_degrees()
+    assert poly_matrix_det(den).degree == sum(degrees)
+    assert num.to_transfer() * den.to_transfer().inverse() == v
+    gc, _, _ = hermite_gcrd(num, den)
+    assert poly_matrix_det(gc).degree == 0
+    return CoprimeFraction(num, den, degrees)
+
+
+def poly_matrix_det(p) -> Poly:
+    """Determinant of a square polynomial matrix by the permutation sum."""
+    return permutation_det(p.to_transfer().entries).num

@@ -50,6 +50,35 @@ def test_malformed_files_rejected(tmp_path):
         load_matrix(str(bad))
 
 
+@pytest.mark.parametrize("size", [1.9, True, "1", 0, -1])
+def test_shape_fields_must_be_positive_integers(tmp_path, capsys, size):
+    # A shape field that only rounds, converts or compares to a valid size
+    # is malformed input, in matrix and in constant-matrix files alike.
+    one = {"num": ["1"], "den": ["1"]}
+    for field in ("rows", "cols"):
+        obj = {"rows": 1, "cols": 1, "entries": [[one]], field: size}
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        assert main(["--json", "classify", str(f)]) == 2
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["command"] == "classify"
+        assert diag["error"] == (f"{field} must be a JSON integer of at "
+                                 f"least 1, got {size!r}")
+        obj["entries"] = [["0"]]
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(obj))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [["1"]]}))
+        assert main(["--json", "statespace", str(a), str(b)]) == 2
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["command"] == "statespace" and field in diag["error"]
+    for grid in (5, [5], {"0": []}):
+        f.write_text(json.dumps({"rows": 1, "cols": 1, "entries": grid}))
+        assert main(["--json", "classify", str(f)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "classify", "error": "entries must be a list of rows"}
+
+
 def test_classify_and_latency_commands(tmp_path, capsys):
     f = write(tmp_path / "f.json", TransferMatrix.diag([z(-1), z(-3)]))
     assert main(["classify", f]) == 0

@@ -1,32 +1,48 @@
 """Polynomial matrices: GCRD, column reduction, coprime fractions."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from latkern import linalg, polymatrix
+from latkern.cli import main
+from latkern.feedback import vg_representation
+from latkern.matrixio import dump_matrix
 from latkern.polymatrix import (PolyMatrix, column_reduce_poly, hermite_gcrd,
-                                is_unimodular, poly_module_contains,
+                                poly_module_contains,
                                 polynomial_kernel_module,
                                 reachability_indices, right_coprime_fraction)
 from latkern.rational import Poly, RatFun
-from latkern.transfer import TransferMatrix
+from latkern.transfer import InternalCheckError, TransferMatrix
+from oracles import poly_matrix_det, reference_coprime_fraction
 
-from gen import rand_matrix, rand_poly, rand_poly_vector
+from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,
+                 rand_strictly_causal_injective)
 
 z = RatFun.zpow
 
 
+def is_unimodular(u: PolyMatrix) -> bool:
+    """A nonzero constant determinant, by the permutation-sum oracle."""
+    return poly_matrix_det(u).degree == 0
+
+
 def test_gcrd_examples():
-    r, u = hermite_gcrd(PolyMatrix([[Poly.z(2)]]), PolyMatrix([[Poly.z(1)]]))
+    r, u, _ = hermite_gcrd(PolyMatrix([[Poly.z(2)]]), PolyMatrix([[Poly.z(1)]]))
     assert r == PolyMatrix([[Poly.z(1)]])
     assert is_unimodular(u)
 
-    r, u = hermite_gcrd(PolyMatrix.identity(2),
+    r, u, _ = hermite_gcrd(PolyMatrix.identity(2),
                         PolyMatrix([[Poly.z(3), Poly([1, 2])],
                                     [Poly.zero(), Poly.z(1)]]))
     assert is_unimodular(r)
 
-    r, _ = hermite_gcrd(PolyMatrix([[Poly([1, 1])]]), PolyMatrix([[Poly([-1, 1])]]))
+    r, _, _ = hermite_gcrd(PolyMatrix([[Poly([1, 1])]]),
+                           PolyMatrix([[Poly([-1, 1])]]))
     assert r == PolyMatrix([[Poly.one()]])
 
 
@@ -40,8 +56,9 @@ def test_gcrd_certificate_reconstructs():
             [[RatFun(e) for e in row] for row in (a.entries + b.entries)])
         if stacked.rank() != m:
             continue
-        r, u = hermite_gcrd(a, b)
+        r, u, u_inv = hermite_gcrd(a, b)
         assert is_unimodular(u)
+        assert u * u_inv == PolyMatrix.identity(2 * m)
         prod = u.to_transfer() * stacked
         for i in range(m):
             for j in range(m):
@@ -59,19 +76,18 @@ def test_gcrd_rejects_rank_deficiency():
 def test_column_reduce_examples():
     p = PolyMatrix([[Poly([1, 0, 1]), Poly([0, 0, 1])],
                     [Poly.one(), Poly.one()]])
-    reduced, v = column_reduce_poly(p)
+    reduced, v, _ = column_reduce_poly(p)
     assert is_unimodular(v)
-    assert sum(reduced.column_degrees()) == p.det().degree
+    assert sum(reduced.column_degrees()) == poly_matrix_det(p).degree
     high = reduced.high_coefficient_matrix()
-    from latkern import linalg
     assert linalg.rank(high) == 2
 
     d = PolyMatrix([[Poly.z(1), Poly.zero()], [Poly.zero(), Poly.z(2)]])
-    rd, _ = column_reduce_poly(d)
+    rd, _, _ = column_reduce_poly(d)
     assert rd == d
 
     p2 = PolyMatrix([[Poly.z(1), Poly.z(1)], [Poly.zero(), Poly.one()]])
-    r2, v2 = column_reduce_poly(p2)
+    r2, _, _ = column_reduce_poly(p2)
     assert sum(r2.column_degrees()) == 1
     assert linalg.rank(r2.high_coefficient_matrix()) == 2
 
@@ -149,9 +165,9 @@ def test_fraction_soundness_random():
         v = rand_matrix(rng, p, m, 2)
         frac = right_coprime_fraction(v)
         assert frac.num.to_transfer() * frac.den.to_transfer().inverse() == v
-        gc, _ = hermite_gcrd(frac.num, frac.den)
+        gc, _, _ = hermite_gcrd(frac.num, frac.den)
         assert is_unimodular(gc)
-        assert frac.den.det().degree == sum(frac.column_degrees)
+        assert poly_matrix_det(frac.den).degree == sum(frac.column_degrees)
 
 
 def test_reachability_invariance_under_unimodular_postfactor():
@@ -177,3 +193,99 @@ def test_fraction_of_zero_map():
     assert frac.den == PolyMatrix.identity(2)
     assert frac.column_degrees == (0, 0)
     assert reachability_indices(TransferMatrix.zero(2, 2)) == ((0, 0), 0)
+
+
+def test_fraction_matches_reference_construction():
+    # The fraction read off the carried u^-1 against the one built by
+    # inverting the GCRD over Q(z).
+    rng = random.Random(65)
+    for _ in range(12):
+        p, m = rng.randint(1, 3), rng.randint(1, 3)
+        v = rand_matrix(rng, p, m, 2)
+        got, ref = right_coprime_fraction(v), reference_coprime_fraction(v)
+        assert got.num == ref.num
+        assert got.den == ref.den
+        assert got.column_degrees == ref.column_degrees
+    for _ in range(4):
+        m = rng.randint(1, 3)
+        f, _ = rand_strictly_causal_injective(rng, m, m, max_nu=2, max_deg=1)
+        v = vg_representation(f, rand_bicausal(rng, m, 2)).v
+        assert right_coprime_fraction(v) == reference_coprime_fraction(v)
+
+
+def test_fraction_runs_one_elimination_and_no_inversion(monkeypatch):
+    calls = []
+    real = polymatrix.hermite_gcrd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    def refuse(self):
+        raise RuntimeError("TransferMatrix.inverse called")
+
+    v = rand_matrix(random.Random(66), 3, 2, 2)
+    monkeypatch.setattr(polymatrix, "hermite_gcrd", counting)
+    monkeypatch.setattr(TransferMatrix, "inverse", refuse)
+    right_coprime_fraction(v)
+    assert len(calls) == 1
+
+
+def _corrupt_gcrd_inverse(monkeypatch):
+    """hermite_gcrd with its u^-1 moved by one in the top-left entry."""
+    real = polymatrix.hermite_gcrd
+
+    def corrupted(a, b):
+        r, u, u_inv = real(a, b)
+        rows = [list(row) for row in u_inv.entries]
+        rows[0][0] = rows[0][0] + Poly.one()
+        return r, u, PolyMatrix(rows)
+
+    monkeypatch.setattr(polymatrix, "hermite_gcrd", corrupted)
+
+
+def test_corrupt_gcrd_inverse_is_caught(tmp_path, capsys, monkeypatch):
+    v = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                        [RatFun.const(2), z(-2)]])
+    _corrupt_gcrd_inverse(monkeypatch)
+    with pytest.raises(InternalCheckError):
+        right_coprime_fraction(v)
+    f = tmp_path / "f.json"
+    l = tmp_path / "l.json"
+    dump_matrix(TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]]),
+                str(f))
+    dump_matrix(TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                                [RatFun.const(2), RatFun.const(1)]]), str(l))
+    assert main(["--json", "realize", str(f), str(l),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "realize", "error": "extracted fraction is not coprime"}
+
+
+polys = st.lists(st.one_of(st.integers(-3, 3).map(Fraction),
+                           st.builds(Fraction, st.integers(-5, 5),
+                                     st.integers(1, 4))),
+                 max_size=3).map(Poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_column_reduction_predictable_degree(data):
+    # p' = p w with w unimodular, a full-rank high-coefficient matrix, and
+    # the sum of column degrees equal to deg det p; a matrix whose last
+    # column is a polynomial combination of the others is refused.
+    n = data.draw(st.integers(1, 3))
+    rows = [[data.draw(polys) for _ in range(n)] for _ in range(n)]
+    p = PolyMatrix(rows)
+    det = poly_matrix_det(p)
+    assume(not det.is_zero)
+    reduced, w, w_inv = column_reduce_poly(p)
+    assert reduced == p * w
+    assert w * w_inv == PolyMatrix.identity(n)
+    assert linalg.rank(reduced.high_coefficient_matrix()) == n
+    assert sum(reduced.column_degrees()) == det.degree
+    qs = [data.draw(polys) for _ in range(n - 1)]
+    singular = [row[:-1] + [sum((q * x for q, x in zip(qs, row)), Poly.zero())]
+                for row in rows]
+    with pytest.raises(ValueError, match="singular"):
+        column_reduce_poly(PolyMatrix(singular))

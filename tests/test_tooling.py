@@ -56,9 +56,10 @@ def test_internal_check_error_defined_once():
 def test_certificate_holds_under_python_O(tmp_path):
     # The same precondition check as in test_latency, the factor and
     # post-equivalence reconstruction checks against a corrupted b1^-1 as
-    # in test_factor, and the realize cross-check against a v moved by one
-    # coefficient as in test_cli, in an interpreter that strips assert
-    # statements.
+    # in test_factor, the coprime-fraction certificates against a corrupted
+    # u^-1 as in test_polymatrix, and the realize cross-check against a v
+    # moved by one coefficient as in test_cli, in an interpreter that
+    # strips assert statements.
     script = (
         "import dataclasses, sys\n"
         "import latkern.cli\n"
@@ -97,9 +98,25 @@ def test_certificate_holds_under_python_O(tmp_path):
         "    print(exc)\n"
         "else:\n"
         "    sys.exit('no InternalCheckError under -O')\n"
+        "import latkern.polymatrix\n"
+        "from latkern.polymatrix import PolyMatrix, right_coprime_fraction\n"
+        "from latkern.rational import Poly\n"
+        "gcrd = latkern.polymatrix.hermite_gcrd\n"
+        "def corrupted_gcrd(a, b):\n"
+        "    r, u, u_inv = gcrd(a, b)\n"
+        "    rows = [list(row) for row in u_inv.entries]\n"
+        "    rows[0][0] = rows[0][0] + Poly.one()\n"
+        "    return r, u, PolyMatrix(rows)\n"
+        "latkern.polymatrix.hermite_gcrd = corrupted_gcrd\n"
+        "try:\n"
+        "    right_coprime_fraction(l * f)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "latkern.polymatrix.hermite_gcrd = gcrd\n"
         "from latkern.feedback import vg_representation\n"
         "from latkern.matrixio import dump_matrix\n"
-        "from latkern.rational import Poly\n"
         "latkern.latency.smith_at_infinity = smith_at_infinity\n"
         "z = RatFun.zpow\n"
         "f = TransferMatrix([[z(-1), z(-2)], [0, z(-3)]])\n"
@@ -119,12 +136,14 @@ def test_certificate_holds_under_python_O(tmp_path):
     proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    optimize, precondition, reconstruction, left, *realize = (
+    optimize, precondition, reconstruction, left, coprime, *realize = (
         proc.stdout.splitlines())
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
     assert reconstruction == "causal factor reconstruction failed"
     assert left == "constructed left factor does not map f1 to f2"
+    assert coprime in ("extracted fraction is not coprime",
+                       "row transformation is not unimodular")
     assert proc.stderr.splitlines()[-1] == "3"
     assert json.loads("\n".join(realize)) == {
         "command": "realize", "error": "simulation cross-check failed"}
