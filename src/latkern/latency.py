@@ -38,7 +38,8 @@ class LatencyKernel:
     strictly_causal_input  False flags the advisory case where f had
                        order <= 0 and indices may be negative.
     smith              the Smith form at infinity f = b1 * delta * b2 the
-                       kernel was read from, with b1^-1 and b2^-1.
+                       kernel was read from, with b2^-1 (and b1^-1,
+                       replayed when left_factor first reads it).
     raw_generator      b2^-1 * diag(z^sigma), the generator before column
                        reduction.  raw_generator * b1^-1[:m, :] is a left
                        inverse of f, which left_factor builds on.

@@ -1,11 +1,13 @@
-"""Exact linear algebra over Q, and the one elimination kernel.
+"""Exact linear algebra over Q, and the one elimination kernel and record.
 
 Constant matrices are tuples of tuples of Fraction.  These routines back
 the valuation-level decisions of the package (leading-coefficient rank,
 invertibility of constant terms, static factor solving), which must be
 exact: every predicate downstream is a rank or solvability test.  The
 Gauss-Jordan kernel `_echelon` and `_kernel_vector` also serve matrices
-over Q(z) in `transfer`.
+over Q(z) in `transfer`.  `RowOps` records the steps of the Smith form,
+Hermite elimination and both column reductions, and replays them into
+each transformation and its inverse.
 """
 
 from __future__ import annotations
@@ -28,15 +30,6 @@ def eye(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def shape(a) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
-
-
-def matmul(a, b):
-    p, n = shape(a)
-    n2, m = shape(b)
-    if n != n2:
-        raise ValueError("dimension mismatch")
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
-                       for j in range(m)) for i in range(p))
 
 
 def _echelon(rows, limit_cols=None, weight=None):
@@ -96,6 +89,64 @@ def _kernel_vector(rows, pivots, ncols, one):
         x[c] = -rows[r][free]
     lead = next(v for v in x if v)
     return tuple(v / lead for v in x)
+
+
+class RowOps:
+    """A record of elementary row operations, replayed on demand.
+
+    Steps: swap(i, j), add(i, j, c) (row i += c * row j) and scale(i, c)
+    (row i *= c, c a unit), over a field with + - * / and a truth value
+    (RatFun; Poly with Fraction scalings).  Each step is also applied to
+    rows when given.  transform() replays the record on the identity: T
+    with T * rows_before == rows_after.  inverse() replays the inverse
+    steps as column operations: T^-1.  Column operations are recorded as
+    row operations on the list of columns; their transform is transposed.
+    """
+
+    def __init__(self, n: int, one, rows=None):
+        self.n = n
+        self.one = one
+        self.rows = rows
+        self.steps = []  # (step, its inverse as a row update of columns)
+
+    def swap(self, i: int, j: int):
+        if i != j:
+            self._record(("swap", i, j, None), ("swap", i, j, None))
+
+    def add(self, i: int, j: int, c):
+        self._record(("add", i, j, c), ("add", j, i, -c))
+
+    def scale(self, i: int, c):
+        self._record(("scale", i, i, c), ("scale", i, i, 1 / c))
+
+    def _record(self, step, inverse):
+        self.steps.append((step, inverse))
+        if self.rows is not None:
+            _row_op(self.rows, *step)
+
+    def transform(self) -> list:
+        return self._replay(0)
+
+    def inverse(self) -> list:
+        return [list(row) for row in zip(*self._replay(1))]
+
+    def _replay(self, side: int) -> list:
+        zero = self.one - self.one
+        rows = [[self.one if i == j else zero for j in range(self.n)]
+                for i in range(self.n)]
+        for step in self.steps:
+            _row_op(rows, *step[side])
+        return rows
+
+
+def _row_op(rows, kind, i, j, c):
+    # A zero entry stays as it is, as in _echelon.
+    if kind == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "add":
+        rows[i] = [x + c * y if y else x for x, y in zip(rows[i], rows[j])]
+    else:
+        rows[i] = [x * c if x else x for x in rows[i]]
 
 
 def rank(a) -> int:

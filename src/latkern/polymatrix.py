@@ -6,10 +6,10 @@ reachability structure of a rational map: the column degrees of P are its
 reachability indices and deg det P the minimal state dimension.  P also
 generates the module of polynomial inputs with polynomial response.
 
-Hermite elimination and column reduction carry the inverses of their
-unimodular transformations, so the fraction is read off u^-1 and certified
-by a rank over Q and polynomial products: no determinant is computed and
-no matrix is inverted over Q(z).
+Hermite elimination and column reduction replay their unimodular
+transformations and inverses from one record (linalg.RowOps), so the
+fraction is read off u^-1 and certified by a rank over Q and polynomial
+products: no determinant is computed and no matrix is inverted over Q(z).
 """
 
 from __future__ import annotations
@@ -56,18 +56,6 @@ class PolyMatrix:
     def scalar_diag(cls, d: Poly, n: int) -> PolyMatrix:
         return cls([[d if i == j else Poly.zero() for j in range(n)]
                     for i in range(n)])
-
-    @classmethod
-    def from_transfer(cls, t: TransferMatrix) -> PolyMatrix:
-        out = []
-        for row in t.entries:
-            new_row = []
-            for e in row:
-                if not e.is_polynomial:
-                    raise ValueError(f"entry {e} is not polynomial")
-                new_row.append(e.num)
-            out.append(new_row)
-        return cls(out)
 
     def to_transfer(self) -> TransferMatrix:
         return TransferMatrix([[RatFun(e) for e in row] for row in self.entries])
@@ -127,8 +115,8 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     upper triangular, monic diagonal, entries above each pivot of lower
     degree.  Requires the stacked matrix to have full column rank.  Pivot
     at each step is the minimum-degree nonzero entry (ties: lowest row),
-    reduced by polynomial division until the column is cleared.  Each row
-    operation is mirrored on u_inv as the inverse column operation, and
+    reduced by polynomial division until the column is cleared.  u and
+    u_inv are replayed from the record of row operations, and
     u * u_inv == I certifies that u is unimodular.
     """
     if a.cols != b.cols:
@@ -138,50 +126,31 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     nrows = len(work)
     if nrows < c:
         raise ValueError("stacked matrix cannot have full column rank")
-    u = [list(row) for row in PolyMatrix.identity(nrows).entries]
-    # Columns of u^-1, so each mirrored column operation is a row update.
-    u_inv = [list(row) for row in PolyMatrix.identity(nrows).entries]
-
-    def swap(i, j):
-        if i != j:
-            work[i], work[j] = work[j], work[i]
-            u[i], u[j] = u[j], u[i]
-            u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-
-    def combine(i, j, q):
-        # row i -= q * row j; on u^-1, column j += q * column i
-        work[i] = [x - q * y for x, y in zip(work[i], work[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        u_inv[j] = [x + q * y for x, y in zip(u_inv[j], u_inv[i])]
-
+    ops = linalg.RowOps(nrows, Poly.one(), work)
     for col in range(c):
         while True:
             nz = [i for i in range(col, nrows) if not work[i][col].is_zero]
             if not nz:
                 raise ValueError("stacked matrix is column rank deficient")
             piv = min(nz, key=lambda i: (work[i][col].degree, i))
-            swap(col, piv)
+            ops.swap(col, piv)
             others = [i for i in range(col + 1, nrows)
                       if not work[i][col].is_zero]
             if not others:
                 break
             for i in others:
-                q = work[i][col] // work[col][col]
-                combine(i, col, q)
+                ops.add(i, col, -(work[i][col] // work[col][col]))
         lead = work[col][col].lead
         if lead != 1:
-            inv = Fraction(1) / lead
-            work[col] = [x * inv for x in work[col]]
-            u[col] = [x * inv for x in u[col]]
-            u_inv[col] = [x * lead for x in u_inv[col]]
+            ops.scale(col, 1 / lead)
         for i in range(col)[::-1]:
             if work[i][col].degree >= work[col][col].degree:
-                combine(i, col, work[i][col] // work[col][col])
+                ops.add(i, col, -(work[i][col] // work[col][col]))
 
     r = PolyMatrix([work[i][:c] for i in range(c)])
     if any(not work[i][j].is_zero for i in range(c, nrows) for j in range(c)):
         raise InternalCheckError("elimination left residue below the divisor")
-    u, u_inv = PolyMatrix(u), PolyMatrix(list(zip(*u_inv)))
+    u, u_inv = PolyMatrix(ops.transform()), PolyMatrix(ops.inverse())
     if u * u_inv != PolyMatrix.identity(nrows):
         raise InternalCheckError("row transformation is not unimodular")
     return r, u, u_inv
@@ -191,7 +160,7 @@ def column_reduce_poly(p: PolyMatrix):
     """Column-reduced form of a nonsingular polynomial matrix.
 
     Returns (p', w, w_inv) with p' = p * w, w unimodular with inverse w_inv
-    (each column operation mirrored as row operations), and the matrix of
+    (replayed from the record of column operations), and the matrix of
     highest-column-degree coefficients of p' nonsingular; the sum of column
     degrees then equals deg det p.  Each step lowers one column degree, so
     a singular p, and only a singular p, reaches a zero column: ValueError.
@@ -200,40 +169,32 @@ def column_reduce_poly(p: PolyMatrix):
         raise ValueError("column reduction here expects a square matrix")
     n = p.cols
     cols = [[p.entries[i][j] for i in range(n)] for j in range(n)]
-    w_cols = [list(row) for row in PolyMatrix.identity(n).entries]
-    w_inv = [list(row) for row in PolyMatrix.identity(n).entries]
+    ops = linalg.RowOps(n, Poly.one(), cols)
+    degs = [max(e.degree for e in col) for col in cols]
+    highs = [tuple(e.coeff(d) for e in col) for col, d in zip(cols, degs)]
     while True:
-        degs = [max(e.degree for e in col) for col in cols]
         if min(degs) < 0:
             raise ValueError("column reduction of a singular matrix")
-        high = tuple(tuple(cols[j][i].coeff(degs[j]) for j in range(n))
-                     for i in range(n))
-        alpha = linalg.nullspace_vector(high)
+        alpha = linalg.nullspace_vector(tuple(zip(*highs)))
         if alpha is None:
             break
         support = [i for i, x in enumerate(alpha) if x != 0]
         j = max(support, key=lambda i: (degs[i], -i))
-        # Column j of both p and w becomes sum_i factor_i * column i.
-        factors = [Poly.const(alpha[i]).shift(degs[j] - degs[i])
-                   for i in support]
-        new_col = [Poly.zero()] * n
-        new_wcol = [Poly.zero()] * n
-        for i, factor in zip(support, factors):
-            new_col = [acc + factor * e for acc, e in zip(new_col, cols[i])]
-            new_wcol = [acc + factor * e for acc, e in zip(new_wcol, w_cols[i])]
-        if max(e.degree for e in new_col) >= degs[j]:
+        # Column j becomes sum_i alpha_i * z^(degs[j] - degs[i]) * column i;
+        # only column j changes, so only its degree and high row are redone.
+        ops.scale(j, alpha[j])
+        for i in support:
+            if i != j:
+                ops.add(j, i, Poly.const(alpha[i]).shift(degs[j] - degs[i]))
+        new_deg = max(e.degree for e in cols[j])
+        if new_deg >= degs[j]:
             raise InternalCheckError("lead cancellation did not lower the "
                                      "column degree")
-        cols[j] = new_col
-        w_cols[j] = new_wcol
-        # Mirrored on w^-1: row j /= alpha_j, then row i -= factor_i * row j
-        # for i != j.
-        pivot = [y * (1 / alpha[j]) for y in w_inv[j]]
-        for i, factor in zip(support, factors):
-            w_inv[i] = pivot if i == j else [
-                x - factor * y for x, y in zip(w_inv[i], pivot)]
-    reduced = PolyMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-    return reduced, PolyMatrix(list(zip(*w_cols))), PolyMatrix(w_inv)
+        degs[j] = new_deg
+        highs[j] = tuple(e.coeff(new_deg) for e in cols[j])
+    # The record acts on columns, so w and w^-1 are its replays transposed.
+    return (PolyMatrix(zip(*cols)), PolyMatrix(zip(*ops.transform())),
+            PolyMatrix(zip(*ops.inverse())))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ both the field span and the generated power-series module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .rational import ORD_INF, RatFun
-from .transfer import InternalCheckError, TransferMatrix, _dot
+from .transfer import InternalCheckError, TransferMatrix
 
 
 def column_order(col):
@@ -23,13 +24,10 @@ def column_order(col):
     return min(orders) if orders else ORD_INF
 
 
-def column_lead(col, order=None):
+def column_lead(col, order):
     """Leading coefficient vector: the z^-order coefficient entrywise."""
-    if order is None:
-        order = column_order(col)
-    if order == ORD_INF:
-        return tuple(Fraction(0) for _ in col)
-    return tuple(e.laurent_coeff(order) for e in col)
+    return tuple(e.leading_coeff() if e and e.order() == order
+                 else Fraction(0) for e in col)
 
 
 def leading_data(cols):
@@ -74,8 +72,8 @@ def column_reduce_at_infinity(m: TransferMatrix):
 
     Returns (ProperBasis, w) with columns = m*w and w bicausal, so both the
     field span and the generated power-series module are unchanged.  The
-    result is ordered: column orders are nondecreasing.  The basis carries
-    w^-1, built by mirroring each column operation on w as row operations.
+    result is ordered: column orders are nondecreasing.  w and the w^-1
+    the basis carries are replayed from the record of column operations.
 
     When the leading coefficients admit a dependency, the dependent column
     of maximal order (ties: lowest index) is replaced by the combination
@@ -88,47 +86,36 @@ def column_reduce_at_infinity(m: TransferMatrix):
                          "drop dependent columns first")
     n = m.cols
     cols = m.columns()
-    w_cols = TransferMatrix.identity(n).columns()
-    w_inv = [list(row) for row in TransferMatrix.identity(n).entries]
+    ops = linalg.RowOps(n, RatFun.const(1), cols)
+    orders = [column_order(c) for c in cols]
+    leads = [column_lead(c, o) for c, o in zip(cols, orders)]
     while True:
-        orders, lead_matrix = leading_data(cols)
-        alpha = linalg.nullspace_vector(lead_matrix)
+        alpha = linalg.nullspace_vector(tuple(zip(*leads)))
         if alpha is None:
             break
         support = [i for i, a in enumerate(alpha) if a != 0]
         j = max(support, key=lambda i: (orders[i], -i))
-        # Column j of both cols and w becomes sum_i factor_i * column i.
-        factors = [RatFun.const(alpha[i]) * RatFun.zpow(orders[i] - orders[j])
-                   for i in support]
-        combo = _combine(factors, [cols[i] for i in support])
-        new_order = column_order(combo)
+        # Column j becomes sum_i alpha_i z^(orders[i] - orders[j]) column i;
+        # only column j changes, so only its order and lead are recomputed.
+        ops.scale(j, alpha[j])
+        for i in support:
+            if i != j:
+                ops.add(j, i, alpha[i] * RatFun.zpow(orders[i] - orders[j]))
+        new_order = column_order(cols[j])
         if new_order != ORD_INF and new_order <= orders[j]:
             raise InternalCheckError("lead cancellation did not raise the "
                                      "column order")
-        cols[j] = combo
-        w_cols[j] = _combine(factors, [w_cols[i] for i in support])
-        # Mirrored on w^-1: row i -= (factor_i / factor_j) * row j for
-        # i != j, then row j /= factor_j (factor_j is the constant alpha_j).
-        scale = RatFun.const(1 / alpha[j])
-        for i, factor in zip(support, factors):
-            if i != j:
-                c = factor * scale
-                w_inv[i] = [x - c * y for x, y in zip(w_inv[i], w_inv[j])]
-        w_inv[j] = [scale * y for y in w_inv[j]]
+        orders[j] = new_order
+        leads[j] = column_lead(cols[j], new_order)
 
-    orders, _ = leading_data(cols)
     perm = sorted(range(n), key=lambda i: (orders[i], i))
-    cols = [cols[i] for i in perm]
-    orders, lead_matrix = leading_data(cols)
-    basis = TransferMatrix.from_columns(cols)
-    w_inv = TransferMatrix([w_inv[i] for i in perm])
-    return (ProperBasis(basis, tuple(orders), lead_matrix, w_inv=w_inv),
+    basis = TransferMatrix.from_columns([cols[i] for i in perm])
+    lead_matrix = tuple(zip(*(leads[i] for i in perm)))
+    w_cols = ops.transform()  # the record acts on columns: w transposed
+    w_inv = list(zip(*ops.inverse()))
+    return (ProperBasis(basis, tuple(orders[i] for i in perm), lead_matrix,
+                        w_inv=TransferMatrix([w_inv[i] for i in perm])),
             TransferMatrix.from_columns([w_cols[i] for i in perm]))
-
-
-def _combine(factors, vectors):
-    """sum_k factors[k] * vectors[k], entrywise."""
-    return [_dot(factors, entries) for entries in zip(*vectors)]
 
 
 def _unit_completion(lead_cols, ambient_dim: int) -> tuple:
@@ -156,9 +143,9 @@ class SmithAtInfinity:
     """Factorization f = b1 * delta * b2 with b1, b2 bicausal.
 
     delta is rows x cols with z^-sigma[i] on the diagonal and zeros
-    elsewhere; sigma is nondecreasing with one entry per rank.  b1_inv and
-    b2_inv are b1^-1 and b2^-1, built alongside b1 and b2 from the same
-    elementary operations; they are not checked here (latency_kernel
+    elsewhere; sigma is nondecreasing with one entry per rank.  b2_inv and
+    b1_inv are b2^-1 and b1^-1, replayed from the records of b2 and b1;
+    b1_inv on first read only.  They are not checked here (latency_kernel
     certifies the generator b2_inv yields, causal_factor and
     compensation_equivalence the left factors b1_inv yields).
 
@@ -172,7 +159,11 @@ class SmithAtInfinity:
     sigma: tuple
     b2: TransferMatrix
     b2_inv: TransferMatrix
-    b1_inv: TransferMatrix
+    row_ops: linalg.RowOps = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def b1_inv(self) -> TransferMatrix:
+        return TransferMatrix(self.row_ops.transform())
 
     def image_complement(self) -> tuple:
         """Unit columns completing the image of f to a proper basis of K^p.
@@ -205,34 +196,16 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
     The pivot is the global minimum-order entry of the working submatrix
     (ties row-major); elimination multipliers are then proper, so both
     accumulated transformations stay bicausal.  Orders never drop below
-    the pivot order, which makes sigma nondecreasing.  Every row
-    operation on b2 is mirrored by the inverse column operation on b2_inv,
-    and every column operation on b1 by the inverse row operation on
-    b1_inv.
+    the pivot order, which makes sigma nondecreasing.  Row and column
+    operations are each recorded once; b1, b2 and b2_inv are replayed
+    from the records, and b1_inv only when read.
     """
     if f.is_zero:
         raise ValueError("Smith form at infinity of the zero matrix")
     p, m = f.rows, f.cols
     work = [list(row) for row in f.entries]
-    b1 = [list(row) for row in TransferMatrix.identity(p).entries]
-    b2 = [list(row) for row in TransferMatrix.identity(m).entries]
-    b1_inv = [row[:] for row in b1]
-    b2_inv = [row[:] for row in b2]
-
-    def swap_rows(a, b):
-        if a != b:
-            work[a], work[b] = work[b], work[a]
-            for row in b1:
-                row[a], row[b] = row[b], row[a]
-            b1_inv[a], b1_inv[b] = b1_inv[b], b1_inv[a]
-
-    def swap_cols(a, b):
-        if a != b:
-            for row in work:
-                row[a], row[b] = row[b], row[a]
-            b2[a], b2[b] = b2[b], b2[a]
-            for row in b2_inv:
-                row[a], row[b] = row[b], row[a]
+    row_ops = linalg.RowOps(p, RatFun.const(1), work)
+    col_ops = linalg.RowOps(m, RatFun.const(1))  # on the columns of work
 
     sigma = []
     k = 0
@@ -249,40 +222,31 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
         if best is None:
             break
         _, pi, pj = best
-        swap_rows(k, pi)
-        swap_cols(k, pj)
+        row_ops.swap(k, pi)
+        col_ops.swap(k, pj)
+        for row in work:
+            row[k], row[pj] = row[pj], row[k]
         pivot = work[k][k]
         pinv = pivot.inverse()
         for i in range(k + 1, p):
-            if work[i][k].is_zero:
-                continue
-            c = work[i][k] * pinv
-            work[i] = [a - c * b for a, b in zip(work[i], work[k])]
-            for row in b1:
-                row[k] = row[k] + c * row[i]
-            b1_inv[i] = [a - c * b for a, b in zip(b1_inv[i], b1_inv[k])]
+            if not work[i][k].is_zero:
+                row_ops.add(i, k, -(work[i][k] * pinv))
+        # The column operations clear row k right of the pivot.  No later
+        # step reads that part of work, so they are only recorded.
         for j in range(k + 1, m):
-            if work[k][j].is_zero:
-                continue
-            c = work[k][j] * pinv
-            for row in work:
-                row[j] = row[j] - c * row[k]
-            b2[k] = [a + c * b for a, b in zip(b2[k], b2[j])]
-            for row in b2_inv:
-                row[j] = row[j] - c * row[k]
+            if not work[k][j].is_zero:
+                col_ops.add(j, k, -(work[k][j] * pinv))
         sigma.append(pivot.order())
         k += 1
 
     # Absorb the unit part of each pivot into b2, leaving pure powers.
     for i, s in enumerate(sigma):
-        unit = work[i][i] * RatFun.zpow(s)
-        b2[i] = [unit * e for e in b2[i]]
-        for row in b2_inv:
-            row[i] = row[i] / unit
+        col_ops.scale(i, 1 / (work[i][i] * RatFun.zpow(s)))
 
-    result = SmithAtInfinity(TransferMatrix(b1), tuple(sigma),
-                             TransferMatrix(b2), TransferMatrix(b2_inv),
-                             TransferMatrix(b1_inv))
+    result = SmithAtInfinity(TransferMatrix(row_ops.inverse()), tuple(sigma),
+                             TransferMatrix(zip(*col_ops.inverse())),
+                             TransferMatrix(zip(*col_ops.transform())),
+                             row_ops)
     if result.reassemble() != f:
         raise InternalCheckError("Smith form does not reassemble the map")
     return result

@@ -145,11 +145,6 @@ class TransferMatrix:
         return TransferMatrix([list(a) + list(b)
                                for a, b in zip(self.entries, other.entries)])
 
-    def vstack(self, other: TransferMatrix) -> TransferMatrix:
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return TransferMatrix(list(self.entries) + list(other.entries))
-
     def __add__(self, other: TransferMatrix) -> TransferMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")

@@ -313,8 +313,8 @@ def reference_coprime_fraction(v):
     dmat = PolyMatrix.scalar_diag(d, m)
     r, _, _ = hermite_gcrd(abar, dmat)
     r_inv = r.to_transfer().inverse()
-    num = PolyMatrix.from_transfer(abar.to_transfer() * r_inv)
-    den = PolyMatrix.from_transfer(dmat.to_transfer() * r_inv)
+    num = poly_matrix_from_transfer(abar.to_transfer() * r_inv)
+    den = poly_matrix_from_transfer(dmat.to_transfer() * r_inv)
     den, cert, _ = column_reduce_poly(den)
     num = num * cert
     degrees = den.column_degrees()
@@ -323,6 +323,15 @@ def reference_coprime_fraction(v):
     gc, _, _ = hermite_gcrd(num, den)
     assert poly_matrix_det(gc).degree == 0
     return CoprimeFraction(num, den, degrees)
+
+
+def poly_matrix_from_transfer(t) -> PolyMatrix:
+    """The polynomial matrix of a transfer matrix with polynomial entries."""
+    for row in t.entries:
+        for e in row:
+            if not e.is_polynomial:
+                raise ValueError(f"entry {e} is not polynomial")
+    return PolyMatrix([[e.num for e in row] for row in t.entries])
 
 
 def poly_matrix_det(p) -> Poly:

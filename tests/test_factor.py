@@ -1,6 +1,5 @@
 """Causal and static factorization decisions."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -82,9 +81,12 @@ def test_causal_factor_matches_reference_construction():
 
 
 def test_corrupt_smith_b1_inverse_is_caught(monkeypatch, tmp_path, capsys):
+    # b1^-1 is built on first read; planting it in the instance dict is
+    # what that read returns.
     def corrupted(f):
         s = smith_at_infinity(f)
-        return dataclasses.replace(s, b1_inv=corrupt_entry(s.b1_inv))
+        s.__dict__["b1_inv"] = corrupt_entry(s.b1_inv)
+        return s
 
     monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
     rng = random.Random(57)
@@ -111,7 +113,8 @@ def test_singular_complement_block_is_a_failed_certificate(monkeypatch,
         m = len(s.sigma)
         rows = [list(row) for row in s.b1_inv.entries]
         rows[m:] = [[RatFun.const(0)] * len(row) for row in rows[m:]]
-        return dataclasses.replace(s, b1_inv=TransferMatrix(rows))
+        s.__dict__["b1_inv"] = TransferMatrix(rows)
+        return s
 
     monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
     rng = random.Random(59)

@@ -346,3 +346,25 @@ def test_post_equivalence_inverts_only_complement_blocks(monkeypatch):
                 assert not shapes
             else:
                 assert shapes and set(shapes) == {(p - m, p - m)}
+
+
+def test_only_left_factors_build_b1_inverse(monkeypatch):
+    # b1^-1 is replayed from the Smith form's record on first read: the
+    # kernel and the worst-case precompensator never read it, and the yes
+    # branch of causal_factor does.
+    from latkern.feedback import worst_case_precompensator
+    forms = []
+
+    def recording(f):
+        forms.append(smith_at_infinity(f))
+        return forms[-1]
+
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", recording)
+    rng = random.Random(61)
+    f, nu = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    assert latency_kernel(f).indices == nu
+    assert worst_case_precompensator(f).classify().bicausal
+    assert len(forms) == 2
+    assert all("b1_inv" not in vars(s) for s in forms)
+    assert causal_factor(f, rand_causal(rng, 2, 3, 1) * f).decision
+    assert "b1_inv" in vars(forms[-1])
