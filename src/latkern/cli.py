@@ -24,8 +24,8 @@ from .feedback import (PreconditionError, StateSpace, from_state_space,
 from .latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                       latency_kernel)
 from .matrixio import (InputFormatError, constant_matrix_to_json, dump_matrix,
-                       entry_to_json, load_constant_matrix, load_matrix,
-                       matrix_from_json, matrix_to_json)
+                       dump_matrix_json, entry_to_json, load_constant_matrix,
+                       load_matrix, matrix_from_json, matrix_to_json)
 from .rational import ORD_INF
 from .simulate import (SeriesMatrix, check_horizon, simulate_response,
                        verification_horizon)
@@ -129,14 +129,15 @@ def cmd_realize(args):
     os.makedirs(args.out_dir, exist_ok=True)
     v_path = os.path.join(args.out_dir, "v.json")
     g_path = os.path.join(args.out_dir, "g.json")
-    dump_matrix(rep.v, v_path)
-    dump_matrix(rep.g, g_path)
+    v_json, g_json = matrix_to_json(rep.v), matrix_to_json(rep.g)
+    dump_matrix_json(v_json, v_path)
+    dump_matrix_json(g_json, g_path)
     report = {
         "command": "realize",
         "sigma": list(rep.sigma),
         "nu": list(rep.nu),
-        "v": matrix_to_json(rep.v),
-        "g": matrix_to_json(rep.g),
+        "v": v_json,
+        "g": g_json,
         "files": {"v": v_path, "g": g_path},
         "simulation_horizon": horizon,
     }

@@ -38,31 +38,29 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
     The yes-branch reads g off the kernel's Smith form f = b1*delta*b2
     (LatencyKernel.left_factor): g is h on the image of f and zero on the
     unit columns that complete the image (SmithAtInfinity.image_complement).
-    It is causal because h * raw is (raw = b2^-1 * diag(z^sigma) and the
-    generator span the same module, whose image under h was just found
-    proper) and b1^-1 is bicausal.  No matrix of size p is inverted, and
-    f is not column-reduced again.
+    The images h * d of the generator columns, which the containment test
+    computes and finds proper, are its input.  g is causal because h * d
+    is and image_coordinates = w^-1 * b1^-1[:m, :] is (w and b1 are
+    bicausal).  No matrix of size p is inverted, and f is not
+    column-reduced again.
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")
     k = kernel if kernel is not None else latency_kernel(f)
-    bad = None
-    for j in range(k.generator.cols):
-        d = k.generator.column(j)
+    images = []
+    for d in k.generator.columns():
         image = h.apply(d)
         if not all(e.is_causal for e in image):
-            bad = d
-            break
-    if bad is not None:
-        shift = min(e.order() for e in f.apply(bad) if not e.is_zero)
-        scale = RatFun.zpow(shift)
-        witness = tuple(scale * e for e in bad)
-        return FactorOutcome(False, witness=witness)
+            shift = min(e.order() for e in f.apply(d) if not e.is_zero)
+            scale = RatFun.zpow(shift)
+            witness = tuple(scale * e for e in d)
+            return FactorOutcome(False, witness=witness)
+        images.append(image)
 
-    g = k.left_factor(h)
+    g = k.left_factor(TransferMatrix.from_columns(images))
     if g * f != h:
         raise InternalCheckError("causal factor reconstruction failed")
-    if not g.classify().causal:
+    if g.order() < 0:
         raise InternalCheckError("constructed factor is not causal")
     return FactorOutcome(True, g=g)
 

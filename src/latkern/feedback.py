@@ -38,8 +38,8 @@ def closed_loop(f: TransferMatrix, g: TransferMatrix,
     Also evaluates the pushed-through form l_po * (I + f g)^-1 * f * l_pr
     and insists the two agree exactly.
     """
-    _require(f.classify().strictly_causal, "plant must be strictly causal")
-    _require(g.classify().causal, "feedback compensator must be causal")
+    _require(f.order() >= 1, "plant must be strictly causal")
+    _require(g.order() >= 0, "feedback compensator must be causal")
     _require(l_pr.classify().bicausal, "precompensator must be bicausal")
     _require(l_po.classify().bicausal, "postcompensator must be bicausal")
     loop_in = TransferMatrix.identity(f.cols) + g * f
@@ -64,7 +64,7 @@ class StaticFeedbackResult:
 def static_feedback_realizable(f: TransferMatrix,
                                l: TransferMatrix) -> StaticFeedbackResult:
     """Whether l^-1 = L + g*f for static L and causal g; construct or refute."""
-    _require(f.classify().strictly_causal, "plant must be strictly causal")
+    _require(f.order() >= 1, "plant must be strictly causal")
     _require(f.rank() == f.cols, "plant must be injective")
     _require(l.classify().bicausal, "precompensator must be bicausal")
     l_inv = l.inverse()
@@ -108,7 +108,7 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
     N*D^-1 is bicausal with reachability indices bounded by the latency
     indices of f, componentwise after sorting.
     """
-    _require(f.classify().strictly_causal, "plant must be strictly causal")
+    _require(f.order() >= 1, "plant must be strictly causal")
     _require(l.classify().bicausal, "precompensator must be bicausal")
     kernel = latency_kernel(f)
     d = kernel.poly_generator
@@ -129,7 +129,7 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
                                  "term failed")
     rho = outcome.g
     g = v * rho
-    if not g.classify().causal:
+    if g.order() < 0:
         raise InternalCheckError("feedback compensator is not causal")
     loop = TransferMatrix.identity(f.cols) + g * f
     _check_realization(loop, v, l)
@@ -151,11 +151,11 @@ def worst_case_precompensator(f: TransferMatrix) -> TransferMatrix:
     sum(sigma) >= sum(nu); the construction of vg_representation then
     attains equality.
     """
-    _require(f.classify().strictly_causal, "plant must be strictly causal")
+    _require(f.order() >= 1, "plant must be strictly causal")
     kernel = latency_kernel(f)
     d1 = RatFun.zpow(-1) * kernel.poly_generator
     d1_inv = d1.inverse()
-    if not d1_inv.classify().causal:
+    if d1_inv.order() < 0:
         raise InternalCheckError("shifted kernel generator has a "
                                  "non-causal inverse")
     a0 = d1_inv.markov(0)

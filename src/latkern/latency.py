@@ -40,9 +40,14 @@ class LatencyKernel:
     smith              the Smith form at infinity f = b1 * delta * b2 the
                        kernel was read from, with b2^-1 (and b1^-1,
                        replayed when left_factor first reads it).
-    raw_generator      b2^-1 * diag(z^sigma), the generator before column
-                       reduction.  raw_generator * b1^-1[:m, :] is a left
-                       inverse of f, which left_factor builds on.
+    w_inv              inverse of the column reduction w that took
+                       raw = b2^-1 * diag(z^sigma) to generator = raw * w.
+                       raw * b1^-1[:m, :] is a left inverse of f, so
+                       image_coordinates = w_inv * b1^-1[:m, :] has
+                       image_coordinates * f == generator^-1.
+    image_coordinates  that m x p matrix M, built on first read only (the
+                       yes branch of causal_factor and equivalence read
+                       it, through left_factor).
     poly_generator     strictly polynomial ordered proper generator of the
                        same module (entries in z*K[z]); None when f is not
                        strictly causal, where no such basis exists.  Built
@@ -59,7 +64,7 @@ class LatencyKernel:
     indices: tuple
     strictly_causal_input: bool
     smith: SmithAtInfinity
-    raw_generator: TransferMatrix
+    w_inv: TransferMatrix
 
     @functools.cached_property
     def poly_generator(self) -> TransferMatrix | None:
@@ -71,20 +76,26 @@ class LatencyKernel:
     def chain(self) -> OrderChain:
         return order_chain(self.generator)
 
+    @functools.cached_property
+    def image_coordinates(self) -> TransferMatrix:
+        e = self.smith.b1_inv.entries
+        return self.w_inv * TransferMatrix(e[:self.generator.cols])
+
     def contains(self, u) -> bool:
         """Membership of the input vector u in the kernel module."""
         image = self.generator_inv.apply(u)
         return all(e.is_causal for e in image)
 
-    def left_factor(self, h: TransferMatrix,
+    def left_factor(self, hd: TransferMatrix,
                     on_complement: TransferMatrix | None = None
                     ) -> TransferMatrix:
         """The g with g * f == h that sends the image complement to C.
 
-        With E = b1^-1, raw_generator * E[:m, :] is a left inverse of f,
-        so g0 = (h * raw_generator) * E[:m, :] has g0 * f = h.  When p > m,
-        let I be the unit columns that complete the image of f
-        (SmithAtInfinity.image_complement) and C = on_complement (zero
+        hd is h * generator, the images of the generator columns under h.
+        With d = generator and M = image_coordinates, M * f = d^-1, so d * M
+        is a left inverse of f and g0 = hd * M has g0 * f = h.  When p > m,
+        let E = b1^-1, let I be the unit columns that complete the image of
+        f (SmithAtInfinity.image_complement) and C = on_complement (zero
         when None); then g = g0 - (g0[:, I] - C) * E[m:, I]^-1 * E[m:, :].
         E[m:, :] annihilates the image, so g * f = h, and g[:, I] = C.  The
         image and the columns I span the output space, so g is the only
@@ -92,9 +103,9 @@ class LatencyKernel:
         A singular E[m:, I] raises InternalCheckError.  Uncertified: each
         caller checks g * f == h and the causality it needs.
         """
+        g = hd * self.image_coordinates
         e = self.smith.b1_inv.entries
         m = self.generator.cols
-        g = (h * self.raw_generator) * TransferMatrix(e[:m])
         if len(e) == m:
             return g
         cols = self.smith.image_complement()
@@ -147,9 +158,9 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
         generator_inv=d_inv,
         orders=orders,
         indices=indices,
-        strictly_causal_input=f.classify().strictly_causal,
+        strictly_causal_input=f.order() >= 1,
         smith=smith,
-        raw_generator=raw,
+        w_inv=basis.w_inv,
     )
 
 
@@ -164,7 +175,7 @@ def strictly_polynomial_basis(d: TransferMatrix,
     stated precondition), and d^-1 * result is bicausal (same module both
     ways).
     """
-    if not d_inv.classify().strictly_causal:
+    if d_inv.order() < 1:
         raise InternalCheckError("kernel generator inverse not strictly causal")
     out = []
     for row in d.entries:
@@ -250,6 +261,8 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
     are read off f1's Smith factors by LatencyKernel.left_factor: the
     unique map that takes f1 to f2 (post) or to f2 * l_pr^-1 (two_sided)
     and the unit columns completing f1's image to those completing f2's.
+    left_factor reads that target on f1's generator d1: f2 * d1 (post),
+    or f2 * d2, since f2 * l_pr^-1 * d1 = f2 * d2 (two_sided).
     """
     if (f1.rows, f1.cols) != (f2.rows, f2.cols):
         raise ValueError("equivalence needs equal shapes")
@@ -276,7 +289,7 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
             return EquivalenceResult(
                 False, "post", witness=tuple(u),
                 detail="kernel of first map not inside kernel of second")
-        l_pr, source, target = None, f1, f2
+        l_pr, source, target_d1 = None, f1, f2 * k1.generator
     elif mode == "two_sided":
         if k1.indices != k2.indices:
             return EquivalenceResult(
@@ -287,16 +300,17 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
         if not l_pr.classify().bicausal:
             raise InternalCheckError("index-matched generators gave a "
                                      "non-bicausal precompensator")
-        # l_po * f1 = f2 * l_pr^-1, and l_pr^-1 = d2 * d1^-1
+        # l_po * f1 = f2 * l_pr^-1 with l_pr^-1 = d2 * d1^-1, which reads
+        # f2 * d2 on f1's generator d1
         source = f1 * l_pr
-        target = f2 * (k2.generator * k1.generator_inv)
+        target_d1 = f2 * k2.generator
     else:
         raise ValueError(f"unknown mode {mode!r}; use post, pre or two_sided")
     # f2's image complement, as unit columns, is where l sends f1's
     cols = k2.smith.image_complement()
     units = (TransferMatrix([[1 if r == i else 0 for i in cols]
                              for r in range(f2.rows)]) if cols else None)
-    l = k1.left_factor(target, units)
+    l = k1.left_factor(target_d1, units)
     if not l.classify().bicausal:
         raise InternalCheckError("constructed left factor is not bicausal")
     if l * source != f2:

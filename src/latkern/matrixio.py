@@ -54,6 +54,9 @@ def _parse_coeff(raw) -> Fraction:
 def _poly_from_json(raws) -> Poly:
     """The polynomial of a coefficient list, built over the lcm of its
     denominators without a Fraction per coefficient."""
+    if not isinstance(raws, list):
+        raise InputFormatError(
+            f"num and den must be JSON lists of coefficients, got {raws!r}")
     pairs = [_parse_pair(c) for c in raws]
     den = math.lcm(*(d for _, d in pairs))
     return Poly._scaled([n * (den // d) for n, d in pairs], 1, den)
@@ -67,10 +70,9 @@ def _entry_from_json(obj) -> RatFun:
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise InputFormatError(f"matrix entry must be a num/den object, got {obj!r}")
     num = _poly_from_json(obj["num"])
-    den_list = obj["den"]
-    if not den_list:
+    den = _poly_from_json(obj["den"])
+    if not obj["den"]:
         raise InputFormatError("empty denominator coefficient list")
-    den = _poly_from_json(den_list)
     if den.is_zero:
         raise InputFormatError("zero denominator in matrix entry")
     return RatFun(num, den)
@@ -145,7 +147,12 @@ def load_constant_matrix(path: str):
     return constant_matrix_from_json(_read_json(path))
 
 
-def dump_matrix(m: TransferMatrix, path: str):
+def dump_matrix_json(obj: dict, path: str):
+    """Write a matrix_to_json dict to path in one write."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def dump_matrix(m: TransferMatrix, path: str):
+    dump_matrix_json(matrix_to_json(m), path)

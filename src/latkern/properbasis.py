@@ -77,19 +77,26 @@ def column_reduce_at_infinity(m: TransferMatrix):
 
     When the leading coefficients admit a dependency, the dependent column
     of maximal order (ties: lowest index) is replaced by the combination
-    that cancels the leads, which strictly raises its order.  The sum of
-    column orders is bounded above by the minimal order among maximal
-    minors, so the loop terminates.
+    that cancels the leads, which raises its order by at least 1, and so
+    the sum of column orders.  A nonzero maximal minor has order at least
+    that sum (each of its terms takes one entry from every column), and
+    at most the degree of its denominator, which divides the product of
+    all entry denominators; the bicausal steps keep every maximal minor
+    up to a unit.  So under full column rank the sum never passes the sum
+    of the entry denominator degrees, and the loop terminates.  A sum
+    beyond it (a zero column has order inf) proves the columns dependent
+    and raises ValueError; no rank is computed up front.
     """
-    if m.rank() != m.cols:
-        raise ValueError("column reduction needs full column rank; "
-                         "drop dependent columns first")
     n = m.cols
     cols = m.columns()
+    bound = sum(e.den.degree for c in cols for e in c)
     ops = linalg.RowOps(n, RatFun.const(1), cols)
     orders = [column_order(c) for c in cols]
     leads = [column_lead(c, o) for c, o in zip(cols, orders)]
     while True:
+        if sum(orders) > bound:
+            raise ValueError("column reduction needs full column rank; "
+                             "drop dependent columns first")
         alpha = linalg.nullspace_vector(tuple(zip(*leads)))
         if alpha is None:
             break

@@ -353,3 +353,70 @@ def test_loader_matches_the_fraction_route(tmp_path, capsys):
                                    "entries": [[{"num": [raw], "den": ["1"]}]]}))
         assert main(["--json", "classify", str(bad)]) == 2
         assert "coefficient" in json.loads(capsys.readouterr().out)["error"]
+
+
+def _loader_mutations(obj):
+    """Deterministic malformed variants of the matrix file obj, as text
+    or bytes: truncations, wrong types, non-list rows, bad coefficient
+    strings and zero denominators."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    body = text.rstrip()
+    for k in range(0, len(body) - 1, max(1, len(body) // 7)):
+        yield body[:k]
+    yield b"\xff\xfe{"
+    for top in ([], 1, "m", None, True, [obj]):
+        yield json.dumps(top)
+
+    def edit(path, value):
+        new = json.loads(text)
+        node = new
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return json.dumps(new)
+
+    for grid in ({}, "x", None, [1], [None], [["x"]], [[[]]], [[1, 2]]):
+        yield edit(["entries"], grid)
+    for entry in ([], "1", 1, None, {"num": ["1"]}, {"den": ["1"]}):
+        yield edit(["entries", 0, 0], entry)
+    for num in (1, "1", None, {}, [None], [[1]], [1.5], [True],
+                [float("nan")], [float("inf")]):
+        yield edit(["entries", 0, 0, "num"], num)
+    for coeff in ("1.5", "1e3", "abc", "", "1/", "/2", "0x10", "1 / 2",
+                  "--1", "1/-5", "+", "1_000", "2/0"):
+        yield edit(["entries", 0, 0, "num", 0], coeff)
+    for den in ([], ["0"], ["0", "0"], ["1/0"], ["0/3", "0"], "1", 0, None):
+        yield edit(["entries", 0, 0, "den"], den)
+
+
+def test_loader_fuzz_exits_2_with_a_diagnostic(tmp_path, capsys):
+    # Every malformed input file of factor, latency, realize and simulate
+    # is refused with exit 2 and the {command, error} diagnostic, never
+    # with a traceback and never as a failed certificate (exit 3).
+    f = TransferMatrix([[z(-1), RatFun(Poly([1]), Poly([2, 3, 1]))],
+                        [RatFun.const(0), z(-2)]])
+    valid = {"f": f, "h": TransferMatrix([[z(-3), z(-2)]]),
+             "l": TransferMatrix([[1, z(-1)], [0, 2]]),
+             "u": TransferMatrix([[RatFun.const(1)], [z(-1)]])}
+    paths = {k: write(tmp_path / f"{k}.json", m) for k, m in valid.items()}
+    commands = {"factor": ["f", "h"], "latency": ["f"],
+                "realize": ["f", "l"], "simulate": ["f", "u"]}
+    bad = tmp_path / "bad.json"
+    cases = 0
+    for command, slots in commands.items():
+        for slot in slots:
+            for mutated in _loader_mutations(matrix_to_json(valid[slot])):
+                if isinstance(mutated, bytes):
+                    bad.write_bytes(mutated)
+                else:
+                    bad.write_text(mutated)
+                argv = [str(bad) if s == slot else paths[s] for s in slots]
+                if command == "realize":
+                    argv += ["--out-dir", str(tmp_path / "out")]
+                code = main(["--json", command, *argv])
+                diag = json.loads(capsys.readouterr().out)
+                assert code == 2, (command, slot, mutated)
+                assert set(diag) == {"command", "error"}
+                assert diag["command"] == command and diag["error"]
+                cases += 1
+    assert cases > 300

@@ -104,6 +104,44 @@ def test_corrupt_smith_b1_inverse_is_caught(monkeypatch, tmp_path, capsys):
                     "error": "causal factor reconstruction failed"}
 
 
+def test_image_coordinates_give_a_left_inverse():
+    # M = w^-1 * b1^-1[:m, :] reads f's outputs in the basis f * d of its
+    # image: M * f = d^-1, so d * M is a left inverse of f.
+    rng = random.Random(63)
+    for m in range(1, 4):
+        for p in (m, m + 1, m + 2):
+            f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                  max_deg=1)
+            k = latency_kernel(f)
+            assert k.image_coordinates * f == k.generator_inv
+            assert (k.generator * k.image_coordinates * f
+                    == TransferMatrix.identity(m))
+
+
+def test_corrupt_image_coordinates_is_caught(monkeypatch, tmp_path, capsys):
+    # The left factor is h * d times the kernel's image coordinates M;
+    # a moved entry of M is caught by the reconstruction check.
+    def corrupted(f):
+        k = latency_kernel(f)
+        k.__dict__["image_coordinates"] = corrupt_entry(k.image_coordinates)
+        return k
+
+    rng = random.Random(64)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    h = rand_causal(rng, 2, 3, 1) * f
+    with pytest.raises(InternalCheckError,
+                       match="causal factor reconstruction failed"):
+        causal_factor(f, h, kernel=corrupted(f))
+    monkeypatch.setattr("latkern.factor.latency_kernel", corrupted)
+    fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
+    dump_matrix(f, fp)
+    dump_matrix(h, hp)
+    assert main(["--json", "factor", fp, hp]) == 3
+    diag = json.loads(capsys.readouterr().out)
+    assert diag == {"command": "factor",
+                    "error": "causal factor reconstruction failed"}
+
+
 def test_singular_complement_block_is_a_failed_certificate(monkeypatch,
                                                            tmp_path, capsys):
     # Rows m.. of b1^-1 restricted to the complement columns must be

@@ -368,3 +368,31 @@ def test_only_left_factors_build_b1_inverse(monkeypatch):
     assert all("b1_inv" not in vars(s) for s in forms)
     assert causal_factor(f, rand_causal(rng, 2, 3, 1) * f).decision
     assert "b1_inv" in vars(forms[-1])
+
+
+def test_kernel_paths_compute_no_rank(monkeypatch):
+    # Column reduction bounds its order sum instead of computing a rank
+    # over Q(z) up front, so no kernel, factor, equivalence or feedback
+    # realization computes one.
+    from latkern.feedback import vg_representation
+
+    def refuse(self):
+        raise RuntimeError("TransferMatrix.rank called")
+
+    rng = random.Random(65)
+    f, nu = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    h_yes = rand_causal(rng, 2, 3, 1) * f
+    h_no = TransferMatrix([[z(1), 0]])
+    l_po, l_pr = rand_bicausal(rng, 3, 1), rand_bicausal(rng, 2, 1)
+    square, _ = rand_strictly_causal_injective(rng, 2, 2, max_nu=2,
+                                               max_deg=1)
+    l = rand_bicausal(rng, 2, 1)
+    monkeypatch.setattr(TransferMatrix, "rank", refuse)
+    assert latency_kernel(f).indices == nu
+    assert causal_factor(f, h_yes).decision
+    assert not causal_factor(f, h_no).decision
+    assert compensation_equivalence(f, l_po * f, "post").equivalent
+    assert compensation_equivalence(f, l_po * f * l_pr,
+                                    "two_sided").equivalent
+    rep = vg_representation(square, l)
+    assert all(s <= n for s, n in zip(rep.sigma, rep.nu))

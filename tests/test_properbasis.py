@@ -9,7 +9,7 @@ from latkern.properbasis import (ProperBasis, column_order,
                                  column_reduce_at_infinity, leading_data,
                                  order_chain, proper_independence_check,
                                  smith_at_infinity)
-from latkern.rational import ORD_INF, RatFun
+from latkern.rational import ORD_INF, Poly, RatFun
 from latkern.transfer import TransferMatrix
 from oracles import extend_to_proper_basis, min_minor_order
 
@@ -80,6 +80,45 @@ def test_column_reduce_dependent_leads():
 
 def test_column_reduce_rejects_rank_deficiency():
     m = TransferMatrix([[z(-1), z(-1)], [z(-1), z(-1)]])
+    with pytest.raises(ValueError, match="full column rank"):
+        column_reduce_at_infinity(m)
+
+
+def refuse_rank(self):
+    raise RuntimeError("TransferMatrix.rank called")
+
+
+def test_column_reduce_stops_at_the_order_bound(monkeypatch):
+    # (z - 1)/(z - 2) never cancels to zero against 1, but every
+    # cancellation raises the order sum, which full column rank bounds by
+    # the sum of the denominator degrees (here 1): after two
+    # cancellations the sum is 2 and the columns are proved dependent.
+    monkeypatch.setattr(TransferMatrix, "rank", refuse_rank)
+    nullspace_vector = linalg.nullspace_vector
+    cancellations = []  # each follows a dependency of the leads
+
+    def counting(a):
+        alpha = nullspace_vector(a)
+        if alpha is not None:
+            cancellations.append(alpha)
+        return alpha
+
+    monkeypatch.setattr(linalg, "nullspace_vector", counting)
+    m = TransferMatrix([[one, RatFun(Poly([-1, 1]), Poly([-2, 1]))]])
+    with pytest.raises(ValueError, match="full column rank"):
+        column_reduce_at_infinity(m)
+    assert 1 <= len(cancellations) <= 2
+
+
+def test_column_reduce_rejects_a_rational_dependency(monkeypatch):
+    # A 3x3 matrix whose third column is a rational combination of the
+    # other two.
+    rng = random.Random(34)
+    c0, c1 = rand_full_rank_matrix(rng, 3, 2, 2).columns()
+    x, y = rand_ratfun(rng, 2, nonzero=True), rand_ratfun(rng, 2, nonzero=True)
+    m = TransferMatrix.from_columns([c0, c1, [x * e0 + y * e1
+                                              for e0, e1 in zip(c0, c1)]])
+    monkeypatch.setattr(TransferMatrix, "rank", refuse_rank)
     with pytest.raises(ValueError, match="full column rank"):
         column_reduce_at_infinity(m)
 

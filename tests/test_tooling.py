@@ -79,9 +79,10 @@ def test_internal_check_error_defined_once():
 
 
 def test_certificate_holds_under_python_O(tmp_path):
-    # The same precondition check as in test_latency, the factor and
-    # post-equivalence reconstruction checks against a corrupted b1^-1 as
-    # in test_factor, the coprime-fraction certificates against a corrupted
+    # The same precondition check as in test_latency, the factor
+    # reconstruction check against corrupted image coordinates, the factor
+    # and post-equivalence reconstruction checks against a corrupted b1^-1
+    # as in test_factor, the coprime-fraction certificates against a corrupted
     # u^-1 as in test_polymatrix, and the realize cross-check against a v
     # moved by one coefficient as in test_cli, in an interpreter that
     # strips assert statements.
@@ -99,6 +100,17 @@ def test_certificate_holds_under_python_O(tmp_path):
         "try:\n"
         "    i2 = TransferMatrix.identity(2)\n"
         "    strictly_polynomial_basis(i2, i2)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "f = TransferMatrix.diag([RatFun.zpow(-1), RatFun.zpow(-2)])\n"
+        "k = latkern.latency.latency_kernel(f)\n"
+        "rows = [list(row) for row in k.image_coordinates.entries]\n"
+        "rows[0][-1] = rows[0][-1] + 1\n"
+        "k.__dict__['image_coordinates'] = TransferMatrix(rows)\n"
+        "try:\n"
+        "    causal_factor(f, f, kernel=k)\n"
         "except InternalCheckError as exc:\n"
         "    print(exc)\n"
         "else:\n"
@@ -162,10 +174,11 @@ def test_certificate_holds_under_python_O(tmp_path):
     proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    optimize, precondition, reconstruction, left, coprime, *realize = (
-        proc.stdout.splitlines())
+    (optimize, precondition, coordinates, reconstruction, left, coprime,
+     *realize) = proc.stdout.splitlines()
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
+    assert coordinates == "causal factor reconstruction failed"
     assert reconstruction == "causal factor reconstruction failed"
     assert left == "constructed left factor does not map f1 to f2"
     assert coprime in ("extracted fraction is not coprime",
