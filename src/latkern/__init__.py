@@ -6,7 +6,7 @@ static factorization, compensation equivalence, and (v, g) feedback
 realizations of bicausal precompensators.
 """
 
-from .rational import ORD_INF, Poly, RatFun, TruncatedSeries, poly_gcd, poly_lcm
+from .rational import ORD_INF, Poly, RatFun, poly_gcd, poly_lcm
 from .transfer import (CausalityReport, InternalCheckError,
                        SingularMatrixError, TransferMatrix)
 from .properbasis import (OrderChain, ProperBasis, SmithAtInfinity,

@@ -40,9 +40,8 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
     unit columns that complete the image (SmithAtInfinity.image_complement).
     The images h * d of the generator columns, which the containment test
     computes and finds proper, are its input.  g is causal because h * d
-    is and image_coordinates = w^-1 * b1^-1[:m, :] is (w and b1 are
-    bicausal).  No matrix of size p is inverted, and f is not
-    column-reduced again.
+    is and image_coordinates, rows of b1^-1[:m, :], is (b1 is bicausal).
+    No matrix of size p is inverted, and nothing is column-reduced.
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")

@@ -16,8 +16,8 @@ from fractions import Fraction
 from . import linalg
 from .factor import causal_factor, constant_matrix, static_factor
 from .latency import InternalCheckError, latency_kernel
-from .polymatrix import (poly_module_contains, polynomial_kernel_module,
-                         reachability_indices, right_coprime_fraction)
+from .polymatrix import (poly_module_contains, reachability_indices,
+                         right_coprime_fraction)
 from .rational import Poly, RatFun
 from .transfer import TransferMatrix
 
@@ -271,11 +271,14 @@ def static_state_feedback_test(ss: StateSpace,
     contained in that of the strictly causal part of l^-1.  On yes the
     static gain is recovered by exact linear solving.
     """
+    # f = (zI - A)^-1 B, and (zI - A)^-1 is invertible, so f is injective
+    # exactly when B has full column rank over Q.
     f = from_state_space(StateSpace(ss.a, ss.b))
-    _require(f.rank() == f.cols, "state-output map must be injective "
+    b = [[Fraction(x) for x in row] for row in ss.b]
+    _require(linalg.rank(b) == f.cols, "state-output map must be injective "
              "(B full column rank)")
     _require(l.classify().bicausal, "compensator must be bicausal")
-    p_f = polynomial_kernel_module(f)
+    p_f = right_coprime_fraction(f).den
     l_inv = l.inverse()
     static_part, strict = l_inv.static_strict_split()
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .properbasis import (OrderChain, SmithAtInfinity,
-                          column_reduce_at_infinity, order_chain,
-                          smith_at_infinity)
+from . import linalg
+from .properbasis import (OrderChain, SmithAtInfinity, leading_data,
+                          order_chain, smith_at_infinity)
 from .rational import RatFun
 from .transfer import InternalCheckError, SingularMatrixError, TransferMatrix
 
@@ -33,17 +33,18 @@ class LatencyKernel:
                        causal f.
     generator_inv      generator^-1, certified by generator * generator_inv
                        == I.
-    orders             column orders of generator (nondecreasing).
+    orders             column orders of generator (nondecreasing): -sigma
+                       in the order perm.
     indices            latency indices nu_i = -order_i - 1, nonincreasing.
     strictly_causal_input  False flags the advisory case where f had
                        order <= 0 and indices may be negative.
     smith              the Smith form at infinity f = b1 * delta * b2 the
                        kernel was read from, with b2^-1 (and b1^-1,
                        replayed when left_factor first reads it).
-    w_inv              inverse of the column reduction w that took
-                       raw = b2^-1 * diag(z^sigma) to generator = raw * w.
+    perm               the column order: generator column k is column
+                       perm[k] of raw = b2^-1 * diag(z^sigma).
                        raw * b1^-1[:m, :] is a left inverse of f, so
-                       image_coordinates = w_inv * b1^-1[:m, :] has
+                       image_coordinates, rows perm of b1^-1[:m, :], has
                        image_coordinates * f == generator^-1.
     image_coordinates  that m x p matrix M, built on first read only (the
                        yes branch of causal_factor and equivalence read
@@ -64,7 +65,7 @@ class LatencyKernel:
     indices: tuple
     strictly_causal_input: bool
     smith: SmithAtInfinity
-    w_inv: TransferMatrix
+    perm: tuple
 
     @functools.cached_property
     def poly_generator(self) -> TransferMatrix | None:
@@ -79,7 +80,7 @@ class LatencyKernel:
     @functools.cached_property
     def image_coordinates(self) -> TransferMatrix:
         e = self.smith.b1_inv.entries
-        return self.w_inv * TransferMatrix(e[:self.generator.cols])
+        return TransferMatrix([e[i] for i in self.perm])
 
     def contains(self, u) -> bool:
         """Membership of the input vector u in the kernel module."""
@@ -126,11 +127,13 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
 
     Route: Smith form at infinity f = b1 * delta * b2, so an input u has a
     proper response exactly when b2*u lands in diag(z^sigma) * Omega^-;
-    the generator is therefore b2^-1 * diag(z^sigma), column-reduced to an
-    ordered proper basis d = b2^-1 * diag(z^sigma) * w.  Smith form and
-    column reduction carry b2^-1 and w^-1, so d^-1 = w^-1 * diag(z^-sigma)
-    * b2 is a product, not an inversion; d * d^-1 == I certifies both
-    carried inverses at once.  Each step carries an exact certificate.
+    the generator is therefore raw = b2^-1 * diag(z^sigma).  b2^-1 is
+    bicausal, so column i of raw has order -sigma_i and its lead is column
+    i of b2^-1's constant term: raw is already a proper basis, and the
+    ordered generator d is raw with its columns sorted by (-sigma_i, i).
+    The Smith form carries b2^-1, so d^-1 is diag(z^-sigma) * b2 with its
+    rows sorted the same way, a product, not an inversion.  Two checks
+    certify d: d * d^-1 == I, and its leads, at orders -sigma, have rank m.
     """
     m = f.cols
     smith = smith_at_infinity(f)
@@ -139,28 +142,29 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
             "latency kernel is not finitely generated: map has rank "
             f"{len(smith.sigma)} < {m} (not injective)")
     sigma = smith.sigma
-    # raw = b2^-1 * diag(z^sigma) and raw^-1 = diag(z^-sigma) * b2, each
-    # built by scaling columns or rows.
-    raw = TransferMatrix([[e * RatFun.zpow(s) for e, s in zip(row, sigma)]
-                          for row in smith.b2_inv.entries])
-    basis, _ = column_reduce_at_infinity(raw)
-    d = basis.columns
-    raw_inv = TransferMatrix([[e * RatFun.zpow(-s) for e in row]
-                              for row, s in zip(smith.b2.entries, sigma)])
-    d_inv = basis.w_inv * raw_inv
+    perm = tuple(sorted(range(m), key=lambda i: (-sigma[i], i)))
+    # d = b2^-1 * diag(z^sigma) and d^-1 = diag(z^-sigma) * b2, each built
+    # by scaling columns or rows, taken in the order perm.
+    d = TransferMatrix([[row[i] * RatFun.zpow(sigma[i]) for i in perm]
+                        for row in smith.b2_inv.entries])
+    b2 = smith.b2.entries
+    d_inv = TransferMatrix([[e * RatFun.zpow(-sigma[i]) for e in b2[i]]
+                            for i in perm])
     if d * d_inv != TransferMatrix.identity(m):
         raise InternalCheckError("kernel generator times its carried inverse "
                                  "is not the identity")
-    orders = basis.orders
-    indices = tuple(-o - 1 for o in orders)
+    orders, leads = leading_data(d.columns())
+    if orders != [-sigma[i] for i in perm] or linalg.rank(leads) != m:
+        raise InternalCheckError("kernel generator is not a proper basis: "
+                                 "b2^-1 is not bicausal")
     return LatencyKernel(
         generator=d,
         generator_inv=d_inv,
-        orders=orders,
-        indices=indices,
+        orders=tuple(orders),
+        indices=tuple(-o - 1 for o in orders),
         strictly_causal_input=f.order() >= 1,
         smith=smith,
-        w_inv=basis.w_inv,
+        perm=perm,
     )
 
 

@@ -42,16 +42,11 @@ def leading_data(cols):
 
 @dataclass(frozen=True)
 class ProperBasis:
-    """A proper basis; w_inv, when set, expresses the reduced matrix in it.
-
-    column_reduce_at_infinity(m) sets w_inv to the inverse of its
-    transformation w, so m = columns * w_inv.
-    """
+    """An ordered proper basis with its column orders and leading matrix."""
 
     columns: TransferMatrix
     orders: tuple
     leading_matrix: tuple
-    w_inv: TransferMatrix | None = None
 
 
 def proper_independence_check(cols):
@@ -72,8 +67,8 @@ def column_reduce_at_infinity(m: TransferMatrix):
 
     Returns (ProperBasis, w) with columns = m*w and w bicausal, so both the
     field span and the generated power-series module are unchanged.  The
-    result is ordered: column orders are nondecreasing.  w and the w^-1
-    the basis carries are replayed from the record of column operations.
+    result is ordered: column orders are nondecreasing.  w is replayed
+    from the record of column operations.
 
     When the leading coefficients admit a dependency, the dependent column
     of maximal order (ties: lowest index) is replaced by the combination
@@ -119,9 +114,7 @@ def column_reduce_at_infinity(m: TransferMatrix):
     basis = TransferMatrix.from_columns([cols[i] for i in perm])
     lead_matrix = tuple(zip(*(leads[i] for i in perm)))
     w_cols = ops.transform()  # the record acts on columns: w transposed
-    w_inv = list(zip(*ops.inverse()))
-    return (ProperBasis(basis, tuple(orders[i] for i in perm), lead_matrix,
-                        w_inv=TransferMatrix([w_inv[i] for i in perm])),
+    return (ProperBasis(basis, tuple(orders[i] for i in perm), lead_matrix),
             TransferMatrix.from_columns([w_cols[i] for i in perm]))
 
 

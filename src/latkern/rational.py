@@ -155,10 +155,6 @@ class Poly:
         n, d = self._n, self._d
         return [Fraction(n * x, d) for x in self._p[:-count - 1:-1]]
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self._p) and self._n * self._p[-1] == self._d
-
     def monic(self) -> Poly:
         if not self._p:
             return self
@@ -535,11 +531,6 @@ class RatFun:
     def is_causal(self) -> bool:
         return self.is_zero or self.order() >= 0
 
-    @property
-    def is_unit(self) -> bool:
-        """Unit of the power-series ring: order exactly zero."""
-        return not self.is_zero and self.order() == 0
-
     def leading_coeff(self) -> Fraction:
         if self.is_zero:
             raise ValueError("leading coefficient of zero undefined")
@@ -634,15 +625,6 @@ class RatFun:
         g = math.gcd(common, *ints)
         pad = [0] * max(t0 - start, 0)
         return pad + [x // g for x in ints], common // g
-
-    def expand(self, horizon: int) -> TruncatedSeries:
-        """Truncated Laurent expansion up to index `horizon` inclusive."""
-        if self.is_zero:
-            return TruncatedSeries(horizon, (Fraction(0),), horizon)
-        t0 = self.order()
-        if horizon < t0:
-            raise ValueError(f"horizon {horizon} precedes order {t0}")
-        return TruncatedSeries(t0, self.laurent_window(t0, horizon), horizon)
 
     def plus_part(self) -> Poly:
         """Truncation to indices t <= 0: the polynomial part, constant included."""
@@ -830,74 +812,3 @@ def _coerce(x) -> RatFun | None:
     if isinstance(x, Poly):
         return RatFun(x)
     return None
-
-
-class TruncatedSeries:
-    """Finite window of a Laurent expansion in z^-1.
-
-    Coefficients are indexed start_index, start_index+1, ..., horizon.
-    Normalized so the first stored coefficient is nonzero, except that the
-    zero-on-window series is stored as the single coefficient 0 at the
-    horizon.  Nothing beyond the horizon is known.
-    """
-
-    __slots__ = ("start_index", "coeffs", "horizon")
-
-    def __init__(self, start_index: int, coeffs, horizon: int):
-        cs = [_frac(c) for c in coeffs]
-        if len(cs) != horizon - start_index + 1:
-            raise ValueError("coefficient count does not match window")
-        while cs and cs[0] == 0 and len(cs) > 1:
-            cs.pop(0)
-            start_index += 1
-        if not cs:
-            cs = [Fraction(0)]
-            start_index = horizon
-        object.__setattr__(self, "start_index", start_index)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "horizon", horizon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def coeff(self, t: int) -> Fraction:
-        if t > self.horizon:
-            raise ValueError(f"index {t} beyond horizon {self.horizon}")
-        if t < self.start_index:
-            return Fraction(0)
-        return self.coeffs[t - self.start_index]
-
-    def first_nonzero(self):
-        """(index, coefficient) of the first nonzero term, or None."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.start_index + i, c
-        return None
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncatedSeries)
-                and self.start_index == other.start_index
-                and self.coeffs == other.coeffs
-                and self.horizon == other.horizon)
-
-    def __hash__(self):
-        return hash((self.start_index, self.coeffs, self.horizon))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            t = self.start_index + i
-            if t == 0:
-                terms.append(str(c))
-            else:
-                mag = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                terms.append(f"{mag}z^{-t}")
-        return " + ".join(terms) + f" + O(z^{-(self.horizon + 1)})"

@@ -139,12 +139,6 @@ class TransferMatrix:
         return TransferMatrix([[self.entries[i][j] for i in range(self.rows)]
                                for j in range(self.cols)])
 
-    def hstack(self, other: TransferMatrix) -> TransferMatrix:
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return TransferMatrix([list(a) + list(b)
-                               for a, b in zip(self.entries, other.entries)])
-
     def __add__(self, other: TransferMatrix) -> TransferMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")

@@ -6,8 +6,9 @@ window scans for properness.  None of it shares code with the library's
 decision procedures, except reference_causal_factor and
 reference_left_factor, which keep earlier constructions of the causal and
 the bicausal left factor built from column reduction and one inversion,
-and reference_coprime_fraction, which keeps the earlier coprime fraction
-built by inverting the GCRD over Q(z).
+reference_latency_generator, which keeps the earlier kernel generator
+column-reduced from the Smith form, and reference_coprime_fraction, which
+keeps the earlier coprime fraction built by inverting the GCRD over Q(z).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations, permutations
 from latkern import linalg
 from latkern.polymatrix import (CoprimeFraction, PolyMatrix,
                                 column_reduce_poly, hermite_gcrd)
-from latkern.properbasis import column_reduce_at_infinity
+from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import ORD_INF, Poly, RatFun, poly_lcm
 from latkern.transfer import TransferMatrix
 
@@ -227,6 +228,30 @@ def image_is_proper(f, u, floor=None) -> bool:
     return all(all(t >= 0 for t in d) for d in image_dicts)
 
 
+def hstack(a, b):
+    """The block matrix [a, b]."""
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch in hstack")
+    return TransferMatrix([list(x) + list(y)
+                           for x, y in zip(a.entries, b.entries)])
+
+
+def reference_latency_generator(f):
+    """(generator, its inverse, orders) of f's latency kernel.
+
+    The earlier construction: column-reduce b2^-1 * diag(z^sigma) from the
+    Smith form f = b1 * delta * b2 to an ordered proper basis raw * w, and
+    invert it as w^-1 * diag(z^-sigma) * b2, with w^-1 by Gauss-Jordan.
+    """
+    s = smith_at_infinity(f)
+    raw = TransferMatrix([[e * RatFun.zpow(k) for e, k in zip(row, s.sigma)]
+                          for row in s.b2_inv.entries])
+    raw_inv = TransferMatrix([[e * RatFun.zpow(-k) for e in row]
+                              for row, k in zip(s.b2.entries, s.sigma)])
+    pb, w = column_reduce_at_infinity(raw)
+    return pb.columns, w.inverse() * raw_inv, pb.orders
+
+
 def reference_causal_factor(f, h):
     """g with g*f = h that is zero on the constant completion of the image.
 
@@ -240,8 +265,8 @@ def reference_causal_factor(f, h):
     basis = pb.columns
     target = h * w
     if completion is not None:
-        basis = basis.hstack(completion)
-        target = target.hstack(TransferMatrix.zero(h.rows, completion.cols))
+        basis = hstack(basis, completion)
+        target = hstack(target, TransferMatrix.zero(h.rows, completion.cols))
     return target * basis.inverse()
 
 
@@ -290,8 +315,8 @@ def reference_left_factor(f1, f2):
     target = f2 * w1
     source = pb1.columns
     if r1 is not None:
-        source = source.hstack(r1)
-        target = target.hstack(r2)
+        source = hstack(source, r1)
+        target = hstack(target, r2)
     return target * source.inverse()
 
 

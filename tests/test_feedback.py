@@ -252,6 +252,14 @@ def test_static_state_feedback_examples():
     assert not res_no.realizable
 
 
+def test_static_state_feedback_refuses_dependent_inputs():
+    # the columns of B are dependent, so the state-output map is not
+    # injective
+    ss = StateSpace(a=((0, 1), (0, 0)), b=((1, 2), (2, 4)))
+    with pytest.raises(PreconditionError, match="B full column rank"):
+        static_state_feedback_test(ss, TransferMatrix.identity(2))
+
+
 def test_static_state_feedback_routes_agree_random():
     rng = random.Random(76)
     for _ in range(12):

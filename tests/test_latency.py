@@ -2,10 +2,12 @@
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
 import latkern.latency
+import latkern.properbasis
 from latkern.factor import causal_factor
 from latkern.latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                              latency_kernel, module_contains,
@@ -13,10 +15,12 @@ from latkern.latency import (KernelNotFinitelyGenerated, compensation_equivalenc
 from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
-from oracles import image_is_proper, reference_left_factor
+from oracles import (image_is_proper, reference_latency_generator,
+                     reference_left_factor)
 
-from gen import (corrupt_entry, rand_bicausal, rand_causal, rand_ratfun,
-                 rand_state_pair, rand_strictly_causal_injective)
+from gen import (corrupt_entry, rand_bicausal, rand_causal,
+                 rand_full_rank_matrix, rand_ratfun, rand_state_pair,
+                 rand_strictly_causal_injective)
 
 z = RatFun.zpow
 
@@ -35,7 +39,7 @@ def test_kernel_scalar_example():
     k = latency_kernel(f)
     assert k.indices == (1,)
     d = k.generator.entry(0, 0)
-    assert d.order() == -2 and (d * z(-2)).is_unit
+    assert d.order() == -2 and (d * z(-2)).order() == 0
 
 
 def test_kernel_state_space_example():
@@ -242,17 +246,40 @@ def test_corrupt_smith_inverse_is_caught(monkeypatch):
         latency_kernel(f)
 
 
-def test_corrupt_column_reduction_inverse_is_caught(monkeypatch):
-    def corrupted(a):
-        pb, w = column_reduce_at_infinity(a)
-        return dataclasses.replace(pb, w_inv=corrupt_entry(pb.w_inv)), w
+def test_corrupt_b2_inverse_constant_term_is_caught(monkeypatch):
+    # b2^-1 * t and t^-1 * b2 are still inverse to each other, so
+    # d * d^-1 == I holds; t's constant term [[1, 1], [1, 1]] is singular,
+    # so b2^-1 * t is not bicausal and the leads of d have rank 1.
+    t = TransferMatrix([[1, 1], [1, 1 + z(-1)]])
+    t_inv = TransferMatrix([[z(1) + 1, -z(1)], [-z(1), z(1)]])
+    assert t * t_inv == TransferMatrix.identity(2)
 
-    monkeypatch.setattr("latkern.latency.column_reduce_at_infinity",
-                        corrupted)
+    def corrupted(f):
+        s = smith_at_infinity(f)
+        return dataclasses.replace(s, b2_inv=s.b2_inv * t, b2=t_inv * s.b2)
+
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
     f, _ = rand_strictly_causal_injective(random.Random(46), 2, 2, max_nu=2,
                                           max_deg=1)
-    with pytest.raises(InternalCheckError, match="carried inverse"):
+    with pytest.raises(InternalCheckError, match="not a proper basis"):
         latency_kernel(f)
+
+
+def test_generator_matches_the_column_reduced_route():
+    # raw = b2^-1 * diag(z^sigma) is already proper, so column reduction
+    # only sorts its columns: the generator, its inverse and the orders
+    # equal the earlier column-reduced construction, strictly causal or
+    # not, square or tall.
+    rng = random.Random(47)
+    for m in range(1, 4):
+        for p in (m, m + 1):
+            f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2,
+                                                  max_deg=1)
+            for g in (f, rand_full_rank_matrix(rng, p, m, 2)):
+                k = latency_kernel(g)
+                d, d_inv, orders = reference_latency_generator(g)
+                assert k.generator == d and k.generator_inv == d_inv
+                assert k.orders == orders
 
 
 def test_polynomial_generator_built_on_first_read_only(monkeypatch):
@@ -314,8 +341,8 @@ def test_equivalence_compensators_match_reference_construction():
 
 
 def test_post_equivalence_inverts_only_complement_blocks(monkeypatch):
-    # No column reduction beyond one per kernel, no inversion at p = m and
-    # only the (p - m)-square complement block at p > m.
+    # No column reduction, no inversion at p = m and only the
+    # (p - m)-square complement block at p > m.
     inverse = TransferMatrix.inverse
     reduce = column_reduce_at_infinity
     shapes, reductions = [], []
@@ -329,7 +356,7 @@ def test_post_equivalence_inverts_only_complement_blocks(monkeypatch):
         return reduce(a)
 
     monkeypatch.setattr(TransferMatrix, "inverse", counting_inverse)
-    monkeypatch.setattr(latkern.latency, "column_reduce_at_infinity",
+    monkeypatch.setattr(latkern.properbasis, "column_reduce_at_infinity",
                         counting_reduce)
     rng = random.Random(62)
     for m in (1, 2, 3):
@@ -341,7 +368,7 @@ def test_post_equivalence_inverts_only_complement_blocks(monkeypatch):
             res = compensation_equivalence(f, rand_bicausal(rng, p, 1) * f,
                                            "post")
             assert res.equivalent
-            assert len(reductions) == 2
+            assert not reductions
             if p == m:
                 assert not shapes
             else:
@@ -371,13 +398,13 @@ def test_only_left_factors_build_b1_inverse(monkeypatch):
 
 
 def test_kernel_paths_compute_no_rank(monkeypatch):
-    # Column reduction bounds its order sum instead of computing a rank
-    # over Q(z) up front, so no kernel, factor, equivalence or feedback
-    # realization computes one.
+    # The kernel generator is read straight off the Smith form, with no
+    # rank over Q(z) and no column reduction, so no kernel, factor,
+    # equivalence or feedback realization computes either.
     from latkern.feedback import vg_representation
 
-    def refuse(self):
-        raise RuntimeError("TransferMatrix.rank called")
+    def refuse(*args):
+        raise RuntimeError("TransferMatrix.rank or column reduction called")
 
     rng = random.Random(65)
     f, nu = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
@@ -388,6 +415,10 @@ def test_kernel_paths_compute_no_rank(monkeypatch):
                                                max_deg=1)
     l = rand_bicausal(rng, 2, 1)
     monkeypatch.setattr(TransferMatrix, "rank", refuse)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("latkern")
+                and hasattr(mod, "column_reduce_at_infinity")):
+            monkeypatch.setattr(mod, "column_reduce_at_infinity", refuse)
     assert latency_kernel(f).indices == nu
     assert causal_factor(f, h_yes).decision
     assert not causal_factor(f, h_no).decision

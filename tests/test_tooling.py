@@ -206,9 +206,10 @@ def test_benchmark_trace_entries_resolve():
 
 
 def test_latency_kernel_inverts_no_matrix(monkeypatch):
-    # Smith form and column reduction carry b2^-1 and w^-1, so building
-    # the kernel, its strictly polynomial basis and a membership test
-    # needs no Gauss-Jordan inversion.
+    # The Smith form carries b2^-1, and the generator and its inverse are
+    # b2^-1 and b2 with scaled, reordered columns and rows, so building the
+    # kernel, its strictly polynomial basis and a membership test needs no
+    # Gauss-Jordan inversion.
     from gen import rand_strictly_causal_injective
 
     def refuse(self):
