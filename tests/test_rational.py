@@ -206,14 +206,19 @@ def test_canonical_equality_is_value_equality():
     assert a == b and hash(a) == hash(b)
 
 
-def test_laurent_window_pads_before_the_order():
+def test_truncated_series_normalization():
+    # a window from before the order is zero-padded up to it
     s = RatFun(Poly([2, 1]), Poly.z(3))  # z^-2 + 2 z^-3
     assert s.laurent_window(0, 3) == [0, 0, 1, 2]
     assert s.order() == 2 and s.laurent_window(2, 3) == [1, 2]
-    # a horizon before the order, and the zero function, read all zeros
-    assert RatFun(Poly([1]), Poly.z(5)).laurent_window(0, 2) == [0, 0, 0]
-    assert RatFun.const(0).laurent_window(0, 2) == [0, 0, 0]
     assert s.laurent_window(3, 2) == []
+    assert RatFun.const(0).laurent_window(0, 2) == [0, 0, 0]
+
+
+def test_expand_respects_horizon_precondition():
+    # a horizon that ends before the order reads all zeros
+    assert RatFun(Poly([1]), Poly.z(5)).laurent_window(0, 2) == [0, 0, 0]
+    assert RatFun(Poly([1]), Poly.z(5)).laurent_window(0, 5)[-1] == 1
 
 
 def naive_add(a, b):
