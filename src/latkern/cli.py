@@ -4,9 +4,9 @@ Every subcommand reads JSON matrix files, runs one analysis, and emits a
 report either as text or, with --json, as deterministic JSON (sorted
 keys).  Exit codes: 0 for success or an affirmative decision, 1 for a
 well-posed negative decision (the report carries the witness), 2 for
-malformed input or a violated precondition, 3 for a failed internal
-certificate (a bug, never a "no").  Exits 2 and 3 print the same
-{command, error} diagnostic.
+malformed input, an unwritable output path or a violated precondition,
+3 for a failed internal certificate (a bug, never a "no").  Exits 2 and
+3 print the same {command, error} diagnostic.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .feedback import (PreconditionError, StateSpace, from_state_space,
                        vg_representation, worst_case_precompensator)
 from .latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                       latency_kernel)
-from .matrixio import (InputFormatError, constant_matrix_to_json, dump_matrix,
-                       dump_matrix_json, entry_to_json, load_constant_matrix,
-                       load_matrix, matrix_from_json, matrix_to_json)
+from .matrixio import (InputFormatError, OutputPathError,
+                       constant_matrix_to_json, dump_matrix, dump_matrix_json,
+                       entry_to_json, load_constant_matrix, load_matrix,
+                       make_output_dir, matrix_from_json, matrix_to_json)
 from .rational import ORD_INF
 from .simulate import (SeriesMatrix, check_horizon, simulate_response,
                        verification_horizon)
@@ -126,7 +127,7 @@ def cmd_realize(args):
     product = loop_s * SeriesMatrix.from_transfer(l, horizon)
     if not product.agrees_with(SeriesMatrix.from_transfer(rep.v, horizon)):
         raise InternalCheckError("simulation cross-check failed")
-    os.makedirs(args.out_dir, exist_ok=True)
+    make_output_dir(args.out_dir)
     v_path = os.path.join(args.out_dir, "v.json")
     g_path = os.path.join(args.out_dir, "g.json")
     v_json, g_json = matrix_to_json(rep.v), matrix_to_json(rep.g)
@@ -314,8 +315,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = args.run(args)
-    except (InputFormatError, PreconditionError, KernelNotFinitelyGenerated,
-            SingularMatrixError, ValueError) as exc:
+    except (InputFormatError, OutputPathError, PreconditionError,
+            KernelNotFinitelyGenerated, SingularMatrixError,
+            ValueError) as exc:
         return _fail(args, exc, 2)
     except InternalCheckError as exc:
         return _fail(args, exc, 3)

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import linalg
 from .factor import causal_factor, constant_matrix, static_factor
-from .latency import InternalCheckError, latency_kernel
+from .latency import (InternalCheckError, KernelNotFinitelyGenerated,
+                      latency_kernel)
 from .polymatrix import (poly_module_contains, reachability_indices,
                          right_coprime_fraction)
 from .rational import Poly, RatFun
@@ -63,13 +64,24 @@ class StaticFeedbackResult:
 
 def static_feedback_realizable(f: TransferMatrix,
                                l: TransferMatrix) -> StaticFeedbackResult:
-    """Whether l^-1 = L + g*f for static L and causal g; construct or refute."""
+    """Whether l^-1 = L + g*f for static L and causal g; construct or refute.
+
+    The latency kernel of f, built once, is both the injectivity test (it
+    refuses a map of deficient column rank) and the kernel causal_factor
+    reads.
+    """
     _require(f.order() >= 1, "plant must be strictly causal")
-    _require(f.rank() == f.cols, "plant must be injective")
+    kernel = None
+    if not f.is_zero:  # smith_at_infinity refuses the zero map on its own
+        try:
+            kernel = latency_kernel(f)
+        except KernelNotFinitelyGenerated:
+            pass
+    _require(kernel is not None, "plant must be injective")
     _require(l.classify().bicausal, "precompensator must be bicausal")
     l_inv = l.inverse()
     static_part, strict = l_inv.static_strict_split()
-    outcome = causal_factor(f, strict)
+    outcome = causal_factor(f, strict, kernel=kernel)
     if not outcome.decision:
         return StaticFeedbackResult(False, witness=outcome.witness)
     g = outcome.g

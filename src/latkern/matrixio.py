@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -21,6 +22,10 @@ from .transfer import TransferMatrix
 
 class InputFormatError(ValueError):
     """Malformed matrix file or coefficient string."""
+
+
+class OutputPathError(ValueError):
+    """An output file or directory that cannot be written."""
 
 
 # The denominator takes no sign, as in Fraction's own string syntax.
@@ -148,10 +153,23 @@ def load_constant_matrix(path: str):
 
 
 def dump_matrix_json(obj: dict, path: str):
-    """Write a matrix_to_json dict to path in one write."""
+    """Write a matrix_to_json dict to path in one write; OutputPathError
+    if path cannot be written."""
     text = json.dumps(obj, indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise OutputPathError(f"cannot write {path}: {exc}") from exc
+
+
+def make_output_dir(path: str):
+    """Create the directory path if missing; OutputPathError if it cannot
+    be created (a file of that name, a read-only parent)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OutputPathError(f"cannot write {path}: {exc}") from exc
 
 
 def dump_matrix(m: TransferMatrix, path: str):

@@ -1,5 +1,5 @@
 """Polynomial matrices over K[z]: Hermite elimination, GCRD, column
-reduction, and right coprime fractions.
+reduction, right coprime fractions, and reachability indices.
 
 A right coprime fraction v = N * P^-1 with P column-reduced exposes the
 reachability structure of a rational map: the column degrees of P are its
@@ -10,6 +10,12 @@ Hermite elimination and column reduction replay their unimodular
 transformations and inverses from one record (linalg.RowOps), so the
 fraction is read off u^-1 and certified by a rank over Q and polynomial
 products: no determinant is computed and no matrix is inverted over Q(z).
+
+The reachability indices alone need no fraction.  With v = abar / d they
+are the controllability indices of multiplication by z on (Q[z]/d)^p with
+input abar, counted by one incremental elimination over Q on the Krylov
+columns z^i * abar * e_j mod d; the minimal basis of the module that the
+elimination yields is their certificate.
 """
 
 from __future__ import annotations
@@ -197,6 +203,17 @@ def column_reduce_poly(p: PolyMatrix):
             PolyMatrix(zip(*ops.inverse())))
 
 
+def _over_common_denominator(v: TransferMatrix):
+    """(abar, d): v = abar / d with d the monic lcm of the entry
+    denominators and abar polynomial."""
+    d = Poly.one()
+    for row in v.entries:
+        for e in row:
+            d = poly_lcm(d, e.den)
+    return (PolyMatrix([[e.num * (d // e.den) for e in row]
+                        for row in v.entries]), d)
+
+
 @dataclass(frozen=True)
 class CoprimeFraction:
     """v = num * den^-1 with right coprime factors and column-reduced den."""
@@ -222,12 +239,8 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
     denominator generates the module of polynomial inputs whose image
     under v is polynomial.
     """
-    d = Poly.one()
-    for row in v.entries:
-        for e in row:
-            d = poly_lcm(d, e.den)
+    abar, d = _over_common_denominator(v)
     m = v.cols
-    abar = PolyMatrix([[e.num * (d // e.den) for e in row] for row in v.entries])
     _, u, u_inv = hermite_gcrd(abar, PolyMatrix.scalar_diag(d, m))
     fraction = [row[:m] for row in u_inv.entries]
     den, w, w_inv = column_reduce_poly(PolyMatrix(fraction[v.rows:]))
@@ -242,11 +255,90 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
     return CoprimeFraction(num, den, den.column_degrees())
 
 
+def krylov_kernel_basis(abar: PolyMatrix, d: Poly):
+    """Minimal basis of M = {u in Q[z]^m : abar * u = 0 mod d}; uncertified.
+
+    Returns (degrees, k) with k an m x m PolyMatrix whose column j lies in
+    M and has degree degrees[j].  The columns z^i * abar * e_j mod d, as
+    vectors over Q of p * deg d coefficients, enter one incremental
+    elimination i by i.  Once z^i * abar * e_j depends on the columns
+    before it, so does every later power of z on e_j (multiply the
+    dependence by z), and column j leaves with degrees[j] = i; the
+    dependence, read as polynomials, is column j of k, with a unit
+    coefficient on z^i e_j.  The degrees are the controllability indices
+    of multiplication by z on (Q[z]/d)^p with input abar, and by the
+    predictable-degree property the column degrees of any minimal basis
+    of M (Kailath 1980, sections 6.3-6.4).
+    """
+    n = d.degree
+    tail = d.coeffs[:n]  # d is monic: z^n = -sum_i tail[i] z^i mod d
+    m = abar.cols
+    residues = {}
+    for j in range(m):
+        vec = []
+        for row in abar.entries:
+            c = (row[j] % d).coeffs
+            vec += c + (Fraction(0),) * (n - len(c))
+        residues[j] = vec
+    basis = []  # (pivot, vector with 1 at the pivot, {(i, j): coefficient})
+    degrees, kernel = [0] * m, [None] * m
+    i = 0
+    while residues:
+        for j in list(residues):
+            x, comb = residues[j], {}
+            for piv, w, wcomb in basis:
+                a = x[piv]
+                if a:
+                    x = [xe - a * we if we else xe for xe, we in zip(x, w)]
+                    for label, c in wcomb.items():
+                        comb[label] = comb.get(label, 0) + a * c
+            # x = z^i abar e_j - sum comb[label] * (column label)
+            piv = next((t for t, xe in enumerate(x) if xe), None)
+            if piv is None:
+                coeffs = [[Fraction(0)] * (i + 1) for _ in range(m)]
+                coeffs[j][i] = Fraction(1)
+                for (ii, jj), c in comb.items():
+                    coeffs[jj][ii] -= c
+                degrees[j], kernel[j] = i, [Poly(c) for c in coeffs]
+                del residues[j]
+                continue
+            a = x[piv]
+            wcomb = {label: -c / a for label, c in comb.items()}
+            wcomb[i, j] = 1 / a
+            basis.append((piv, [xe / a for xe in x], wcomb))
+        for j, vec in residues.items():
+            shifted = []
+            for b in range(0, len(vec), n):
+                top = vec[b + n - 1]
+                shifted += [(vec[b + t - 1] if t else 0) - top * tail[t]
+                            for t in range(n)]
+            residues[j] = shifted
+        i += 1
+    return degrees, PolyMatrix(zip(*kernel))
+
+
 def reachability_indices(v: TransferMatrix):
-    """(indices sorted nonincreasing, minimal state dimension)."""
-    frac = right_coprime_fraction(v)
-    indices = tuple(sorted(frac.column_degrees, reverse=True))
-    return indices, frac.state_dimension
+    """(indices sorted nonincreasing, minimal state dimension).
+
+    The indices are the column degrees of a minimal basis k of the module
+    M of polynomial inputs u with v * u polynomial, read off exact ranks
+    over Q by krylov_kernel_basis; no coprime fraction is built.  Three
+    checks certify k: abar * k = 0 mod d in polynomial arithmetic (k lies
+    in M), a high-coefficient matrix of rank m (k is column-reduced), and
+    column degrees equal to the indices.  A column-reduced k in M with
+    those degrees spans, in each degree, as much of M as the ranks count,
+    so it generates M.
+    """
+    abar, d = _over_common_denominator(v)
+    degrees, k = krylov_kernel_basis(abar, d)
+    if any(not (e % d).is_zero for row in (abar * k).entries for e in row):
+        raise InternalCheckError("reachability basis leaves the module")
+    if linalg.rank(k.high_coefficient_matrix()) != v.cols:
+        raise InternalCheckError("reachability basis is not column-reduced")
+    if k.column_degrees() != tuple(degrees):
+        raise InternalCheckError("reachability basis degrees differ from "
+                                 "the Krylov ranks")
+    return tuple(sorted(degrees, reverse=True)), sum(degrees)
 
 
 def polynomial_kernel_module(f: TransferMatrix) -> PolyMatrix:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 # Order of the zero element.  Finite orders are plain ints.
 ORD_INF = math.inf
@@ -625,6 +626,32 @@ class RatFun:
         g = math.gcd(common, *ints)
         pad = [0] * max(t0 - start, 0)
         return pad + [x // g for x in ints], common // g
+
+    def laurent_ints_from(self, recip, start: int,
+                          horizon: int) -> tuple[list[int], int]:
+        """laurent_ints(start, horizon) by an integer convolution.
+
+        recip = (r, s) is RatFun(1, self.den).laurent_ints(deg den, h) for
+        some h >= horizon + deg num: the coefficient of z^-(deg den + k) in
+        1/den is r[k] / s.  With num = (n/d) * sum_j p_j z^j (p primitive),
+        the coefficient of z^-t is n * sum_j p_j r[t + j - deg den] / (d s),
+        and one gcd brings the window to the lowest terms laurent_ints
+        returns.  One expansion of 1/den then serves every entry over den.
+        """
+        r, s = recip
+        num = self.num
+        p, dd = num._p, self.den.degree
+        ints = []
+        for t in range(start, horizon + 1):
+            lo = max(dd - t, 0)  # r starts at index deg den
+            ints.append(sum(map(mul, p[lo:], r[t + lo - dd:t + len(p) - dd])))
+        if num._n != 1:
+            ints = [num._n * x for x in ints]
+        scale = num._d * s
+        g = math.gcd(scale, *ints)
+        if g == 1:
+            return ints, scale
+        return [x // g for x in ints], scale // g
 
     def plus_part(self) -> Poly:
         """Truncation to indices t <= 0: the polynomial part, constant included."""

@@ -1,11 +1,14 @@
 """Truncated-series matrices: the convolution simulation harness.
 
 This is the independent cross-check path: transfer matrices are expanded
-entrywise, each entry in one integer pass (`RatFun.laurent_ints`), into
-truncated series and composed by convolution and recursive series
-inversion only.  Each entry is held as one integer sequence over one
-denominator, so neither the expansion nor a product builds a Fraction;
-coefficient matrices over Q are built only when they are read.
+into truncated series by integer recurrences and composed by convolution
+and recursive series inversion only.  An entry with a denominator of its
+own is expanded in one integer pass (`RatFun.laurent_ints`); 1/den of a
+denominator that several entries share is expanded once, and each of
+those entries is an integer convolution of its numerator with it.  Each
+entry is held as one integer sequence over one denominator, so neither
+the expansion nor a product builds a Fraction; coefficient matrices over
+Q are built only when they are read.
 Agreement with the exact rational arithmetic on a window is the
 acceptance-level consistency test, and the `simulate` CLI subcommand runs
 inputs through it.  The `realize` subcommand checks l = (I + g f)^-1 v by
@@ -20,7 +23,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .rational import ORD_INF
+from .rational import ORD_INF, RatFun
 from .transfer import TransferMatrix
 
 DEFAULT_HORIZON = 40
@@ -97,15 +100,36 @@ class SeriesMatrix:
     def from_transfer(cls, f: TransferMatrix, horizon: int) -> SeriesMatrix:
         """The expansion of f from min(order, 0) to horizon.
 
-        Each entry comes from `RatFun.laurent_ints` over its least common
-        denominator, the same pair as `_over_lcm(laurent_window(...))`,
-        with no Fraction built.
+        Each entry is the pair `RatFun.laurent_ints` returns, its window
+        over the least common denominator, and no Fraction is built.  A
+        denominator held by one entry is expanded with the entry.  For a
+        denominator that two or more entries share, 1/den is expanded once
+        by `laurent_ints`, from index deg den to the horizon plus the
+        largest numerator degree among them, and each such entry's window
+        is an integer convolution of its numerator with that reciprocal
+        (`RatFun.laurent_ints_from`).
         """
         order = f.order()
         start = 0 if order == ORD_INF else min(order, 0)
-        return cls._make(start, horizon, f.rows, f.cols,
-                         [[e.laurent_ints(start, horizon) for e in row]
-                          for row in f.entries])
+        by_den = {}
+        for row in f.entries:
+            for e in row:
+                if not e.is_zero:
+                    by_den.setdefault(e.den, []).append(e.num.degree)
+        recips = {den: RatFun(1, den).laurent_ints(den.degree,
+                                                   horizon + max(degs))
+                  for den, degs in by_den.items() if len(degs) > 1}
+        entries = []
+        for row in f.entries:
+            out = []
+            for e in row:
+                recip = recips.get(e.den)
+                if recip is None or e.is_zero:
+                    out.append(e.laurent_ints(start, horizon))
+                else:
+                    out.append(e.laurent_ints_from(recip, start, horizon))
+            entries.append(out)
+        return cls._make(start, horizon, f.rows, f.cols, entries)
 
     def coeff(self, t: int):
         if t > self.horizon:

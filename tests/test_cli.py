@@ -247,6 +247,35 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert "at most 1000" in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    # An output path that cannot be written is a usage error, not a "no":
+    # exit 2 with the {command, error} diagnostic, and no traceback.
+    f = write(tmp_path / "f.json", TransferMatrix.scalar(z(-2)))
+    l = write(tmp_path / "l.json",
+              TransferMatrix.scalar(RatFun(Poly([0, 1]), Poly([1, 1]))))
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"rows": 1, "cols": 1, "entries": [["0"]]}))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"rows": 1, "cols": 1, "entries": [["1"]]}))
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    blocked = tmp_path / "blocked"
+    (blocked / "v.json").mkdir(parents=True)
+    missing = str(tmp_path / "missing" / "out.json")
+    cases = [(["realize", f, l, "--out-dir", f], f),
+             (["realize", f, l, "--out-dir", str(blocked)],
+              str(blocked / "v.json")),
+             (["worstcase", f, "--out", missing], missing),
+             (["statespace", a, b, "--out", missing], missing)]
+    for argv, path in cases:
+        assert main(["--json"] + argv) == 2
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["command"] == argv[0]
+        assert diag["error"].startswith(f"cannot write {path}: ")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {path}: ")
+
+
 def test_json_reports_deterministic(tmp_path, capsys):
     f = write(tmp_path / "f.json", TransferMatrix.diag([z(-1), z(-3)]))
     assert main(["--json", "latency", f]) == 0

@@ -101,6 +101,52 @@ def test_static_feedback_examples():
     assert res2.witness == (z(2),)
 
 
+def test_static_feedback_refuses_non_injective_plants():
+    # Injectivity is decided by the latency kernel, in the same order of
+    # checks as before: strictly causal plant, injective plant, bicausal l.
+    l = TransferMatrix.identity(2)
+    flat = TransferMatrix([[z(-1), z(-1)], [z(-1), z(-1)]])
+    for f in (flat, TransferMatrix.zero(2, 2), TransferMatrix.zero(3, 2)):
+        with pytest.raises(PreconditionError, match="plant must be injective"):
+            static_feedback_realizable(f, l)
+        with pytest.raises(PreconditionError, match="plant must be injective"):
+            static_feedback_realizable(f, TransferMatrix.scalar(z(-1)))
+    with pytest.raises(PreconditionError, match="strictly causal"):
+        static_feedback_realizable(TransferMatrix([[1, 1], [1, 1]]), l)
+    with pytest.raises(PreconditionError, match="bicausal"):
+        static_feedback_realizable(TransferMatrix.diag([z(-1), z(-2)]),
+                                   TransferMatrix.diag([z(-1), z(-1)]))
+
+
+def test_static_feedback_builds_one_smith_form(monkeypatch):
+    # The kernel that tests injectivity is the one the factor reads: one
+    # Smith form per call, and no rank over Q(z).
+    import latkern.latency
+    from latkern import transfer
+
+    calls = []
+    smith = latkern.latency.smith_at_infinity
+
+    def counting(f):
+        calls.append(f)
+        return smith(f)
+
+    def refuse(self):
+        raise RuntimeError("TransferMatrix.rank called")
+
+    monkeypatch.setattr(latkern.latency, "smith_at_infinity", counting)
+    monkeypatch.setattr(transfer.TransferMatrix, "rank", refuse)
+    rng = random.Random(73)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    gain = TransferMatrix.from_constant([[1, 2, 0], [0, 1, -1]])
+    l_yes = (TransferMatrix.identity(2) + gain * f).inverse()
+    res = static_feedback_realizable(f, l_yes)
+    assert res.realizable and res.g * f == gain * f and len(calls) == 1
+    res = static_feedback_realizable(f, TransferMatrix.diag([z(1) / (z(1) + 1),
+                                                             1]))
+    assert not res.realizable and len(calls) == 2
+
+
 def test_nonlatent_plants_realize_everything():
     rng = random.Random(72)
     for _ in range(15):

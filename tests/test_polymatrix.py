@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latkern import linalg, polymatrix
+from latkern import feedback, linalg, polymatrix
 from latkern.cli import main
 from latkern.feedback import vg_representation
 from latkern.matrixio import dump_matrix
@@ -244,22 +244,94 @@ def _corrupt_gcrd_inverse(monkeypatch):
     monkeypatch.setattr(polymatrix, "hermite_gcrd", corrupted)
 
 
-def test_corrupt_gcrd_inverse_is_caught(tmp_path, capsys, monkeypatch):
-    v = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
-                        [RatFun.const(2), z(-2)]])
-    _corrupt_gcrd_inverse(monkeypatch)
-    with pytest.raises(InternalCheckError):
-        right_coprime_fraction(v)
+_V = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                     [RatFun.const(2), z(-2)]])
+
+
+def _realize_files(tmp_path):
     f = tmp_path / "f.json"
     l = tmp_path / "l.json"
     dump_matrix(TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]]),
                 str(f))
     dump_matrix(TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
                                 [RatFun.const(2), RatFun.const(1)]]), str(l))
-    assert main(["--json", "realize", str(f), str(l),
-                 "--out-dir", str(tmp_path / "out")]) == 3
+    return ["--json", "realize", str(f), str(l),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def test_corrupt_gcrd_inverse_is_caught(tmp_path, capsys, monkeypatch):
+    # realize reads its indices off Krylov ranks, so the corrupted
+    # fraction no longer reaches it.
+    _corrupt_gcrd_inverse(monkeypatch)
+    with pytest.raises(InternalCheckError):
+        right_coprime_fraction(_V)
+    assert main(_realize_files(tmp_path)) == 0
+    capsys.readouterr()
+
+
+def _corrupt_krylov_basis(monkeypatch, how):
+    real = polymatrix.krylov_kernel_basis
+
+    def corrupted(abar, d):
+        degrees, k = real(abar, d)
+        degrees, cols = list(degrees), [list(c) for c in zip(*k.entries)]
+        if how == "entry":
+            cols[0][0] = cols[0][0] + Poly.one()
+        elif how == "duplicate":
+            cols[1], degrees[1] = cols[0], degrees[0]
+        else:
+            degrees[0] += 1
+        return degrees, PolyMatrix(zip(*cols))
+
+    monkeypatch.setattr(polymatrix, "krylov_kernel_basis", corrupted)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("entry", "reachability basis leaves the module"),
+    ("duplicate", "reachability basis is not column-reduced"),
+    ("degree", "reachability basis degrees differ from the Krylov ranks")])
+def test_corrupt_krylov_basis_is_caught(tmp_path, capsys, monkeypatch, how,
+                                        message):
+    _corrupt_krylov_basis(monkeypatch, how)
+    with pytest.raises(InternalCheckError, match=message):
+        reachability_indices(_V)
+    assert main(_realize_files(tmp_path)) == 3
     assert json.loads(capsys.readouterr().out) == {
-        "command": "realize", "error": "extracted fraction is not coprime"}
+        "command": "realize", "error": message}
+
+
+def _fraction_indices(v):
+    frac = right_coprime_fraction(v)
+    return tuple(sorted(frac.column_degrees, reverse=True)), \
+        frac.state_dimension
+
+
+def test_krylov_indices_match_coprime_fraction_on_seeded_plants():
+    rng = random.Random(67)
+    cases = [TransferMatrix.zero(2, 3), TransferMatrix.identity(3)]
+    cases += [rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 2)
+              for _ in range(15)]
+    for m in (1, 2, 3, 3):
+        f, _ = rand_strictly_causal_injective(rng, m + rng.randint(0, 1), m,
+                                              max_nu=2, max_deg=1)
+        cases += [f, vg_representation(f, rand_bicausal(rng, m, 2)).v]
+    for v in cases:
+        assert reachability_indices(v) == _fraction_indices(v)
+
+
+def test_realize_builds_no_coprime_fraction(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("coprime fraction built")
+
+    for module in (polymatrix, feedback):
+        monkeypatch.setattr(module, "right_coprime_fraction", refuse)
+    monkeypatch.setattr(polymatrix, "hermite_gcrd", refuse)
+    monkeypatch.setattr(polymatrix, "column_reduce_poly", refuse)
+    f = TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]])
+    l = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                        [RatFun.const(2), RatFun.const(1)]])
+    rep = vg_representation(f, l)
+    assert rep.sigma == reachability_indices(rep.v)[0] == (2, 0)
 
 
 polys = st.lists(st.one_of(st.integers(-3, 3).map(Fraction),
@@ -289,3 +361,22 @@ def test_column_reduction_predictable_degree(data):
                 for row in rows]
     with pytest.raises(ValueError, match="singular"):
         column_reduce_poly(PolyMatrix(singular))
+
+
+@st.composite
+def shared_den_matrices(draw):
+    """p x m maps whose entries share one or two denominators."""
+    p, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dens = draw(st.lists(polys.filter(lambda q: not q.is_zero),
+                         min_size=1, max_size=2))
+    return TransferMatrix([[RatFun(draw(polys), draw(st.sampled_from(dens)))
+                            for _ in range(m)] for _ in range(p)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(shared_den_matrices(),
+                 st.integers(1, 3).map(TransferMatrix.identity),
+                 st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+                     lambda s: TransferMatrix.zero(*s))))
+def test_krylov_indices_match_coprime_fraction(v):
+    assert reachability_indices(v) == _fraction_indices(v)

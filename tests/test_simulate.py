@@ -79,6 +79,57 @@ def test_from_transfer_window_matches_sympy_series():
                     assert s.coeff(t)[i][j] == Fraction(str(ser.coeff(w, t)))
 
 
+small_polys = st.lists(rationals, max_size=4).map(Poly)
+
+
+@st.composite
+def shared_den_matrices(draw):
+    """p x m maps whose nonzero entries share at most two denominators.
+
+    About a fifth of the entries are zero.  A numerator may outrank its
+    denominator (a negative start), and a denominator z^k with k up to 8
+    starts entries after short horizons.
+    """
+    p, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dens = draw(st.lists(st.one_of(small_polys.filter(lambda q: not q.is_zero),
+                                   st.integers(0, 8).map(Poly.z)),
+                         min_size=1, max_size=2))
+    return TransferMatrix([[RatFun.const(0) if draw(st.integers(0, 4)) == 0
+                            else RatFun(draw(small_polys),
+                                        draw(st.sampled_from(dens)))
+                            for _ in range(m)] for _ in range(p)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_den_matrices(), st.integers(0, 12))
+def test_from_transfer_matches_entrywise_expansion(f, horizon):
+    # Entries over a shared denominator are convolutions with one
+    # expansion of 1/den; each must be the pair laurent_ints gives.
+    s = SeriesMatrix.from_transfer(f, horizon)
+    assert s.start == (0 if f.is_zero else min(f.order(), 0))
+    assert s._entries == [[e.laurent_ints(s.start, horizon) for e in row]
+                          for row in f.entries]
+
+
+def test_from_transfer_expands_each_shared_denominator_once(monkeypatch):
+    calls = []
+    ints = RatFun.laurent_ints
+
+    def counting(self, start, horizon):
+        calls.append(self)
+        return ints(self, start, horizon)
+
+    # Three entries over (z + 1)^2, one over its own denominator.
+    d1 = Poly([1, 2, 1])
+    f = TransferMatrix([[RatFun(Poly([1, 0, 1, 1]), d1), RatFun(1, d1)],
+                        [RatFun(Poly([5, 0, 2]), d1),
+                         RatFun(Poly([2]), Poly([-1, 0, 3]))]])
+    monkeypatch.setattr(RatFun, "laurent_ints", counting)
+    s = SeriesMatrix.from_transfer(f, 9)
+    assert calls == [RatFun(1, d1), f.entry(1, 1)]
+    assert s._entries == [[ints(e, -1, 9) for e in row] for row in f.entries]
+
+
 def test_series_product_window():
     f = TransferMatrix.scalar(z(-1))
     g = TransferMatrix.scalar(RatFun(Poly([1]), Poly([-1, 1])))

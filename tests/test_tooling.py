@@ -83,9 +83,10 @@ def test_certificate_holds_under_python_O(tmp_path):
     # reconstruction check against corrupted image coordinates, the factor
     # and post-equivalence reconstruction checks against a corrupted b1^-1
     # as in test_factor, the coprime-fraction certificates against a corrupted
-    # u^-1 as in test_polymatrix, and the realize cross-check against a v
-    # moved by one coefficient as in test_cli, in an interpreter that
-    # strips assert statements.
+    # u^-1 and the reachability-basis certificate against a corrupted K as
+    # in test_polymatrix, and the realize cross-check against a v moved by
+    # one coefficient as in test_cli, in an interpreter that strips assert
+    # statements.
     script = (
         "import dataclasses, sys\n"
         "import latkern.cli\n"
@@ -153,6 +154,20 @@ def test_certificate_holds_under_python_O(tmp_path):
         "else:\n"
         "    sys.exit('no InternalCheckError under -O')\n"
         "latkern.polymatrix.hermite_gcrd = gcrd\n"
+        "krylov = latkern.polymatrix.krylov_kernel_basis\n"
+        "def corrupted_krylov(abar, d):\n"
+        "    degrees, k = krylov(abar, d)\n"
+        "    rows = [list(row) for row in k.entries]\n"
+        "    rows[0][0] = rows[0][0] + Poly.one()\n"
+        "    return degrees, PolyMatrix(rows)\n"
+        "latkern.polymatrix.krylov_kernel_basis = corrupted_krylov\n"
+        "try:\n"
+        "    latkern.polymatrix.reachability_indices(l * f)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "latkern.polymatrix.krylov_kernel_basis = krylov\n"
         "from latkern.feedback import vg_representation\n"
         "from latkern.matrixio import dump_matrix\n"
         "latkern.latency.smith_at_infinity = smith_at_infinity\n"
@@ -175,7 +190,7 @@ def test_certificate_holds_under_python_O(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     (optimize, precondition, coordinates, reconstruction, left, coprime,
-     *realize) = proc.stdout.splitlines()
+     krylov, *realize) = proc.stdout.splitlines()
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
     assert coordinates == "causal factor reconstruction failed"
@@ -183,6 +198,7 @@ def test_certificate_holds_under_python_O(tmp_path):
     assert left == "constructed left factor does not map f1 to f2"
     assert coprime in ("extracted fraction is not coprime",
                        "row transformation is not unimodular")
+    assert krylov == "reachability basis leaves the module"
     assert proc.stderr.splitlines()[-1] == "3"
     assert json.loads("\n".join(realize)) == {
         "command": "realize", "error": "simulation cross-check failed"}
