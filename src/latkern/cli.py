@@ -23,10 +23,11 @@ from .feedback import (PreconditionError, StateSpace, from_state_space,
                        vg_representation, worst_case_precompensator)
 from .latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                       latency_kernel)
-from .matrixio import (InputFormatError, OutputPathError,
-                       constant_matrix_to_json, dump_matrix, dump_matrix_json,
-                       entry_to_json, load_constant_matrix, load_matrix,
-                       make_output_dir, matrix_from_json, matrix_to_json)
+from .matrixio import (InputFormatError, OutputPathError, check_output_dir,
+                       check_output_file, constant_matrix_to_json,
+                       dump_matrix, dump_matrix_json, entry_to_json,
+                       load_constant_matrix, load_matrix, make_output_dir,
+                       matrix_from_json, matrix_to_json)
 from .rational import ORD_INF
 from .simulate import (SeriesMatrix, check_horizon, simulate_response,
                        verification_horizon)
@@ -115,6 +116,7 @@ def cmd_equiv(args):
 
 def cmd_realize(args):
     horizon = verification_horizon()
+    check_output_dir(args.out_dir, ("v.json", "g.json"))
     f = load_matrix(args.f)
     l = load_matrix(args.l)
     rep = vg_representation(f, l)
@@ -146,6 +148,8 @@ def cmd_realize(args):
 
 
 def cmd_worstcase(args):
+    if args.out:
+        check_output_file(args.out)
     f = load_matrix(args.matrix)
     l = worst_case_precompensator(f)
     if args.out:
@@ -171,6 +175,8 @@ def cmd_expand(args):
 
 
 def cmd_statespace(args):
+    if args.out:
+        check_output_file(args.out)
     a = load_constant_matrix(args.a)
     b = load_constant_matrix(args.b)
     c = load_constant_matrix(args.c) if args.c else None

@@ -29,6 +29,24 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
                   kernel: LatencyKernel | None = None) -> FactorOutcome:
     """Decide h = g*f with g causal; construct g or a witness input.
 
+    The decision and the construction are construct_causal_factor's; this
+    adds the certificate g * f == h on the yes-branch ("causal factor
+    reconstruction failed").  Callers that certify an identity implying
+    g * f == h themselves (vg_representation, static_feedback_realizable)
+    call construct_causal_factor instead, so the product runs once.
+    """
+    outcome = construct_causal_factor(f, h, kernel)
+    if outcome.decision and outcome.g * f != h:
+        raise InternalCheckError("causal factor reconstruction failed")
+    return outcome
+
+
+def construct_causal_factor(f: TransferMatrix, h: TransferMatrix,
+                            kernel: LatencyKernel | None = None
+                            ) -> FactorOutcome:
+    """The decision of causal_factor and its g or witness, without the
+    certificate g * f == h, which the caller checks or implies.
+
     f must be injective; h may be any finite-order map with the same input
     dimension.  The decision is containment of f's latency kernel in h's,
     tested by properness of h applied to each kernel basis column.  On
@@ -40,8 +58,9 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
     unit columns that complete the image (SmithAtInfinity.image_complement).
     The images h * d of the generator columns, which the containment test
     computes and finds proper, are its input.  g is causal because h * d
-    is and image_coordinates, rows of b1^-1[:m, :], is (b1 is bicausal).
-    No matrix of size p is inverted, and nothing is column-reduced.
+    is and image_coordinates, rows of b1^-1[:m, :], is (b1 is bicausal);
+    an order below 0 raises InternalCheckError.  No matrix of size p is
+    inverted, and nothing is column-reduced.
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")
@@ -57,8 +76,6 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
         images.append(image)
 
     g = k.left_factor(TransferMatrix.from_columns(images))
-    if g * f != h:
-        raise InternalCheckError("causal factor reconstruction failed")
     if g.order() < 0:
         raise InternalCheckError("constructed factor is not causal")
     return FactorOutcome(True, g=g)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .factor import causal_factor, constant_matrix, static_factor
+from .factor import (constant_matrix, construct_causal_factor,
+                     static_factor)
 from .latency import (InternalCheckError, KernelNotFinitelyGenerated,
                       latency_kernel)
 from .polymatrix import (poly_module_contains, reachability_indices,
@@ -67,8 +68,10 @@ def static_feedback_realizable(f: TransferMatrix,
     """Whether l^-1 = L + g*f for static L and causal g; construct or refute.
 
     The latency kernel of f, built once, is both the injectivity test (it
-    refuses a map of deficient column rank) and the kernel causal_factor
-    reads.
+    refuses a map of deficient column rank) and the kernel
+    construct_causal_factor reads.  l^-1 is L plus its strictly causal
+    part exactly, so the one certificate L + g*f == l^-1 is the identity
+    g*f == l^-1 - L that causal_factor would check: g*f is formed once.
     """
     _require(f.order() >= 1, "plant must be strictly causal")
     kernel = None
@@ -81,7 +84,7 @@ def static_feedback_realizable(f: TransferMatrix,
     _require(l.classify().bicausal, "precompensator must be bicausal")
     l_inv = l.inverse()
     static_part, strict = l_inv.static_strict_split()
-    outcome = causal_factor(f, strict, kernel=kernel)
+    outcome = construct_causal_factor(f, strict, kernel=kernel)
     if not outcome.decision:
         return StaticFeedbackResult(False, witness=outcome.witness)
     g = outcome.g
@@ -115,10 +118,15 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
     """Realize the precompensator l as feedback with a bicausal remainder.
 
     With D the strictly polynomial ordered proper kernel generator of f,
-    split l^-1 * D into its proper part N and the rest; then N * D^-1 is a
-    strictly causal map that factors causally over f, and v^-1 = l^-1 -
-    N*D^-1 is bicausal with reachability indices bounded by the latency
-    indices of f, componentwise after sorting.
+    split l^-1 * D into its proper part N and the rest; then phi = N * D^-1
+    is a strictly causal map that factors causally over f as rho * f, and
+    v^-1 = l^-1 - phi is bicausal with reachability indices bounded by the
+    latency indices of f, componentwise after sorting.  g = v * rho.
+
+    One certificate covers the construction: (I + g f) * l == v
+    (_check_realization).  With g = v * rho and v^-1 = l^-1 - phi it is
+    the identity rho * f == phi, so rho comes from construct_causal_factor
+    and that product is not formed a second time.
     """
     _require(f.order() >= 1, "plant must be strictly causal")
     _require(l.classify().bicausal, "precompensator must be bicausal")
@@ -135,7 +143,7 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
     v = v_inv.inverse()
     if not v.classify().bicausal:
         raise InternalCheckError("remainder is not bicausal")
-    outcome = causal_factor(f, phi, kernel=kernel)
+    outcome = construct_causal_factor(f, phi, kernel=kernel)
     if not outcome.decision:
         raise InternalCheckError("kernel containment for the correction "
                                  "term failed")

@@ -10,6 +10,7 @@ coefficient; constant matrices are read through the same parser.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -170,6 +171,49 @@ def make_output_dir(path: str):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise OutputPathError(f"cannot write {path}: {exc}") from exc
+
+
+def check_output_dir(path: str, names):
+    """OutputPathError now, creating nothing, if the directory path could
+    not receive the files names: path exists and is not a directory, the
+    nearest existing ancestor that make_output_dir would create under is
+    not a directory, or one of the names is a directory inside path.  Run
+    before the work, so a doomed run fails at once; the writes still
+    report what no check can foresee (permissions, a full disk)."""
+    if os.path.isdir(path):
+        for name in names:
+            target = os.path.join(path, name)
+            if os.path.isdir(target):
+                raise _unwritable(errno.EISDIR, target)
+    elif os.path.exists(path):
+        raise _unwritable(errno.EEXIST, path)
+    else:
+        first = path  # the first directory os.makedirs would create
+        while (parent := os.path.dirname(first)) and not os.path.exists(parent):
+            first = parent
+        if parent and not os.path.isdir(parent):
+            raise _unwritable(errno.ENOTDIR, path, first)
+
+
+def check_output_file(path: str):
+    """OutputPathError now, creating nothing, if the file path could not
+    be written: it is a directory, or its parent is missing or is not a
+    directory."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise _unwritable(errno.EISDIR, path)
+    if not os.path.exists(parent):
+        raise _unwritable(errno.ENOENT, path)
+    if not os.path.isdir(parent):
+        raise _unwritable(errno.ENOTDIR, path)
+
+
+def _unwritable(code: int, path: str, where: str | None = None
+                ) -> OutputPathError:
+    """The OutputPathError that writing path would raise, for this errno
+    on where (path itself by default)."""
+    exc = OSError(code, os.strerror(code), where or path)
+    return OutputPathError(f"cannot write {path}: {exc}")
 
 
 def dump_matrix(m: TransferMatrix, path: str):

@@ -13,13 +13,15 @@ products: no determinant is computed and no matrix is inverted over Q(z).
 
 The reachability indices alone need no fraction.  With v = abar / d they
 are the controllability indices of multiplication by z on (Q[z]/d)^p with
-input abar, counted by one incremental elimination over Q on the Krylov
-columns z^i * abar * e_j mod d; the minimal basis of the module that the
-elimination yields is their certificate.
+input abar, counted by one incremental elimination on the Krylov
+columns z^i * abar * e_j mod d.  It runs fraction-free on integer
+multiples of those columns and builds Fractions only for the minimal
+basis of the module that it yields, which is their certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -269,52 +271,81 @@ def krylov_kernel_basis(abar: PolyMatrix, d: Poly):
     of multiplication by z on (Q[z]/d)^p with input abar, and by the
     predictable-degree property the column degrees of any minimal basis
     of M (Kailath 1980, sections 6.3-6.4).
+
+    The elimination is fraction-free (Bareiss 1968).  With d = D / D[n]
+    for D primitive, each column is carried as an integer vector R, a
+    known rational multiple s of it, and z * R mod d is D[n] * shift(R) -
+    R[top] * D[:n].  A reduction x <- w[piv] * x - x[piv] * w works on the
+    vector and, alongside, on its integer coordinates over the carried
+    vectors, and divides both by their common content.  Every vector is a
+    scalar multiple of the one an elimination over Q would hold, so the
+    pivots and the dependencies are the same, and the coordinates of a
+    dependent column in the independent ones, being unique, give the same
+    k; Fractions are built only for k.
     """
     n = d.degree
-    tail = d.coeffs[:n]  # d is monic: z^n = -sum_i tail[i] z^i mod d
+    dp, lead = d.int_coeffs()  # d is monic: d = dp / lead, dp primitive
+    tail = dp[:n]
     m = abar.cols
-    residues = {}
+    residues = {}  # j -> (R, s): R = s * (z^i abar e_j mod d)
     for j in range(m):
+        rs = [(row[j] % d).int_coeffs() for row in abar.entries]
+        den = math.lcm(*(rd for _, rd in rs))
         vec = []
-        for row in abar.entries:
-            c = (row[j] % d).coeffs
-            vec += c + (Fraction(0),) * (n - len(c))
-        residues[j] = vec
-    basis = []  # (pivot, vector with 1 at the pivot, {(i, j): coefficient})
+        for ints, rd in rs:
+            vec += [x * (den // rd) for x in ints] + [0] * (n - len(ints))
+        residues[j] = _without_content(vec, Fraction(den))
+    basis = []  # (pivot, vector, {label: integer coordinate})
+    scales = {}  # label (i, j) -> s of the vector R it stands for
     degrees, kernel = [0] * m, [None] * m
     i = 0
     while residues:
         for j in list(residues):
-            x, comb = residues[j], {}
+            x, s = residues[j]
+            comb = {(i, j): 1}  # x = sum comb[label] * R(label)
             for piv, w, wcomb in basis:
                 a = x[piv]
                 if a:
-                    x = [xe - a * we if we else xe for xe, we in zip(x, w)]
-                    for label, c in wcomb.items():
-                        comb[label] = comb.get(label, 0) + a * c
-            # x = z^i abar e_j - sum comb[label] * (column label)
+                    b = w[piv]
+                    x = [b * xe - a * we for xe, we in zip(x, w)]
+                    comb = {label: b * comb.get(label, 0)
+                            - a * wcomb.get(label, 0)
+                            for label in comb.keys() | wcomb.keys()}
+                    g = math.gcd(*x, *comb.values())
+                    if g != 1:
+                        x = [xe // g for xe in x]
+                        comb = {label: c // g for label, c in comb.items()}
             piv = next((t for t, xe in enumerate(x) if xe), None)
-            if piv is None:
-                coeffs = [[Fraction(0)] * (i + 1) for _ in range(m)]
-                coeffs[j][i] = Fraction(1)
-                for (ii, jj), c in comb.items():
-                    coeffs[jj][ii] -= c
-                degrees[j], kernel[j] = i, [Poly(c) for c in coeffs]
-                del residues[j]
+            if piv is not None:
+                basis.append((piv, x, comb))
+                scales[i, j] = s
                 continue
-            a = x[piv]
-            wcomb = {label: -c / a for label, c in comb.items()}
-            wcomb[i, j] = 1 / a
-            basis.append((piv, [xe / a for xe in x], wcomb))
-        for j, vec in residues.items():
+            # sum comb[label] * s(label) * column(label) = 0
+            alpha = comb.pop((i, j)) * s
+            coeffs = [[Fraction(0)] * (i + 1) for _ in range(m)]
+            coeffs[j][i] = Fraction(1)
+            for (ii, jj), c in comb.items():
+                coeffs[jj][ii] = c * scales[ii, jj] / alpha
+            degrees[j], kernel[j] = i, [Poly(c) for c in coeffs]
+            del residues[j]
+        for j, (vec, s) in residues.items():
             shifted = []
             for b in range(0, len(vec), n):
                 top = vec[b + n - 1]
-                shifted += [(vec[b + t - 1] if t else 0) - top * tail[t]
+                shifted += [lead * (vec[b + t - 1] if t else 0) - top * tail[t]
                             for t in range(n)]
-            residues[j] = shifted
+            residues[j] = _without_content(shifted, s * lead)
         i += 1
     return degrees, PolyMatrix(zip(*kernel))
+
+
+def _without_content(vec: list, s: Fraction):
+    """(vec / g, s / g) for g the content of the integer list vec; s / g
+    is then the scale of the result when s was that of vec."""
+    g = math.gcd(*vec)
+    if g > 1:
+        return [x // g for x in vec], s / g
+    return vec, s
 
 
 def reachability_indices(v: TransferMatrix):

@@ -107,6 +107,11 @@ class Poly:
             _set_coeffs(self, cs)
         return cs
 
+    def int_coeffs(self) -> tuple[list[int], int]:
+        """(ints, den) with self = sum ints[i] z^i / den and den > 0, the
+        denominator of the content; no Fraction is built."""
+        return [self._n * x for x in self._p], self._d
+
     @classmethod
     def zero(cls) -> Poly:
         return _ZERO
@@ -484,8 +489,8 @@ class RatFun:
         else:
             _, p, q = _gcd_cofactors(num._p, den._p)
             num, den = _over_monic(num._n, num._d, p, den._n, den._d, q)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
@@ -494,8 +499,8 @@ class RatFun:
     def _raw(cls, num: Poly, den: Poly) -> RatFun:
         """Trusted constructor: caller guarantees canonical form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     @classmethod
@@ -798,6 +803,10 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self.num!r}, {self.den!r})"
+
+
+_set_num = RatFun.num.__set__
+_set_den = RatFun.den.__set__
 
 
 def _over_monic(n: int, d: int, p: tuple, dn: int, dd: int,

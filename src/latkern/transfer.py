@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 
 from . import linalg
 from .linalg import _echelon, _kernel_vector
@@ -251,8 +249,15 @@ class TransferMatrix:
 
 
 def _dot(xs, ys) -> RatFun:
-    """sum x * y over a nonempty pair of sequences, from the first term."""
-    return reduce(add, map(mul, xs, ys))
+    """sum x * y over a nonempty pair of sequences of RatFun, from the
+    first term.  Matrix entries are canonical RatFun, so the products and
+    sums skip operand coercion."""
+    pairs = zip(xs, ys)
+    x, y = next(pairs)
+    acc = x._mul_reduced(y.num, y.den)
+    for x, y in pairs:
+        acc = acc._add_reduced(x._mul_reduced(y.num, y.den), 1)
+    return acc
 
 
 def _total_degree(r: RatFun) -> int:

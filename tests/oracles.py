@@ -7,8 +7,10 @@ decision procedures, except reference_causal_factor and
 reference_left_factor, which keep earlier constructions of the causal and
 the bicausal left factor built from column reduction and one inversion,
 reference_latency_generator, which keeps the earlier kernel generator
-column-reduced from the Smith form, and reference_coprime_fraction, which
-keeps the earlier coprime fraction built by inverting the GCRD over Q(z).
+column-reduced from the Smith form, reference_coprime_fraction, which
+keeps the earlier coprime fraction built by inverting the GCRD over Q(z),
+and reference_krylov_kernel_basis, which keeps the earlier Krylov
+elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -362,3 +364,57 @@ def poly_matrix_from_transfer(t) -> PolyMatrix:
 def poly_matrix_det(p) -> Poly:
     """Determinant of a square polynomial matrix by the permutation sum."""
     return permutation_det(p.to_transfer().entries).num
+
+
+def reference_krylov_kernel_basis(abar: PolyMatrix, d: Poly):
+    """(degrees, k) as krylov_kernel_basis returns them, by the earlier
+    elimination over Q: the residues of z^i * abar * e_j mod d are Fraction
+    vectors, each basis vector is scaled to 1 at its pivot, and the
+    dependence of each column on the ones before it is carried as Fraction
+    coefficients.  The pivots and the dependencies are those of the
+    fraction-free elimination, so the two results are equal."""
+    n = d.degree
+    tail = d.coeffs[:n]  # d is monic: z^n = -sum_i tail[i] z^i mod d
+    m = abar.cols
+    residues = {}
+    for j in range(m):
+        vec = []
+        for row in abar.entries:
+            c = (row[j] % d).coeffs
+            vec += c + (Fraction(0),) * (n - len(c))
+        residues[j] = vec
+    basis = []  # (pivot, vector with 1 at the pivot, {(i, j): coefficient})
+    degrees, kernel = [0] * m, [None] * m
+    i = 0
+    while residues:
+        for j in list(residues):
+            x, comb = residues[j], {}
+            for piv, w, wcomb in basis:
+                a = x[piv]
+                if a:
+                    x = [xe - a * we if we else xe for xe, we in zip(x, w)]
+                    for label, c in wcomb.items():
+                        comb[label] = comb.get(label, 0) + a * c
+            # x = z^i abar e_j - sum comb[label] * (column label)
+            piv = next((t for t, xe in enumerate(x) if xe), None)
+            if piv is None:
+                coeffs = [[Fraction(0)] * (i + 1) for _ in range(m)]
+                coeffs[j][i] = Fraction(1)
+                for (ii, jj), c in comb.items():
+                    coeffs[jj][ii] -= c
+                degrees[j], kernel[j] = i, [Poly(c) for c in coeffs]
+                del residues[j]
+                continue
+            a = x[piv]
+            wcomb = {label: -c / a for label, c in comb.items()}
+            wcomb[i, j] = 1 / a
+            basis.append((piv, [xe / a for xe in x], wcomb))
+        for j, vec in residues.items():
+            shifted = []
+            for b in range(0, len(vec), n):
+                top = vec[b + n - 1]
+                shifted += [(vec[b + t - 1] if t else 0) - top * tail[t]
+                            for t in range(n)]
+            residues[j] = shifted
+        i += 1
+    return degrees, PolyMatrix(zip(*kernel))

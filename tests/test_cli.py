@@ -276,6 +276,60 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
             f"error: cannot write {path}: ")
 
 
+def test_unwritable_output_paths_fail_before_the_work(tmp_path, capsys,
+                                                      monkeypatch):
+    # The output paths are checked before any algebra and create nothing.
+    # With the checks off, the writes report the same diagnostics after
+    # the work; with them on, the same diagnostics come out although every
+    # construction is patched to raise.
+    f = write(tmp_path / "f.json", TransferMatrix.scalar(z(-2)))
+    l = write(tmp_path / "l.json",
+              TransferMatrix.scalar(RatFun(Poly([0, 1]), Poly([1, 1]))))
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"rows": 1, "cols": 1, "entries": [["0"]]}))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"rows": 1, "cols": 1, "entries": [["1"]]}))
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    blocked = tmp_path / "blocked"
+    (blocked / "g.json").mkdir(parents=True)
+    missing = str(tmp_path / "missing" / "out.json")
+    under_file = str(tmp_path / "f.json" / "out.json")
+    deep_under_file = str(tmp_path / "f.json" / "a" / "b")
+    cases = [["realize", f, l, "--out-dir", f],
+             ["realize", f, l, "--out-dir", deep_under_file],
+             ["realize", f, l, "--out-dir", str(blocked)],
+             ["worstcase", f, "--out", missing],
+             ["worstcase", f, "--out", under_file],
+             ["worstcase", f, "--out", str(blocked)],
+             ["statespace", a, b, "--out", missing]]
+
+    def diagnostics():
+        out = []
+        for argv in cases:
+            assert main(["--json"] + argv) == 2
+            out.append(json.loads(capsys.readouterr().out))
+        return out
+
+    with monkeypatch.context() as late:
+        late.setattr("latkern.cli.check_output_dir", lambda *args: None)
+        late.setattr("latkern.cli.check_output_file", lambda *args: None)
+        after_work = diagnostics()
+    for diag, path in zip(after_work, [f, deep_under_file,
+                                       str(blocked / "g.json"), missing,
+                                       under_file, str(blocked), missing]):
+        assert diag["error"].startswith(f"cannot write {path}: ")
+
+    def refuse(*args):
+        raise RuntimeError("the work ran before the output path check")
+
+    for name in ("vg_representation", "worst_case_precompensator",
+                 "from_state_space"):
+        monkeypatch.setattr(f"latkern.cli.{name}", refuse)
+    made = sorted(tmp_path.rglob("*"))
+    assert diagnostics() == after_work
+    assert sorted(tmp_path.rglob("*")) == made
+
+
 def test_json_reports_deterministic(tmp_path, capsys):
     f = write(tmp_path / "f.json", TransferMatrix.diag([z(-1), z(-3)]))
     assert main(["--json", "latency", f]) == 0

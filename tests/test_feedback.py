@@ -147,6 +147,42 @@ def test_static_feedback_builds_one_smith_form(monkeypatch):
     assert not res.realizable and len(calls) == 2
 
 
+def test_feedback_constructions_never_call_causal_factor(monkeypatch):
+    # Each construction certifies one identity that implies g * f == h for
+    # the factor it builds: (I + g f) l == v in vg_representation and
+    # L + g f == l^-1 in static_feedback_realizable.  So neither calls the
+    # certified causal_factor: patched to raise wherever a latkern module
+    # binds it, the results stay the same.
+    import sys
+
+    rng = random.Random(76)
+    cases = []
+    for m, p in ((1, 1), (2, 2), (2, 3)):
+        f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2, max_deg=1)
+        gain = TransferMatrix.from_constant(
+            [[rng.randint(-2, 2) for _ in range(p)] for _ in range(m)])
+        l_yes = (TransferMatrix.identity(m) + gain * f).inverse()
+        cases.append((f, rand_bicausal(rng, m, 2), l_yes))
+
+    def results():
+        return [(vg_representation(f, l), static_feedback_realizable(f, l),
+                 static_feedback_realizable(f, l_yes))
+                for f, l, l_yes in cases]
+
+    expected = results()
+    assert all(yes.realizable for _, _, yes in expected)
+    assert not all(res.realizable for _, res, _ in expected)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("causal_factor called")
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "latkern" or name.startswith("latkern."))
+                and hasattr(module, "causal_factor")):
+            monkeypatch.setattr(module, "causal_factor", refuse)
+    assert results() == expected
+
+
 def test_nonlatent_plants_realize_everything():
     rng = random.Random(72)
     for _ in range(15):
@@ -223,15 +259,16 @@ def test_realization_identity_rejects_perturbations(monkeypatch):
         with pytest.raises(InternalCheckError,
                            match="realization identity failed"):
             feedback._check_realization(loop, v, l)
-    # End to end: a feedback term off by a strictly causal map perturbs
-    # the loop inside vg_representation.
-    exact = feedback.causal_factor
+    # End to end: a factor rho of the correction term off by a strictly
+    # causal map, where vg_representation builds it, perturbs the loop;
+    # the realization identity is the only check of rho * f == phi.
+    exact = feedback.construct_causal_factor
 
     def off(f, h, kernel=None):
         outcome = exact(f, h, kernel=kernel)
         return replace(outcome, g=bump(outcome.g))
 
-    monkeypatch.setattr(feedback, "causal_factor", off)
+    monkeypatch.setattr(feedback, "construct_causal_factor", off)
     with pytest.raises(InternalCheckError, match="realization identity failed"):
         vg_representation(f, l)
 

@@ -13,12 +13,13 @@ from latkern.cli import main
 from latkern.feedback import vg_representation
 from latkern.matrixio import dump_matrix
 from latkern.polymatrix import (PolyMatrix, column_reduce_poly, hermite_gcrd,
-                                poly_module_contains,
+                                krylov_kernel_basis, poly_module_contains,
                                 polynomial_kernel_module,
                                 reachability_indices, right_coprime_fraction)
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
-from oracles import poly_matrix_det, reference_coprime_fraction
+from oracles import (poly_matrix_det, reference_coprime_fraction,
+                     reference_krylov_kernel_basis)
 
 from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,
                  rand_strictly_causal_injective)
@@ -306,6 +307,14 @@ def _fraction_indices(v):
         frac.state_dimension
 
 
+def _krylov_matches_reference(v):
+    # The fraction-free elimination and the elimination over Fractions
+    # give the same degrees and the same basis, entry for entry.
+    abar, d = polymatrix._over_common_denominator(v)
+    assert krylov_kernel_basis(abar, d) == reference_krylov_kernel_basis(abar,
+                                                                         d)
+
+
 def test_krylov_indices_match_coprime_fraction_on_seeded_plants():
     rng = random.Random(67)
     cases = [TransferMatrix.zero(2, 3), TransferMatrix.identity(3)]
@@ -317,6 +326,7 @@ def test_krylov_indices_match_coprime_fraction_on_seeded_plants():
         cases += [f, vg_representation(f, rand_bicausal(rng, m, 2)).v]
     for v in cases:
         assert reachability_indices(v) == _fraction_indices(v)
+        _krylov_matches_reference(v)
 
 
 def test_realize_builds_no_coprime_fraction(monkeypatch):
@@ -380,3 +390,4 @@ def shared_den_matrices(draw):
                      lambda s: TransferMatrix.zero(*s))))
 def test_krylov_indices_match_coprime_fraction(v):
     assert reachability_indices(v) == _fraction_indices(v)
+    _krylov_matches_reference(v)

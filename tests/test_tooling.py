@@ -84,9 +84,10 @@ def test_certificate_holds_under_python_O(tmp_path):
     # and post-equivalence reconstruction checks against a corrupted b1^-1
     # as in test_factor, the coprime-fraction certificates against a corrupted
     # u^-1 and the reachability-basis certificate against a corrupted K as
-    # in test_polymatrix, and the realize cross-check against a v moved by
-    # one coefficient as in test_cli, in an interpreter that strips assert
-    # statements.
+    # in test_polymatrix, the realization identity (the one check of
+    # rho * f == phi) against a perturbed rho as in test_feedback, and the
+    # realize cross-check against a v moved by one coefficient as in
+    # test_cli, in an interpreter that strips assert statements.
     script = (
         "import dataclasses, sys\n"
         "import latkern.cli\n"
@@ -168,6 +169,7 @@ def test_certificate_holds_under_python_O(tmp_path):
         "else:\n"
         "    sys.exit('no InternalCheckError under -O')\n"
         "latkern.polymatrix.krylov_kernel_basis = krylov\n"
+        "import latkern.feedback\n"
         "from latkern.feedback import vg_representation\n"
         "from latkern.matrixio import dump_matrix\n"
         "latkern.latency.smith_at_infinity = smith_at_infinity\n"
@@ -175,6 +177,20 @@ def test_certificate_holds_under_python_O(tmp_path):
         "f = TransferMatrix([[z(-1), z(-2)], [0, z(-3)]])\n"
         "l = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],\n"
         "                    [2, 1]])\n"
+        "construct = latkern.feedback.construct_causal_factor\n"
+        "def off_rho(f, h, kernel=None):\n"
+        "    outcome = construct(f, h, kernel=kernel)\n"
+        "    rows = [list(row) for row in outcome.g.entries]\n"
+        "    rows[0][0] = rows[0][0] + z(-3)\n"
+        "    return dataclasses.replace(outcome, g=TransferMatrix(rows))\n"
+        "latkern.feedback.construct_causal_factor = off_rho\n"
+        "try:\n"
+        "    vg_representation(f, l)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "latkern.feedback.construct_causal_factor = construct\n"
         "true = vg_representation(f, l)\n"
         "bump = TransferMatrix([[0, 0], [3 * z(-1), 0]])\n"
         "wrong = dataclasses.replace(true, v=true.v + bump)\n"
@@ -190,7 +206,7 @@ def test_certificate_holds_under_python_O(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     (optimize, precondition, coordinates, reconstruction, left, coprime,
-     krylov, *realize) = proc.stdout.splitlines()
+     krylov, rho, *realize) = proc.stdout.splitlines()
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
     assert coordinates == "causal factor reconstruction failed"
@@ -199,6 +215,7 @@ def test_certificate_holds_under_python_O(tmp_path):
     assert coprime in ("extracted fraction is not coprime",
                        "row transformation is not unimodular")
     assert krylov == "reachability basis leaves the module"
+    assert rho == "realization identity failed"
     assert proc.stderr.splitlines()[-1] == "3"
     assert json.loads("\n".join(realize)) == {
         "command": "realize", "error": "simulation cross-check failed"}
