@@ -17,7 +17,6 @@ import json
 import os
 import sys
 
-from . import linalg
 from .factor import causal_factor, constant_matrix, static_factor
 from .feedback import (PreconditionError, StateSpace, from_state_space,
                        vg_representation, worst_case_precompensator)
@@ -28,10 +27,10 @@ from .matrixio import (InputFormatError, OutputPathError, check_output_dir,
                        dump_matrix, dump_matrix_json, entry_to_json,
                        load_constant_matrix, load_matrix, make_output_dir,
                        matrix_from_json, matrix_to_json)
+from .polymatrix import product_agrees_on_window
 from .rational import ORD_INF
-from .simulate import (SeriesMatrix, check_horizon, simulate_response,
-                       verification_horizon)
-from .transfer import InternalCheckError, SingularMatrixError
+from .simulate import check_horizon, simulate_response, verification_horizon
+from .transfer import InternalCheckError, SingularMatrixError, TransferMatrix
 
 
 def _fmt_order(o):
@@ -120,14 +119,13 @@ def cmd_realize(args):
     f = load_matrix(args.f)
     l = load_matrix(args.l)
     rep = vg_representation(f, l)
-    loop_s = SeriesMatrix.from_transfer(rep.loop, horizon)
     # l = (I + g f)^-1 v on [0, H] iff (I + g f) l = v there, because
     # I + g f is a unit among causal series: causal with constant term I.
-    if loop_s.start != 0 or loop_s.coeff(0) != linalg.eye(f.cols):
+    # Decided on polynomial numerators: no series is expanded.
+    if (rep.loop - TransferMatrix.identity(f.cols)).order() < 1:
         raise InternalCheckError("simulation cross-check failed: I + g f "
                                  "is not a causal unit")
-    product = loop_s * SeriesMatrix.from_transfer(l, horizon)
-    if not product.agrees_with(SeriesMatrix.from_transfer(rep.v, horizon)):
+    if not product_agrees_on_window(rep.loop, l, rep.v, horizon):
         raise InternalCheckError("simulation cross-check failed")
     make_output_dir(args.out_dir)
     v_path = os.path.join(args.out_dir, "v.json")

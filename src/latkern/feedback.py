@@ -280,6 +280,7 @@ class StaticStateFeedbackResult:
     static_part: tuple | None = None
     gain: tuple | None = None
     detail: str = ""
+    witness: tuple | None = None  # on no: u with l^-1 u not polynomial
 
 
 def static_state_feedback_test(ss: StateSpace,
@@ -289,7 +290,8 @@ def static_state_feedback_test(ss: StateSpace,
     Two independent routes must agree: (a) l^-1 maps the polynomial kernel
     module of f into polynomials; (b) the polynomial kernel module of f is
     contained in that of the strictly causal part of l^-1.  On yes the
-    static gain is recovered by exact linear solving.
+    static gain is recovered by exact linear solving; on no, the witness
+    is the first generator u of the module of f with l^-1 u not polynomial.
     """
     # f = (zI - A)^-1 B, and (zI - A)^-1 is invertible, so f is injective
     # exactly when B has full column rank over Q.
@@ -302,8 +304,9 @@ def static_state_feedback_test(ss: StateSpace,
     l_inv = l.inverse()
     static_part, strict = l_inv.static_strict_split()
 
-    mapped = l_inv * p_f.to_transfer()
-    test_direct = all(e.is_polynomial for row in mapped.entries for e in row)
+    escaping = [u for u in p_f.to_transfer().columns()
+                if not all(e.is_polynomial for e in l_inv.apply(u))]
+    test_direct = not escaping
     p_h = right_coprime_fraction(strict).den
     test_containment = poly_module_contains(p_h, p_f)
     if test_direct != test_containment:
@@ -312,7 +315,7 @@ def static_state_feedback_test(ss: StateSpace,
     if not test_direct:
         return StaticStateFeedbackResult(
             False, detail="compensator moves the restricted kernel out of "
-                          "the polynomials")
+                          "the polynomials", witness=escaping[0])
     gain_matrix = static_factor(f, strict)
     if gain_matrix is None:
         raise InternalCheckError("static factor missing despite a positive "

@@ -1,5 +1,6 @@
 """Polynomial matrices over K[z]: Hermite elimination, GCRD, column
-reduction, right coprime fractions, and reachability indices.
+reduction, right coprime fractions, reachability indices, and products
+compared on a window of Laurent coefficients by numerator degrees.
 
 A right coprime fraction v = N * P^-1 with P column-reduced exposes the
 reachability structure of a rational map: the column degrees of P are its
@@ -214,6 +215,25 @@ def _over_common_denominator(v: TransferMatrix):
             d = poly_lcm(d, e.den)
     return (PolyMatrix([[e.num * (d // e.den) for e in row]
                         for row in v.entries]), d)
+
+
+def product_agrees_on_window(a: TransferMatrix, b: TransferMatrix,
+                             c: TransferMatrix, horizon: int) -> bool:
+    """Whether a * b and c have equal Laurent coefficients at z^-t for
+    every t <= horizon, decided on numerators with no series expanded.
+
+    With a = A / da, b = B / db and c = C / dc over monic denominators,
+    a * b - c = X / (da db dc) for X = (A B) dc - C (da db), and an entry
+    x != 0 of X starts at z^-(deg(da db dc) - deg x).
+    """
+    if (a.rows, b.cols) != (c.rows, c.cols):
+        return False
+    (na, da), (nb, db), (nc, dc) = map(_over_common_denominator, (a, b, c))
+    dab = da * db
+    bound = dab.degree + dc.degree - horizon
+    return all((x := ab * dc - ce * dab).is_zero or x.degree < bound
+               for ab_row, c_row in zip((na * nb).entries, nc.entries)
+               for ab, ce in zip(ab_row, c_row))
 
 
 @dataclass(frozen=True)

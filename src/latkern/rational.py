@@ -590,9 +590,9 @@ class RatFun:
         the lcm L of the denominators it reads and reduces
         (a_k L - sum b_i M_(k-i) L/D_(k-i)) / (b_0 L) with one gcd; the
         content is applied once, at the end.  Carrying powers of b_0
-        instead would skip the gcds, but at m = 5 the b_0 of an entry of
-        I + g f has over 400 bits while the reduced D_k grow by about 100
-        bits a step.
+        instead would skip the gcds, but large leads are common: at m = 5
+        the b_0 of an entry of a realization's I + g f has over 400 bits,
+        while the reduced D_k grow by about 100 bits a step.
         """
         if horizon < start:
             return [], 1

@@ -11,8 +11,7 @@ the expansion nor a product builds a Fraction; coefficient matrices over
 Q are built only when they are read.
 Agreement with the exact rational arithmetic on a window is the
 acceptance-level consistency test, and the `simulate` CLI subcommand runs
-inputs through it.  The `realize` subcommand checks l = (I + g f)^-1 v by
-the product (I + g f) l = v, not by inverting a series.
+inputs through it.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ class SeriesMatrix:
     Each entry is stored as one integer sequence over one positive integer
     denominator: `_entries[r][c] = (nums, den)` gives the coefficient
     nums[t - start] / den at index t.  The scale is not reduced, so equal
-    values may be stored over different denominators; `agrees_with`
-    compares by cross-multiplying.  `coeff(t)` builds the Fraction matrix
+    values may be stored over different denominators, and two series are
+    compared by cross-multiplying.  `coeff(t)` builds the Fraction matrix
     at t on first use and caches it.
     """
 
@@ -203,31 +202,11 @@ class SeriesMatrix:
                                    for c in range(n)) for r in range(n)))
         return SeriesMatrix(0, out, self.horizon, n, n)
 
-    def agrees_with(self, other: SeriesMatrix) -> bool:
-        """Coefficientwise equality on the common window."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        lo = min(self.start, other.start)
-        hi = min(self.horizon, other.horizon)
-        for arow, brow in zip(self._entries, other._entries):
-            for (a, da), (b, db) in zip(arow, brow):
-                a = _window(a, self.start, lo, hi)
-                b = _window(b, other.start, lo, hi)
-                if [x * db for x in a] != [y * da for y in b]:
-                    return False
-        return True
-
 
 def _over_lcm(fracs) -> tuple[list[int], int]:
     """(integers, denominator): the Fractions over the lcm of theirs."""
     den = math.lcm(*(x.denominator for x in fracs))
     return [x.numerator * (den // x.denominator) for x in fracs], den
-
-
-def _window(seq, start: int, lo: int, hi: int) -> list[int]:
-    """Entries of seq (first index start >= lo) at indices lo..hi, zeros
-    before start."""
-    return ([0] * (start - lo) + seq)[:hi - lo + 1]
 
 
 def simulate_response(f: TransferMatrix, u, horizon: int):

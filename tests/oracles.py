@@ -9,8 +9,9 @@ the bicausal left factor built from column reduction and one inversion,
 reference_latency_generator, which keeps the earlier kernel generator
 column-reduced from the Smith form, reference_coprime_fraction, which
 keeps the earlier coprime fraction built by inverting the GCRD over Q(z),
-and reference_krylov_kernel_basis, which keeps the earlier Krylov
-elimination over Fractions.
+reference_krylov_kernel_basis, which keeps the earlier Krylov
+elimination over Fractions, and reference_window_agrees, which keeps the
+earlier series route of the realize cross-check.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from latkern.polymatrix import (CoprimeFraction, PolyMatrix,
                                 column_reduce_poly, hermite_gcrd)
 from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import ORD_INF, Poly, RatFun, poly_lcm
+from latkern.simulate import SeriesMatrix
 from latkern.transfer import TransferMatrix
 
 
@@ -139,6 +141,35 @@ def series_product_coeff(a, a_start, b, b_start, t):
                 for k in range(inner):
                     out[r][c] += Fraction(ai[r][k]) * Fraction(b[j][k][c])
     return tuple(tuple(row) for row in out)
+
+
+def agrees_with(a: SeriesMatrix, b: SeriesMatrix) -> bool:
+    """Coefficientwise equality of two series on their common window,
+    from the earlier start to the earlier horizon.  Each entry is an
+    integer sequence over its own denominator, so entries are compared by
+    cross-multiplying; a series is zero before its start."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        return False
+    lo = min(a.start, b.start)
+    hi = min(a.horizon, b.horizon)
+    for arow, brow in zip(a._entries, b._entries):
+        for (x, dx), (y, dy) in zip(arow, brow):
+            x = ([0] * (a.start - lo) + x)[:hi - lo + 1]
+            y = ([0] * (b.start - lo) + y)[:hi - lo + 1]
+            if [e * dy for e in x] != [e * dx for e in y]:
+                return False
+    return True
+
+
+def reference_window_agrees(a, b, c, horizon: int) -> bool:
+    """polymatrix.product_agrees_on_window by the series route: a, b and c
+    expanded to the horizon by SeriesMatrix.from_transfer, a convolved
+    with b, and the product compared with c on the common window.  The
+    product is known only up to horizon + min(start of a, start of b), so
+    the two routes decide the same proposition when a and b are causal."""
+    product = (SeriesMatrix.from_transfer(a, horizon)
+               * SeriesMatrix.from_transfer(b, horizon))
+    return agrees_with(product, SeriesMatrix.from_transfer(c, horizon))
 
 
 def add_dicts(a, b):

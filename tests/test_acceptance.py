@@ -17,8 +17,8 @@ from latkern.properbasis import (column_order, column_reduce_at_infinity,
 from latkern.rational import ORD_INF, RatFun
 from latkern.simulate import SeriesMatrix
 from latkern.transfer import TransferMatrix
-from oracles import (add_dicts, convolve_dicts, expansion_oracle,
-                     image_is_proper, minor_order_table)
+from oracles import (add_dicts, agrees_with, convolve_dicts,
+                     expansion_oracle, image_is_proper, minor_order_table)
 
 from gen import (rand_bicausal, rand_full_rank_matrix, rand_matrix,
                  rand_nonzero_matrix, rand_ratfun, rand_state_pair,
@@ -206,7 +206,7 @@ def test_criterion_8_feedback_realization_pipeline():
         lhs = SeriesMatrix.from_transfer(l, 30)
         rhs = (SeriesMatrix.from_transfer(loop, 30).inverse()
                * SeriesMatrix.from_transfer(rep.v, 30))
-        ok &= lhs.agrees_with(rhs)
+        ok &= agrees_with(lhs, rhs)
     report("feedback realization pipeline (50 pairs, simulated to 30)", ok)
 
 

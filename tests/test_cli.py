@@ -139,11 +139,12 @@ def test_realize_command_writes_files(tmp_path, capsys):
     assert v.classify().bicausal and g.classify().causal
 
 
-@pytest.mark.parametrize("t", [1, 6])
+@pytest.mark.parametrize("t", [1, 6, 7])
 def test_realize_cross_check_catches_perturbed_v(tmp_path, capsys,
                                                  monkeypatch, t):
     # The true realization with v moved by 3 z^-t at the window's first
-    # strictly causal index and at its last one, the horizon.
+    # strictly causal index and at its last one, the horizon, is refused;
+    # moved just beyond the horizon, it passes the window check.
     import dataclasses
 
     from latkern.feedback import vg_representation
@@ -167,10 +168,55 @@ def test_realize_cross_check_catches_perturbed_v(tmp_path, capsys,
     wrong = dataclasses.replace(true, v=true.v + bump)
     monkeypatch.setattr("latkern.cli.vg_representation",
                         lambda f, l: wrong)
-    assert main(["--json", "realize", f, l, "--out-dir", out]) == 3
+    code = 0 if t > 6 else 3
+    assert main(["--json", "realize", f, l, "--out-dir", out]) == code
     diag = json.loads(capsys.readouterr().out)
-    assert diag == {"command": "realize",
-                    "error": "simulation cross-check failed"}
+    if code:
+        assert diag == {"command": "realize",
+                        "error": "simulation cross-check failed"}
+
+
+def test_realize_cross_check_needs_a_causal_unit(tmp_path, capsys,
+                                                 monkeypatch):
+    # A loop with a z term, or with constant term other than I, is
+    # refused before the window is compared.
+    import dataclasses
+
+    from latkern.feedback import vg_representation
+
+    f_m = TransferMatrix.scalar(z(-2))
+    l_m = TransferMatrix.scalar(RatFun(Poly([0, 1]), Poly([1, 1])))
+    true = vg_representation(f_m, l_m)
+    f = write(tmp_path / "f.json", f_m)
+    l = write(tmp_path / "l.json", l_m)
+    for loop in (true.loop + TransferMatrix.scalar(z(1)), true.loop * 2):
+        wrong = dataclasses.replace(true, loop=loop)
+        monkeypatch.setattr("latkern.cli.vg_representation",
+                            lambda f, l: wrong)
+        assert main(["--json", "realize", f, l,
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "realize", "error": "simulation cross-check failed: "
+                                           "I + g f is not a causal unit"}
+
+
+def test_realize_expands_no_series(tmp_path, capsys, monkeypatch):
+    # The cross-check decides its window on polynomial numerators.
+    from latkern.simulate import SeriesMatrix
+
+    def refuse(*args):
+        raise RuntimeError("a series was expanded")
+
+    monkeypatch.setattr(SeriesMatrix, "from_transfer", refuse)
+    monkeypatch.setattr(RatFun, "laurent_ints", refuse)
+    f = write(tmp_path / "f.json",
+              TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]]))
+    l = write(tmp_path / "l.json",
+              TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                              [RatFun.const(2), RatFun.const(1)]]))
+    assert main(["--json", "realize", f, l,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["exit_status"] == 0
 
 
 def test_worstcase_and_expand_and_simulate(tmp_path, capsys):

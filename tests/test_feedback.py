@@ -20,6 +20,7 @@ from latkern.transfer import InternalCheckError, TransferMatrix
 
 from gen import (rand_bicausal, rand_matrix, rand_state_pair,
                  rand_strictly_causal_injective)
+from oracles import agrees_with
 
 z = RatFun.zpow
 
@@ -58,7 +59,7 @@ def test_closed_loop_with_precompensation_simulates():
     rhs = (SeriesMatrix.from_transfer(
         TransferMatrix.scalar(RatFun(Poly([1]), Poly([1, 1]))), 20)
         * SeriesMatrix.from_transfer(l_pr, 20))
-    assert lhs.agrees_with(rhs)
+    assert agrees_with(lhs, rhs)
 
 
 def test_closed_loop_rejects_bad_arguments():
@@ -323,7 +324,7 @@ def test_static_state_feedback_examples():
     l_yes = TransferMatrix.scalar(
         RatFun(Poly([1, 0, 1]), Poly([0, 0, 1]))).inverse()
     res = static_state_feedback_test(ss, l_yes)
-    assert res.realizable
+    assert res.realizable and res.witness is None
     assert res.gain == ((1, 0),)
 
     res_id = static_state_feedback_test(ss, TransferMatrix.identity(1))
@@ -333,6 +334,28 @@ def test_static_state_feedback_examples():
         RatFun(Poly([1, 0, 0, 1]), Poly([0, 0, 0, 1]))).inverse()
     res_no = static_state_feedback_test(ss, l_no)
     assert not res_no.realizable
+
+
+def test_static_state_feedback_no_carries_a_witness():
+    # The witness u is a generator of the polynomial inputs with
+    # polynomial state response, and one product shows l^-1 u is not
+    # polynomial.
+    ss = StateSpace(a=((0, 1), (0, 0)), b=((0,), (1,)))
+    l_no = TransferMatrix.scalar(
+        RatFun(Poly([1, 0, 0, 1]), Poly([0, 0, 0, 1]))).inverse()
+    cases = [(ss, l_no)]
+    rng = random.Random(77)
+    while len(cases) < 6:
+        n = rng.randint(2, 3)
+        a, b = rand_state_pair(rng, n, 2)
+        cases.append((StateSpace(a, b), rand_bicausal(rng, 2, 2)))
+    for ss, l in cases:
+        res = static_state_feedback_test(ss, l)
+        assert not res.realizable
+        u = list(res.witness)
+        assert all(e.is_polynomial for e in u)
+        assert all(e.is_polynomial for e in from_state_space(ss).apply(u))
+        assert not all(e.is_polynomial for e in l.inverse().apply(u))
 
 
 def test_static_state_feedback_refuses_dependent_inputs():

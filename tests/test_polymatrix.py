@@ -15,14 +15,15 @@ from latkern.matrixio import dump_matrix
 from latkern.polymatrix import (PolyMatrix, column_reduce_poly, hermite_gcrd,
                                 krylov_kernel_basis, poly_module_contains,
                                 polynomial_kernel_module,
+                                product_agrees_on_window,
                                 reachability_indices, right_coprime_fraction)
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import (poly_matrix_det, reference_coprime_fraction,
-                     reference_krylov_kernel_basis)
+                     reference_krylov_kernel_basis, reference_window_agrees)
 
 from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,
-                 rand_strictly_causal_injective)
+                 rand_ratfun, rand_strictly_causal_injective, rationals)
 
 z = RatFun.zpow
 
@@ -391,3 +392,32 @@ def shared_den_matrices(draw):
 def test_krylov_indices_match_coprime_fraction(v):
     assert reachability_indices(v) == _fraction_indices(v)
     _krylov_matches_reference(v)
+
+
+def _strictly_causal(rng, m):
+    """m x m with general denominators: random entries shifted to order
+    at least 1."""
+    rows = [[rand_ratfun(rng, 2) for _ in range(m)] for _ in range(m)]
+    return TransferMatrix([[e if e.is_zero else e * z(-max(1 - e.order(), 0))
+                            for e in row] for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1),
+       st.data())
+def test_window_check_matches_the_series_route(m, horizon, seed, data):
+    # loop = I + (strictly causal), l bicausal and v = loop l; then v is
+    # moved by c z^-t inside the window, beyond it, or not at all.
+    rng = random.Random(seed)
+    loop = TransferMatrix.identity(m) + _strictly_causal(rng, m)
+    l = rand_bicausal(rng, m, 2) + _strictly_causal(rng, m)
+    v = loop * l
+    t = data.draw(st.one_of(st.none(), st.integers(-1, horizon + 3)))
+    if t is not None:
+        bump = [[RatFun.const(0)] * m for _ in range(m)]
+        r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        bump[r][c] = data.draw(rationals.filter(bool)) * z(-t)
+        v = v + TransferMatrix(bump)
+    agrees = t is None or t > horizon
+    assert product_agrees_on_window(loop, l, v, horizon) == agrees
+    assert reference_window_agrees(loop, l, v, horizon) == agrees
