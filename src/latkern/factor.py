@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .latency import InternalCheckError, LatencyKernel, latency_kernel
+from .latency import InternalCheckError, LatencyKernel, build_latency_kernel
 from .rational import ORD_INF, Poly, RatFun, poly_lcm
 from .transfer import TransferMatrix
 
@@ -29,11 +29,11 @@ def causal_factor(f: TransferMatrix, h: TransferMatrix,
                   kernel: LatencyKernel | None = None) -> FactorOutcome:
     """Decide h = g*f with g causal; construct g or a witness input.
 
-    The decision and the construction are construct_causal_factor's; this
-    adds the certificate g * f == h on the yes-branch ("causal factor
-    reconstruction failed").  Callers that certify an identity implying
-    g * f == h themselves (vg_representation, static_feedback_realizable)
-    call construct_causal_factor instead, so the product runs once.
+    The decision, the construction and the check of a no's witness are
+    construct_causal_factor's; this adds the certificate g * f == h on the
+    yes-branch ("causal factor reconstruction failed").  Callers that
+    certify an identity implying g * f == h themselves (vg_representation,
+    static_feedback_realizable) call construct_causal_factor instead.
     """
     outcome = construct_causal_factor(f, h, kernel)
     if outcome.decision and outcome.g * f != h:
@@ -50,8 +50,9 @@ def construct_causal_factor(f: TransferMatrix, h: TransferMatrix,
     f must be injective; h may be any finite-order map with the same input
     dimension.  The decision is containment of f's latency kernel in h's,
     tested by properness of h applied to each kernel basis column.  On
-    failure the returned witness u has f(u) proper of order 0 while h(u)
-    is improper.
+    failure the witness u = z^s d, s the order of f(d), has f(u) proper
+    of order 0; h(u) = z^s h(d) is checked improper, so the witness holds
+    whatever kernel d came from (built uncertified if not passed in).
 
     The yes-branch reads g off the kernel's Smith form f = b1*delta*b2
     (LatencyKernel.left_factor): g is h on the image of f and zero on the
@@ -64,12 +65,14 @@ def construct_causal_factor(f: TransferMatrix, h: TransferMatrix,
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")
-    k = kernel if kernel is not None else latency_kernel(f)
+    k = kernel if kernel is not None else build_latency_kernel(f)
     images = []
     for d in k.generator.columns():
         image = h.apply(d)
         if not all(e.is_causal for e in image):
             shift = min(e.order() for e in f.apply(d) if not e.is_zero)
+            if min(e.order() for e in image) >= shift:
+                raise InternalCheckError("factor witness does not refute")
             scale = RatFun.zpow(shift)
             witness = tuple(scale * e for e in d)
             return FactorOutcome(False, witness=witness)

@@ -31,8 +31,8 @@ class LatencyKernel:
     generator          m x m nonsingular, columns ordered by nondecreasing
                        order; generator^-1 is strictly causal for strictly
                        causal f.
-    generator_inv      generator^-1, certified by generator * generator_inv
-                       == I.
+    generator_inv      generator^-1; certify_latency_kernel checks
+                       generator * generator_inv == I.
     orders             column orders of generator (nondecreasing): -sigma
                        in the order perm.
     indices            latency indices nu_i = -order_i - 1, nonincreasing.
@@ -122,8 +122,8 @@ class LatencyKernel:
         return g - (excess * block_inv) * TransferMatrix(e[m:])
 
 
-def latency_kernel(f: TransferMatrix) -> LatencyKernel:
-    """Compute the latency kernel of an injective map.
+def build_latency_kernel(f: TransferMatrix) -> LatencyKernel:
+    """The latency kernel of an injective map, uncertified.
 
     Route: Smith form at infinity f = b1 * delta * b2, so an input u has a
     proper response exactly when b2*u lands in diag(z^sigma) * Omega^-;
@@ -132,16 +132,19 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
     i of b2^-1's constant term: raw is already a proper basis, and the
     ordered generator d is raw with its columns sorted by (-sigma_i, i).
     The Smith form carries b2^-1, so d^-1 is diag(z^-sigma) * b2 with its
-    rows sorted the same way, a product, not an inversion.  Two checks
-    certify d: d * d^-1 == I, and its leads, at orders -sigma, have rank m.
+    rows sorted the same way, a product, not an inversion.  A rank below
+    m is refused only once the Smith form reassembles f; nothing else is
+    checked here (certify_latency_kernel does).
     """
     m = f.cols
     smith = smith_at_infinity(f)
-    if len(smith.sigma) < m:
+    sigma = smith.sigma
+    if len(sigma) < m:
+        if smith.reassemble() != f:
+            raise InternalCheckError("Smith form does not reassemble the map")
         raise KernelNotFinitelyGenerated(
             "latency kernel is not finitely generated: map has rank "
-            f"{len(smith.sigma)} < {m} (not injective)")
-    sigma = smith.sigma
+            f"{len(sigma)} < {m} (not injective)")
     perm = tuple(sorted(range(m), key=lambda i: (-sigma[i], i)))
     # d = b2^-1 * diag(z^sigma) and d^-1 = diag(z^-sigma) * b2, each built
     # by scaling columns or rows, taken in the order perm.
@@ -150,22 +153,37 @@ def latency_kernel(f: TransferMatrix) -> LatencyKernel:
     b2 = smith.b2.entries
     d_inv = TransferMatrix([[e * RatFun.zpow(-sigma[i]) for e in b2[i]]
                             for i in perm])
-    if d * d_inv != TransferMatrix.identity(m):
-        raise InternalCheckError("kernel generator times its carried inverse "
-                                 "is not the identity")
-    orders, leads = leading_data(d.columns())
-    if orders != [-sigma[i] for i in perm] or linalg.rank(leads) != m:
-        raise InternalCheckError("kernel generator is not a proper basis: "
-                                 "b2^-1 is not bicausal")
     return LatencyKernel(
         generator=d,
         generator_inv=d_inv,
-        orders=tuple(orders),
-        indices=tuple(-o - 1 for o in orders),
+        orders=tuple(-sigma[i] for i in perm),
+        indices=tuple(sigma[i] - 1 for i in perm),
         strictly_causal_input=f.order() >= 1,
         smith=smith,
         perm=perm,
     )
+
+
+def certify_latency_kernel(k: LatencyKernel,
+                           f: TransferMatrix) -> LatencyKernel:
+    """Return k = build_latency_kernel(f) once three checks hold, in order:
+    d * d^-1 == I; d's leads at k.orders have rank m (d is a proper basis);
+    and k's Smith form reassembles f."""
+    if k.generator * k.generator_inv != TransferMatrix.identity(f.cols):
+        raise InternalCheckError("kernel generator times its carried inverse "
+                                 "is not the identity")
+    orders, leads = leading_data(k.generator.columns())
+    if tuple(orders) != k.orders or linalg.rank(leads) != f.cols:
+        raise InternalCheckError("kernel generator is not a proper basis: "
+                                 "b2^-1 is not bicausal")
+    if k.smith.reassemble() != f:
+        raise InternalCheckError("Smith form does not reassemble the map")
+    return k
+
+
+def latency_kernel(f: TransferMatrix) -> LatencyKernel:
+    """build_latency_kernel(f), checked by certify_latency_kernel."""
+    return certify_latency_kernel(build_latency_kernel(f), f)
 
 
 def strictly_polynomial_basis(d: TransferMatrix,
@@ -239,10 +257,10 @@ class EquivalenceResult:
 
 
 def _kernel_of_injective(f: TransferMatrix, name: str) -> LatencyKernel:
-    """latency_kernel(f), refusing a map of deficient column rank by name."""
+    """build_latency_kernel(f), naming a map of deficient column rank."""
     if not f.is_zero:  # smith_at_infinity refuses the zero map on its own
         try:
-            return latency_kernel(f)
+            return build_latency_kernel(f)
         except KernelNotFinitelyGenerated:
             pass
     raise KernelNotFinitelyGenerated(
@@ -267,6 +285,11 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
     and the unit columns completing f1's image to those completing f2's.
     left_factor reads that target on f1's generator d1: f2 * d1 (post),
     or f2 * d2, since f2 * l_pr^-1 * d1 = f2 * d2 (two_sided).
+
+    Kernels are built uncertified; each answer is certified instead: a yes
+    by bicausal l (and l_pr) with l * f1 * l_pr == f2; a post no by its
+    witness u, sent to a causal vector by one map and not by the other,
+    which no bicausal l allows; a two-sided no by certifying both kernels.
     """
     if (f1.rows, f1.cols) != (f2.rows, f2.cols):
         raise ValueError("equivalence needs equal shapes")
@@ -281,21 +304,25 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
     k1 = _kernel_of_injective(f1, "first map")
     k2 = _kernel_of_injective(f2, "second map")
     if mode == "post":
-        fwd = _ratio_containment(k1.generator_inv * k2.generator)
-        if not fwd.contains:
-            u = k2.generator.column(fwd.witness[1])
-            return EquivalenceResult(
-                False, "post", witness=tuple(u),
-                detail="kernel of second map not inside kernel of first")
-        bwd = _ratio_containment(k2.generator_inv * k1.generator)
-        if not bwd.contains:
-            u = k1.generator.column(bwd.witness[1])
-            return EquivalenceResult(
-                False, "post", witness=tuple(u),
-                detail="kernel of first map not inside kernel of second")
+        for ka, kb, fa, fb, detail in (
+                (k1, k2, f1, f2,
+                 "kernel of second map not inside kernel of first"),
+                (k2, k1, f2, f1,
+                 "kernel of first map not inside kernel of second")):
+            r = _ratio_containment(ka.generator_inv * kb.generator)
+            if not r.contains:
+                u = tuple(kb.generator.column(r.witness[1]))
+                if (not all(e.is_causal for e in fb.apply(u))
+                        or all(e.is_causal for e in fa.apply(u))):
+                    raise InternalCheckError("equivalence witness does not "
+                                             "separate the latency kernels")
+                return EquivalenceResult(False, "post", witness=u,
+                                         detail=detail)
         l_pr, source, target_d1 = None, f1, f2 * k1.generator
     elif mode == "two_sided":
         if k1.indices != k2.indices:
+            certify_latency_kernel(k1, f1)
+            certify_latency_kernel(k2, f2)
             return EquivalenceResult(
                 False, "two_sided",
                 witness=(k1.indices, k2.indices),

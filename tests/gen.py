@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -113,6 +114,15 @@ def corrupt_entry(m: TransferMatrix) -> TransferMatrix:
     rows = [list(row) for row in m.entries]
     rows[0][-1] = rows[0][-1] + 1
     return TransferMatrix(rows)
+
+
+def move_out_of_kernel(k):
+    """The latency kernel k with generator column 0 times z, for corruption
+    tests: f sends that column to order -1, so it leaves the kernel, while
+    the carried inverse and the Smith form stay as they were."""
+    cols = k.generator.columns()
+    cols[0] = [RatFun.zpow(1) * e for e in cols[0]]
+    return dataclasses.replace(k, generator=TransferMatrix.from_columns(cols))
 
 
 def rand_state_pair(rng: random.Random, n: int, m: int):

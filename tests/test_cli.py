@@ -219,6 +219,57 @@ def test_realize_expands_no_series(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["exit_status"] == 0
 
 
+def test_factor_and_equiv_run_no_kernel_certificate(tmp_path, capsys,
+                                                   monkeypatch):
+    # factor and equiv certify each answer by its own identity or witness,
+    # not the kernel they read it off; latency, realize and worstcase
+    # report the kernel itself, so they still certify it.
+    import latkern.latency
+    from latkern.properbasis import SmithAtInfinity
+
+    f = write(tmp_path / "f.json",
+              TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]]))
+    l = write(tmp_path / "l.json",
+              TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                              [RatFun.const(2), RatFun.const(1)]]))
+    lf = write(tmp_path / "lf.json", load_matrix(l) * load_matrix(f))
+    zf = write(tmp_path / "zf.json", z(1) * load_matrix(f))
+    swap = write(tmp_path / "swap.json",
+                 TransferMatrix.diag([z(-3), z(-1)]) * load_matrix(l))
+    cases = [["factor", f, lf], ["factor", f, zf],
+             ["equiv", f, lf, "--mode", "post"],
+             ["equiv", f, swap, "--mode", "post"]]
+
+    def run(args):
+        code = main(["--json", *args])
+        return code, json.loads(capsys.readouterr().out)
+
+    expected = [run(args) for args in cases]
+    assert [code for code, _ in expected] == [0, 1, 0, 1]
+
+    def refuse(*args):
+        raise RuntimeError("the kernel was certified")
+
+    monkeypatch.setattr(latkern.latency, "certify_latency_kernel", refuse)
+    monkeypatch.setattr(SmithAtInfinity, "reassemble", refuse)
+    assert [run(args) for args in cases] == expected
+    monkeypatch.undo()
+
+    certify = latkern.latency.certify_latency_kernel
+    counted = []
+
+    def counting(k, g):
+        counted.append(g)
+        return certify(k, g)
+
+    monkeypatch.setattr(latkern.latency, "certify_latency_kernel", counting)
+    for args in (["latency", f], ["worstcase", f],
+                 ["realize", f, l, "--out-dir", str(tmp_path / "out")]):
+        counted.clear()
+        assert run(args)[0] == 0
+        assert counted
+
+
 def test_worstcase_and_expand_and_simulate(tmp_path, capsys):
     f = write(tmp_path / "f.json", TransferMatrix.scalar(z(-2)))
     assert main(["--json", "worstcase", f]) == 0

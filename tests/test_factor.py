@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import latkern.factor
 from latkern.cli import main
 from latkern.factor import (causal_factor, constant_matrix, static_factor)
 from latkern.latency import latency_kernel
@@ -15,7 +16,7 @@ from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import image_is_proper, reference_causal_factor
 
-from gen import (corrupt_entry, rand_causal, rand_matrix,
+from gen import (corrupt_entry, move_out_of_kernel, rand_causal, rand_matrix,
                  rand_nonzero_matrix, rand_strictly_causal_injective)
 
 z = RatFun.zpow
@@ -132,7 +133,7 @@ def test_corrupt_image_coordinates_is_caught(monkeypatch, tmp_path, capsys):
     with pytest.raises(InternalCheckError,
                        match="causal factor reconstruction failed"):
         causal_factor(f, h, kernel=corrupted(f))
-    monkeypatch.setattr("latkern.factor.latency_kernel", corrupted)
+    monkeypatch.setattr("latkern.factor.build_latency_kernel", corrupted)
     fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
     dump_matrix(f, fp)
     dump_matrix(h, hp)
@@ -140,6 +141,29 @@ def test_corrupt_image_coordinates_is_caught(monkeypatch, tmp_path, capsys):
     diag = json.loads(capsys.readouterr().out)
     assert diag == {"command": "factor",
                     "error": "causal factor reconstruction failed"}
+
+
+def test_witness_from_a_moved_generator_column_is_caught(monkeypatch,
+                                                         tmp_path, capsys):
+    # factor reads its answer off an uncertified kernel and certifies the
+    # witness of a "no" instead: f(u) causal and h(u) not.  With a generator
+    # column moved out of the kernel a factorizable h looks refuted; the
+    # witness check exits 3, never 1 with a wrong witness.
+    build = latkern.factor.build_latency_kernel
+    monkeypatch.setattr(latkern.factor, "build_latency_kernel",
+                        lambda f: move_out_of_kernel(build(f)))
+    rng = random.Random(65)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    h = rand_causal(rng, 2, 3, 1) * f
+    with pytest.raises(InternalCheckError,
+                       match="factor witness does not refute"):
+        causal_factor(f, h)
+    fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
+    dump_matrix(f, fp)
+    dump_matrix(h, hp)
+    assert main(["--json", "factor", fp, hp]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "factor", "error": "factor witness does not refute"}
 
 
 def test_singular_complement_block_is_a_failed_certificate(monkeypatch,

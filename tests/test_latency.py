@@ -1,6 +1,7 @@
 """Latency kernels: construction, membership, indices, equivalences."""
 
 import dataclasses
+import json
 import random
 import sys
 
@@ -8,19 +9,21 @@ import pytest
 
 import latkern.latency
 import latkern.properbasis
+from latkern.cli import main
 from latkern.factor import causal_factor
 from latkern.latency import (KernelNotFinitelyGenerated, compensation_equivalence,
                              latency_kernel, module_contains,
                              strictly_polynomial_basis)
+from latkern.matrixio import dump_matrix
 from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import (image_is_proper, reference_latency_generator,
                      reference_left_factor)
 
-from gen import (corrupt_entry, rand_bicausal, rand_causal,
-                 rand_full_rank_matrix, rand_ratfun, rand_state_pair,
-                 rand_strictly_causal_injective)
+from gen import (corrupt_entry, move_out_of_kernel, rand_bicausal,
+                 rand_causal, rand_full_rank_matrix, rand_ratfun,
+                 rand_state_pair, rand_strictly_causal_injective)
 
 z = RatFun.zpow
 
@@ -263,6 +266,106 @@ def test_corrupt_b2_inverse_constant_term_is_caught(monkeypatch):
                                           max_deg=1)
     with pytest.raises(InternalCheckError, match="not a proper basis"):
         latency_kernel(f)
+
+
+def _equiv_cli(tmp_path, f1, f2, mode):
+    """Exit code of latkern --json equiv f1 f2 --mode mode."""
+    paths = [str(tmp_path / "f1.json"), str(tmp_path / "f2.json")]
+    dump_matrix(f1, paths[0])
+    dump_matrix(f2, paths[1])
+    return main(["--json", "equiv", *paths, "--mode", mode])
+
+
+def test_post_witness_from_a_moved_generator_column_is_caught(
+        monkeypatch, tmp_path, capsys):
+    # equiv reads its answer off uncertified kernels and certifies the
+    # witness of a post "no" instead: one map sends u to a causal vector,
+    # the other does not.  A generator column moved out of its kernel makes
+    # equivalent maps look inequivalent; the check exits 3, never 1.
+    build = latkern.latency.build_latency_kernel
+    monkeypatch.setattr(latkern.latency, "build_latency_kernel",
+                        lambda f: move_out_of_kernel(build(f)))
+    rng = random.Random(66)
+    f, _ = rand_strictly_causal_injective(rng, 2, 2, max_nu=2, max_deg=1)
+    l = rand_bicausal(rng, 2, 1)
+    message = "equivalence witness does not separate the latency kernels"
+    for f2, mode in ((l * f, "post"), (f * l, "pre")):
+        with pytest.raises(InternalCheckError, match=message):
+            compensation_equivalence(f, f2, mode)
+        assert _equiv_cli(tmp_path, f, f2, mode) == 3
+        assert json.loads(capsys.readouterr().out) == {"command": "equiv",
+                                                       "error": message}
+
+
+def test_equivalence_yes_from_a_corrupted_b1_inverse_is_caught(
+        monkeypatch, tmp_path, capsys):
+    # A "yes" is certified by its compensators: l (and l_pr) bicausal with
+    # l * f1 * l_pr == f2.  A moved entry of b1^-1, off which l is read,
+    # exits 3 in post and two-sided mode alike.
+    def corrupted(g):
+        s = smith_at_infinity(g)
+        s.__dict__["b1_inv"] = corrupt_entry(s.b1_inv)
+        return s
+
+    rng = random.Random(69)
+    f, _ = rand_strictly_causal_injective(rng, 2, 2, max_nu=2, max_deg=1)
+    lpo, lpr = rand_bicausal(rng, 2, 1), rand_bicausal(rng, 2, 1)
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
+    for f2, mode in ((lpo * f, "post"), (lpo * f * lpr, "two-sided")):
+        with pytest.raises(InternalCheckError, match="constructed left"):
+            compensation_equivalence(f, f2, mode.replace("-", "_"))
+        assert _equiv_cli(tmp_path, f, f2, mode) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith("constructed left factor")
+
+
+def test_two_sided_no_certifies_both_kernels(monkeypatch, tmp_path, capsys):
+    # Differing index lists decide a two-sided "no", so both kernels are
+    # certified before it is given.  A raised sigma in the first map's
+    # Smith form gives equivalent maps different lists; the reassembly
+    # check exits 3, never 1.
+    rng = random.Random(67)
+    f, _ = rand_strictly_causal_injective(rng, 2, 2, max_nu=2, max_deg=1)
+    f2 = rand_bicausal(rng, 2, 1) * f * rand_bicausal(rng, 2, 1)
+    assert compensation_equivalence(f, f2, "two_sided").equivalent
+
+    def raised(g):
+        s = smith_at_infinity(g)
+        if g != f:
+            return s
+        return dataclasses.replace(s, sigma=(s.sigma[0] + 1, *s.sigma[1:]))
+
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", raised)
+    message = "Smith form does not reassemble the map"
+    with pytest.raises(InternalCheckError, match=message):
+        compensation_equivalence(f, f2, "two_sided")
+    assert _equiv_cli(tmp_path, f, f2, "two-sided") == 3
+    assert json.loads(capsys.readouterr().out) == {"command": "equiv",
+                                                   "error": message}
+
+
+def test_refusal_waits_for_the_reassembly(monkeypatch, tmp_path, capsys):
+    # A map of rank below m is refused (exit 2) only once its Smith form
+    # reassembles it: a form that lost a sigma of an injective map is a
+    # failed certificate (exit 3) on every command that builds a kernel.
+    def short(g):
+        s = smith_at_infinity(g)
+        return dataclasses.replace(s, sigma=s.sigma[:-1])
+
+    monkeypatch.setattr("latkern.latency.smith_at_infinity", short)
+    f, _ = rand_strictly_causal_injective(random.Random(68), 2, 2, max_nu=2,
+                                          max_deg=1)
+    message = "Smith form does not reassemble the map"
+    with pytest.raises(InternalCheckError, match=message):
+        latency_kernel(f)
+    fp = str(tmp_path / "f.json")
+    dump_matrix(f, fp)
+    for args in (["latency", fp], ["factor", fp, fp],
+                 ["equiv", fp, fp, "--mode", "post"],
+                 ["equiv", fp, fp, "--mode", "two-sided"]):
+        assert main(["--json", *args]) == 3
+        assert json.loads(capsys.readouterr().out) == {"command": args[0],
+                                                       "error": message}
 
 
 def test_generator_matches_the_column_reduced_route():

@@ -84,10 +84,12 @@ def test_certificate_holds_under_python_O(tmp_path):
     # and post-equivalence reconstruction checks against a corrupted b1^-1
     # as in test_factor, the coprime-fraction certificates against a corrupted
     # u^-1 and the reachability-basis certificate against a corrupted K as
-    # in test_polymatrix, the realization identity (the one check of
-    # rho * f == phi) against a perturbed rho as in test_feedback, and the
-    # realize cross-check against a v moved by one coefficient as in
-    # test_cli, in an interpreter that strips assert statements.
+    # in test_polymatrix, the factor witness check against a generator
+    # column moved out of the kernel as in test_factor, the realization
+    # identity (the one check of rho * f == phi) against a perturbed rho as
+    # in test_feedback, and the realize cross-check against a v moved by one
+    # coefficient as in test_cli, in an interpreter that strips assert
+    # statements.
     script = (
         "import dataclasses, sys\n"
         "import latkern.cli\n"
@@ -173,6 +175,22 @@ def test_certificate_holds_under_python_O(tmp_path):
         "from latkern.feedback import vg_representation\n"
         "from latkern.matrixio import dump_matrix\n"
         "latkern.latency.smith_at_infinity = smith_at_infinity\n"
+        "import latkern.factor\n"
+        "build = latkern.factor.build_latency_kernel\n"
+        "def moved(f):\n"
+        "    k = build(f)\n"
+        "    cols = k.generator.columns()\n"
+        "    cols[0] = [RatFun.zpow(1) * e for e in cols[0]]\n"
+        "    d = TransferMatrix.from_columns(cols)\n"
+        "    return dataclasses.replace(k, generator=d)\n"
+        "latkern.factor.build_latency_kernel = moved\n"
+        "try:\n"
+        "    causal_factor(f, l * f)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n"
+        "latkern.factor.build_latency_kernel = build\n"
         "z = RatFun.zpow\n"
         "f = TransferMatrix([[z(-1), z(-2)], [0, z(-3)]])\n"
         "l = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],\n"
@@ -206,7 +224,7 @@ def test_certificate_holds_under_python_O(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     (optimize, precondition, coordinates, reconstruction, left, coprime,
-     krylov, rho, *realize) = proc.stdout.splitlines()
+     krylov, witness, rho, *realize) = proc.stdout.splitlines()
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
     assert coordinates == "causal factor reconstruction failed"
@@ -215,6 +233,7 @@ def test_certificate_holds_under_python_O(tmp_path):
     assert coprime in ("extracted fraction is not coprime",
                        "row transformation is not unimodular")
     assert krylov == "reachability basis leaves the module"
+    assert witness == "factor witness does not refute"
     assert rho == "realization identity failed"
     assert proc.stderr.splitlines()[-1] == "3"
     assert json.loads("\n".join(realize)) == {
