@@ -6,8 +6,9 @@ invertibility of constant terms, static factor solving), which must be
 exact: every predicate downstream is a rank or solvability test.  The
 Gauss-Jordan kernel `_echelon` and `_kernel_vector` also serve matrices
 over Q(z) in `transfer`.  `RowOps` records the steps of the Smith form,
-Hermite elimination and both column reductions, and replays them into
-each transformation and its inverse.
+and of the Hermite elimination and the column reduction at infinity that
+stay beside it as references, and replays them into each transformation
+and its inverse.
 """
 
 from __future__ import annotations

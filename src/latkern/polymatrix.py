@@ -1,23 +1,22 @@
-"""Polynomial matrices over K[z]: Hermite elimination, GCRD, column
-reduction, right coprime fractions, reachability indices, and products
-compared on a window of Laurent coefficients by numerator degrees.
+"""Polynomial matrices over K[z]: right coprime fractions and reachability
+indices from one Krylov elimination, products compared on a window of
+Laurent coefficients by numerator degrees, and the Hermite GCRD, kept as a
+reference.
 
 A right coprime fraction v = N * P^-1 with P column-reduced exposes the
 reachability structure of a rational map: the column degrees of P are its
-reachability indices and deg det P the minimal state dimension.  P also
-generates the module of polynomial inputs with polynomial response.
+reachability indices and deg det P the minimal state dimension.  P
+generates the module M of polynomial inputs with polynomial response, and
+any column-reduced basis of M is such a P.
 
-Hermite elimination and column reduction replay their unimodular
-transformations and inverses from one record (linalg.RowOps), so the
-fraction is read off u^-1 and certified by a rank over Q and polynomial
-products: no determinant is computed and no matrix is inverted over Q(z).
-
-The reachability indices alone need no fraction.  With v = abar / d they
-are the controllability indices of multiplication by z on (Q[z]/d)^p with
-input abar, counted by one incremental elimination on the Krylov
-columns z^i * abar * e_j mod d.  It runs fraction-free on integer
-multiples of those columns and builds Fractions only for the minimal
-basis of the module that it yields, which is their certificate.
+With v = abar / d, M = {u : abar * u = 0 mod d}.  Its minimal basis is
+read off one incremental elimination on the Krylov columns
+z^i * abar * e_j mod d, whose ranks are the controllability indices of
+multiplication by z on (Q[z]/d)^p with input abar.  It runs fraction-free
+on integer multiples of those columns and builds Fractions only for the
+basis P, which polynomial products certify; N = abar * P / d is the
+quotient of the division that shows P lies in M.  No determinant is
+computed and no matrix is inverted over Q(z).
 """
 
 from __future__ import annotations
@@ -127,6 +126,11 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     reduced by polynomial division until the column is cleared.  u and
     u_inv are replayed from the record of row operations, and
     u * u_inv == I certifies that u is unimodular.
+
+    No routine of the package calls it: right_coprime_fraction reads its
+    fraction off the Krylov basis.  It stays as the reference GCRD of the
+    tests' coprime-fraction oracle and as a public name that the
+    benchmark's span tracer (perfbench/spantrace.py) resolves.
     """
     if a.cols != b.cols:
         raise ValueError("stacked matrices need matching column counts")
@@ -165,47 +169,6 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     return r, u, u_inv
 
 
-def column_reduce_poly(p: PolyMatrix):
-    """Column-reduced form of a nonsingular polynomial matrix.
-
-    Returns (p', w, w_inv) with p' = p * w, w unimodular with inverse w_inv
-    (replayed from the record of column operations), and the matrix of
-    highest-column-degree coefficients of p' nonsingular; the sum of column
-    degrees then equals deg det p.  Each step lowers one column degree, so
-    a singular p, and only a singular p, reaches a zero column: ValueError.
-    """
-    if p.rows != p.cols:
-        raise ValueError("column reduction here expects a square matrix")
-    n = p.cols
-    cols = [[p.entries[i][j] for i in range(n)] for j in range(n)]
-    ops = linalg.RowOps(n, Poly.one(), cols)
-    degs = [max(e.degree for e in col) for col in cols]
-    highs = [tuple(e.coeff(d) for e in col) for col, d in zip(cols, degs)]
-    while True:
-        if min(degs) < 0:
-            raise ValueError("column reduction of a singular matrix")
-        alpha = linalg.nullspace_vector(tuple(zip(*highs)))
-        if alpha is None:
-            break
-        support = [i for i, x in enumerate(alpha) if x != 0]
-        j = max(support, key=lambda i: (degs[i], -i))
-        # Column j becomes sum_i alpha_i * z^(degs[j] - degs[i]) * column i;
-        # only column j changes, so only its degree and high row are redone.
-        ops.scale(j, alpha[j])
-        for i in support:
-            if i != j:
-                ops.add(j, i, Poly.const(alpha[i]).shift(degs[j] - degs[i]))
-        new_deg = max(e.degree for e in cols[j])
-        if new_deg >= degs[j]:
-            raise InternalCheckError("lead cancellation did not lower the "
-                                     "column degree")
-        degs[j] = new_deg
-        highs[j] = tuple(e.coeff(new_deg) for e in cols[j])
-    # The record acts on columns, so w and w^-1 are its replays transposed.
-    return (PolyMatrix(zip(*cols)), PolyMatrix(zip(*ops.transform())),
-            PolyMatrix(zip(*ops.inverse())))
-
-
 def _over_common_denominator(v: TransferMatrix):
     """(abar, d): v = abar / d with d the monic lcm of the entry
     denominators and abar polynomial."""
@@ -238,7 +201,12 @@ def product_agrees_on_window(a: TransferMatrix, b: TransferMatrix,
 
 @dataclass(frozen=True)
 class CoprimeFraction:
-    """v = num * den^-1 with right coprime factors and column-reduced den."""
+    """v = num * den^-1 with right coprime factors and column-reduced den.
+
+    den is a minimal basis of the polynomial inputs u with v * u
+    polynomial.  column_degrees are its column degrees, in column order:
+    the reachability indices of v, summing to deg det den.
+    """
 
     num: PolyMatrix
     den: PolyMatrix
@@ -250,31 +218,30 @@ class CoprimeFraction:
 
 
 def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
-    """Right coprime fraction of a rational matrix.
+    """Right coprime fraction of a rational matrix, from one elimination.
 
-    From v = A * (d I)^-1, one Hermite elimination u * [A; d I] = [r; 0]
-    divides out the GCRD r: the first m columns of u^-1 are [A; d I] * r^-1,
-    numerator on top of denominator.  The denominator is column-reduced
-    (by w) and certified so by the rank of its high-coefficient matrix;
-    (w^-1 * u[:m, :]) * [num; den] == I is a Bezout identity certifying
-    coprimeness, and num == v * den that the fraction reproduces v.  The
-    denominator generates the module of polynomial inputs whose image
-    under v is polynomial.
+    With v = abar / d, den is the basis k of M = {u : abar * u = 0 mod d}
+    that krylov_kernel_basis reads off exact ranks over Q, and num the
+    quotient of abar * k by d.  Three checks certify k: zero remainders
+    (k lies in M, and num = v * den), a high-coefficient matrix of rank m
+    (k is column-reduced), and column degrees equal to the Krylov ranks.
+    A column-reduced k in M with those degrees spans, in each degree, as
+    much of M as the ranks count, so it generates M.  That is right
+    coprimeness: a common right divisor r of num and den leaves den * r^-1
+    in M, so r^-1 is polynomial.
     """
     abar, d = _over_common_denominator(v)
-    m = v.cols
-    _, u, u_inv = hermite_gcrd(abar, PolyMatrix.scalar_diag(d, m))
-    fraction = [row[:m] for row in u_inv.entries]
-    den, w, w_inv = column_reduce_poly(PolyMatrix(fraction[v.rows:]))
-    num = PolyMatrix(fraction[:v.rows]) * w
-    if linalg.rank(den.high_coefficient_matrix()) != m:
-        raise InternalCheckError("column-reduced denominator degree mismatch")
-    bezout = w_inv * PolyMatrix(u.entries[:m])
-    if bezout * PolyMatrix(num.entries + den.entries) != PolyMatrix.identity(m):
-        raise InternalCheckError("extracted fraction is not coprime")
-    if num.to_transfer() != v * den.to_transfer():
-        raise InternalCheckError("coprime fraction does not reproduce the map")
-    return CoprimeFraction(num, den, den.column_degrees())
+    degrees, k = krylov_kernel_basis(abar, d)
+    quotients = [[divmod(e, d) for e in row] for row in (abar * k).entries]
+    if any(not r.is_zero for row in quotients for _, r in row):
+        raise InternalCheckError("reachability basis leaves the module")
+    if linalg.rank(k.high_coefficient_matrix()) != v.cols:
+        raise InternalCheckError("reachability basis is not column-reduced")
+    if k.column_degrees() != tuple(degrees):
+        raise InternalCheckError("reachability basis degrees differ from "
+                                 "the Krylov ranks")
+    num = PolyMatrix([[q for q, _ in row] for row in quotients])
+    return CoprimeFraction(num, k, tuple(degrees))
 
 
 def krylov_kernel_basis(abar: PolyMatrix, d: Poly):
@@ -369,27 +336,11 @@ def _without_content(vec: list, s: Fraction):
 
 
 def reachability_indices(v: TransferMatrix):
-    """(indices sorted nonincreasing, minimal state dimension).
-
-    The indices are the column degrees of a minimal basis k of the module
-    M of polynomial inputs u with v * u polynomial, read off exact ranks
-    over Q by krylov_kernel_basis; no coprime fraction is built.  Three
-    checks certify k: abar * k = 0 mod d in polynomial arithmetic (k lies
-    in M), a high-coefficient matrix of rank m (k is column-reduced), and
-    column degrees equal to the indices.  A column-reduced k in M with
-    those degrees spans, in each degree, as much of M as the ranks count,
-    so it generates M.
-    """
-    abar, d = _over_common_denominator(v)
-    degrees, k = krylov_kernel_basis(abar, d)
-    if any(not (e % d).is_zero for row in (abar * k).entries for e in row):
-        raise InternalCheckError("reachability basis leaves the module")
-    if linalg.rank(k.high_coefficient_matrix()) != v.cols:
-        raise InternalCheckError("reachability basis is not column-reduced")
-    if k.column_degrees() != tuple(degrees):
-        raise InternalCheckError("reachability basis degrees differ from "
-                                 "the Krylov ranks")
-    return tuple(sorted(degrees, reverse=True)), sum(degrees)
+    """(indices sorted nonincreasing, minimal state dimension): the column
+    degrees of the certified right_coprime_fraction(v)."""
+    frac = right_coprime_fraction(v)
+    return (tuple(sorted(frac.column_degrees, reverse=True)),
+            frac.state_dimension)
 
 
 def polynomial_kernel_module(f: TransferMatrix) -> PolyMatrix:

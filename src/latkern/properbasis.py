@@ -121,21 +121,14 @@ def column_reduce_at_infinity(m: TransferMatrix):
 def _unit_completion(lead_cols, ambient_dim: int) -> tuple:
     """Indices of the unit vectors that complete span(lead_cols) to K^n.
 
-    Greedy from the lowest index, so the choice depends only on the span
+    The pivot columns past the leads in one echelon form of [lead_cols | I]:
+    greedy from the lowest index, so the choice depends only on the span
     of the constant vectors lead_cols, not on the vectors themselves.
     """
-    vectors = [list(c) for c in lead_cols]
-    rank = linalg.rank(tuple(zip(*vectors))) if vectors else 0
-    chosen = []
-    for i in range(ambient_dim):
-        if rank == ambient_dim:
-            break
-        unit = [Fraction(1 if r == i else 0) for r in range(ambient_dim)]
-        if linalg.rank(tuple(zip(*(vectors + [unit])))) > rank:
-            vectors.append(unit)
-            chosen.append(i)
-            rank += 1
-    return tuple(chosen)
+    k = len(lead_cols)
+    rows = [[c[r] for c in lead_cols] + list(unit)
+            for r, unit in enumerate(linalg.eye(ambient_dim))]
+    return tuple(c - k for c in linalg._echelon(rows) if c >= k)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ reference_left_factor, which keep earlier constructions of the causal and
 the bicausal left factor built from column reduction and one inversion,
 reference_latency_generator, which keeps the earlier kernel generator
 column-reduced from the Smith form, reference_coprime_fraction, which
-keeps the earlier coprime fraction built by inverting the GCRD over Q(z),
-reference_krylov_kernel_basis, which keeps the earlier Krylov
-elimination over Fractions, and reference_window_agrees, which keeps the
-earlier series route of the realize cross-check.
+keeps the earlier coprime fraction built by inverting the GCRD over Q(z)
+and column-reducing it with column_reduce_poly (the library's earlier
+polynomial column reduction), reference_krylov_kernel_basis, which keeps
+the earlier Krylov elimination over Fractions, and
+reference_window_agrees, which keeps the earlier series route of the
+realize cross-check.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from latkern import linalg
-from latkern.polymatrix import (CoprimeFraction, PolyMatrix,
-                                column_reduce_poly, hermite_gcrd)
+from latkern.polymatrix import CoprimeFraction, PolyMatrix, hermite_gcrd
 from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import ORD_INF, Poly, RatFun, poly_lcm
 from latkern.simulate import SeriesMatrix
-from latkern.transfer import TransferMatrix
+from latkern.transfer import InternalCheckError, TransferMatrix
 
 
 def long_division(num_coeffs, den_coeffs, horizon):
@@ -351,6 +352,47 @@ def reference_left_factor(f1, f2):
         source = hstack(source, r1)
         target = hstack(target, r2)
     return target * source.inverse()
+
+
+def column_reduce_poly(p: PolyMatrix):
+    """Column-reduced form of a nonsingular polynomial matrix.
+
+    Returns (p', w, w_inv) with p' = p * w, w unimodular with inverse w_inv
+    (replayed from the record of column operations), and the matrix of
+    highest-column-degree coefficients of p' nonsingular; the sum of column
+    degrees then equals deg det p.  Each step lowers one column degree, so
+    a singular p, and only a singular p, reaches a zero column: ValueError.
+    """
+    if p.rows != p.cols:
+        raise ValueError("column reduction here expects a square matrix")
+    n = p.cols
+    cols = [[p.entries[i][j] for i in range(n)] for j in range(n)]
+    ops = linalg.RowOps(n, Poly.one(), cols)
+    degs = [max(e.degree for e in col) for col in cols]
+    highs = [tuple(e.coeff(d) for e in col) for col, d in zip(cols, degs)]
+    while True:
+        if min(degs) < 0:
+            raise ValueError("column reduction of a singular matrix")
+        alpha = linalg.nullspace_vector(tuple(zip(*highs)))
+        if alpha is None:
+            break
+        support = [i for i, x in enumerate(alpha) if x != 0]
+        j = max(support, key=lambda i: (degs[i], -i))
+        # Column j becomes sum_i alpha_i * z^(degs[j] - degs[i]) * column i;
+        # only column j changes, so only its degree and high row are redone.
+        ops.scale(j, alpha[j])
+        for i in support:
+            if i != j:
+                ops.add(j, i, Poly.const(alpha[i]).shift(degs[j] - degs[i]))
+        new_deg = max(e.degree for e in cols[j])
+        if new_deg >= degs[j]:
+            raise InternalCheckError("lead cancellation did not lower the "
+                                     "column degree")
+        degs[j] = new_deg
+        highs[j] = tuple(e.coeff(new_deg) for e in cols[j])
+    # The record acts on columns, so w and w^-1 are its replays transposed.
+    return (PolyMatrix(zip(*cols)), PolyMatrix(zip(*ops.transform())),
+            PolyMatrix(zip(*ops.inverse())))
 
 
 def reference_coprime_fraction(v):

@@ -1,4 +1,5 @@
-"""Polynomial matrices: GCRD, column reduction, coprime fractions."""
+"""Polynomial matrices: coprime fractions and reachability indices from
+the Krylov basis, and the reference GCRD and column reduction."""
 
 import json
 import random
@@ -8,18 +9,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latkern import feedback, linalg, polymatrix
+from latkern import linalg, polymatrix, properbasis
 from latkern.cli import main
-from latkern.feedback import vg_representation
+from latkern.feedback import (StateSpace, static_state_feedback_test,
+                              vg_representation)
 from latkern.matrixio import dump_matrix
-from latkern.polymatrix import (PolyMatrix, column_reduce_poly, hermite_gcrd,
-                                krylov_kernel_basis, poly_module_contains,
+from latkern.polymatrix import (PolyMatrix, hermite_gcrd, krylov_kernel_basis,
+                                poly_module_contains,
                                 polynomial_kernel_module,
                                 product_agrees_on_window,
                                 reachability_indices, right_coprime_fraction)
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
-from oracles import (poly_matrix_det, reference_coprime_fraction,
+from oracles import (column_reduce_poly, poly_matrix_det,
+                     poly_matrix_from_transfer, reference_coprime_fraction,
                      reference_krylov_kernel_basis, reference_window_agrees)
 
 from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,
@@ -197,53 +200,51 @@ def test_fraction_of_zero_map():
     assert reachability_indices(TransferMatrix.zero(2, 2)) == ((0, 0), 0)
 
 
+def _same_fraction_up_to_unimodular(got, ref, v):
+    # Two minimal bases of one module differ by a unimodular right
+    # factor: den^-1 * den_ref and its inverse are both polynomial.
+    assert sorted(got.column_degrees) == sorted(ref.column_degrees)
+    assert got.column_degrees == got.den.column_degrees()
+    assert got.num.to_transfer() == v * got.den.to_transfer()
+    ratio = got.den.to_transfer().inverse() * ref.den.to_transfer()
+    poly_matrix_from_transfer(ratio)
+    poly_matrix_from_transfer(ratio.inverse())
+
+
 def test_fraction_matches_reference_construction():
-    # The fraction read off the carried u^-1 against the one built by
-    # inverting the GCRD over Q(z).
+    # The fraction read off the Krylov basis against the one built by
+    # inverting the Hermite GCRD over Q(z) and column-reducing.
     rng = random.Random(65)
     for _ in range(12):
         p, m = rng.randint(1, 3), rng.randint(1, 3)
         v = rand_matrix(rng, p, m, 2)
-        got, ref = right_coprime_fraction(v), reference_coprime_fraction(v)
-        assert got.num == ref.num
-        assert got.den == ref.den
-        assert got.column_degrees == ref.column_degrees
+        _same_fraction_up_to_unimodular(right_coprime_fraction(v),
+                                        reference_coprime_fraction(v), v)
     for _ in range(4):
         m = rng.randint(1, 3)
         f, _ = rand_strictly_causal_injective(rng, m, m, max_nu=2, max_deg=1)
         v = vg_representation(f, rand_bicausal(rng, m, 2)).v
-        assert right_coprime_fraction(v) == reference_coprime_fraction(v)
+        _same_fraction_up_to_unimodular(right_coprime_fraction(v),
+                                        reference_coprime_fraction(v), v)
 
 
 def test_fraction_runs_one_elimination_and_no_inversion(monkeypatch):
     calls = []
-    real = polymatrix.hermite_gcrd
+    real = polymatrix.krylov_kernel_basis
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting(abar, d):
+        calls.append((abar, d))
+        return real(abar, d)
 
-    def refuse(self):
-        raise RuntimeError("TransferMatrix.inverse called")
+    def refuse(*args):
+        raise RuntimeError("inversion or Hermite elimination called")
 
     v = rand_matrix(random.Random(66), 3, 2, 2)
-    monkeypatch.setattr(polymatrix, "hermite_gcrd", counting)
+    monkeypatch.setattr(polymatrix, "krylov_kernel_basis", counting)
+    monkeypatch.setattr(polymatrix, "hermite_gcrd", refuse)
     monkeypatch.setattr(TransferMatrix, "inverse", refuse)
     right_coprime_fraction(v)
     assert len(calls) == 1
-
-
-def _corrupt_gcrd_inverse(monkeypatch):
-    """hermite_gcrd with its u^-1 moved by one in the top-left entry."""
-    real = polymatrix.hermite_gcrd
-
-    def corrupted(a, b):
-        r, u, u_inv = real(a, b)
-        rows = [list(row) for row in u_inv.entries]
-        rows[0][0] = rows[0][0] + Poly.one()
-        return r, u, PolyMatrix(rows)
-
-    monkeypatch.setattr(polymatrix, "hermite_gcrd", corrupted)
 
 
 _V = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
@@ -259,16 +260,6 @@ def _realize_files(tmp_path):
                                 [RatFun.const(2), RatFun.const(1)]]), str(l))
     return ["--json", "realize", str(f), str(l),
             "--out-dir", str(tmp_path / "out")]
-
-
-def test_corrupt_gcrd_inverse_is_caught(tmp_path, capsys, monkeypatch):
-    # realize reads its indices off Krylov ranks, so the corrupted
-    # fraction no longer reaches it.
-    _corrupt_gcrd_inverse(monkeypatch)
-    with pytest.raises(InternalCheckError):
-        right_coprime_fraction(_V)
-    assert main(_realize_files(tmp_path)) == 0
-    capsys.readouterr()
 
 
 def _corrupt_krylov_basis(monkeypatch, how):
@@ -288,22 +279,51 @@ def _corrupt_krylov_basis(monkeypatch, how):
     monkeypatch.setattr(polymatrix, "krylov_kernel_basis", corrupted)
 
 
+@pytest.mark.parametrize("entry", ["reachability_indices",
+                                   "right_coprime_fraction"])
 @pytest.mark.parametrize("how, message", [
     ("entry", "reachability basis leaves the module"),
     ("duplicate", "reachability basis is not column-reduced"),
     ("degree", "reachability basis degrees differ from the Krylov ranks")])
 def test_corrupt_krylov_basis_is_caught(tmp_path, capsys, monkeypatch, how,
-                                        message):
+                                        message, entry):
     _corrupt_krylov_basis(monkeypatch, how)
     with pytest.raises(InternalCheckError, match=message):
-        reachability_indices(_V)
+        getattr(polymatrix, entry)(_V)
     assert main(_realize_files(tmp_path)) == 3
     assert json.loads(capsys.readouterr().out) == {
         "command": "realize", "error": message}
 
 
+_SS = StateSpace(a=((0, 1), (0, 0)), b=((0,), (1,)))
+
+
+def test_corrupt_krylov_basis_reaches_no_feedback_answer(monkeypatch):
+    # The library callers of the fraction get the basis only through its
+    # checks, so a corrupted basis stops them instead of deciding.
+    message = "reachability basis leaves the module"
+    _corrupt_krylov_basis(monkeypatch, "entry")
+    with pytest.raises(InternalCheckError, match=message):
+        polynomial_kernel_module(TransferMatrix.diag([z(-1), z(-2)]))
+    with pytest.raises(InternalCheckError, match=message):
+        static_state_feedback_test(_SS, TransferMatrix.identity(1))
+
+
+def test_feedback_tests_run_no_gcrd(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("Hermite elimination called")
+
+    monkeypatch.setattr(polymatrix, "hermite_gcrd", refuse)
+    assert polynomial_kernel_module(TransferMatrix.diag([z(-1), z(-2)])) == \
+        PolyMatrix([[Poly.z(1), Poly.zero()], [Poly.zero(), Poly.z(2)]])
+    assert static_state_feedback_test(_SS, TransferMatrix.identity(1)).gain \
+        == ((0, 0),)
+
+
 def _fraction_indices(v):
-    frac = right_coprime_fraction(v)
+    # The reference fraction: Hermite GCRD, inversion over Q(z) and
+    # column reduction, with no Krylov elimination.
+    frac = reference_coprime_fraction(v)
     return tuple(sorted(frac.column_degrees, reverse=True)), \
         frac.state_dimension
 
@@ -330,14 +350,12 @@ def test_krylov_indices_match_coprime_fraction_on_seeded_plants():
         _krylov_matches_reference(v)
 
 
-def test_realize_builds_no_coprime_fraction(monkeypatch):
+def test_realize_runs_no_gcrd_and_no_column_reduction(monkeypatch):
     def refuse(*args):
-        raise RuntimeError("coprime fraction built")
+        raise RuntimeError("Hermite elimination or column reduction run")
 
-    for module in (polymatrix, feedback):
-        monkeypatch.setattr(module, "right_coprime_fraction", refuse)
     monkeypatch.setattr(polymatrix, "hermite_gcrd", refuse)
-    monkeypatch.setattr(polymatrix, "column_reduce_poly", refuse)
+    monkeypatch.setattr(properbasis, "column_reduce_at_infinity", refuse)
     f = TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]])
     l = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
                         [RatFun.const(2), RatFun.const(1)]])

@@ -1,11 +1,12 @@
 """Proper bases, column reduction, Smith form at infinity, order chains."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from latkern import linalg
-from latkern.properbasis import (ProperBasis, column_order,
+from latkern.properbasis import (ProperBasis, _unit_completion, column_order,
                                  column_reduce_at_infinity, leading_data,
                                  order_chain, proper_independence_check,
                                  smith_at_infinity)
@@ -150,6 +151,25 @@ def test_extension_examples():
     assert extend_to_proper_basis(full_pb, 2) is None
 
     assert extend_to_proper_basis(None, 2) == TransferMatrix.identity(2)
+
+
+def test_unit_completion_is_the_greedy_rank_route():
+    # One echelon form of [leads | I] picks the unit vectors that a rank
+    # per candidate picks, greedy from the lowest index; the leads may be
+    # dependent or zero.
+    rng = random.Random(72)
+    for _ in range(60):
+        n, k = rng.randint(1, 4), rng.randint(0, 3)
+        leads = [[Fraction(rng.choice([0, 0, 1, -2, 3])) for _ in range(n)]
+                 for _ in range(k)]
+        chosen, vectors = [], list(leads)
+        for i in range(n):
+            unit = [Fraction(int(r == i)) for r in range(n)]
+            before = linalg.rank(tuple(zip(*vectors))) if vectors else 0
+            if linalg.rank(tuple(zip(*(vectors + [unit])))) > before:
+                vectors.append(unit)
+                chosen.append(i)
+        assert _unit_completion(leads, n) == tuple(chosen)
 
 
 def test_proper_direct_sum_order_rule():
