@@ -27,10 +27,9 @@ from .matrixio import (InputFormatError, OutputPathError, check_output_dir,
                        dump_matrix, dump_matrix_json, entry_to_json,
                        load_constant_matrix, load_matrix, make_output_dir,
                        matrix_from_json, matrix_to_json)
-from .polymatrix import product_agrees_on_window
 from .rational import ORD_INF
 from .simulate import check_horizon, simulate_response, verification_horizon
-from .transfer import InternalCheckError, SingularMatrixError, TransferMatrix
+from .transfer import InternalCheckError, SingularMatrixError
 
 
 def _fmt_order(o):
@@ -114,19 +113,13 @@ def cmd_equiv(args):
 
 
 def cmd_realize(args):
+    # Read first, so a bad LATKERN_HORIZON exits 2 before any algebra; the
+    # exact (I + g f) l = v that vg_representation certifies covers it.
     horizon = verification_horizon()
     check_output_dir(args.out_dir, ("v.json", "g.json"))
     f = load_matrix(args.f)
     l = load_matrix(args.l)
     rep = vg_representation(f, l)
-    # l = (I + g f)^-1 v on [0, H] iff (I + g f) l = v there, because
-    # I + g f is a unit among causal series: causal with constant term I.
-    # Decided on polynomial numerators: no series is expanded.
-    if (rep.loop - TransferMatrix.identity(f.cols)).order() < 1:
-        raise InternalCheckError("simulation cross-check failed: I + g f "
-                                 "is not a causal unit")
-    if not product_agrees_on_window(rep.loop, l, rep.v, horizon):
-        raise InternalCheckError("simulation cross-check failed")
     make_output_dir(args.out_dir)
     v_path = os.path.join(args.out_dir, "v.json")
     g_path = os.path.join(args.out_dir, "g.json")

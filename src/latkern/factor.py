@@ -90,8 +90,8 @@ def static_factor(f: TransferMatrix, h: TransferMatrix):
     Linear equations over K in the entries of g, obtained by matching
     Laurent coefficients columnwise on the window from the minimum order
     up to the degree of the column's common denominator: a nonzero
-    rational over that denominator has order at most that degree, so
-    vanishing across the whole window forces the zero function.
+    rational over that denominator has order at most that degree, so a
+    solution has g*f == h exactly (else InternalCheckError, never None).
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")
@@ -132,7 +132,7 @@ def static_factor(f: TransferMatrix, h: TransferMatrix):
         g_rows.append(sol)
     g = TransferMatrix.from_constant(g_rows)
     if g * f != h:
-        return None
+        raise InternalCheckError("static factor reconstruction failed")
     return g
 
 

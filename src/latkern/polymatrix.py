@@ -1,6 +1,5 @@
 """Polynomial matrices over K[z]: right coprime fractions and reachability
-indices from one Krylov elimination, products compared on a window of
-Laurent coefficients by numerator degrees, and the Hermite GCRD, kept as a
+indices from one Krylov elimination, and the Hermite GCRD, kept as a
 reference.
 
 A right coprime fraction v = N * P^-1 with P column-reduced exposes the
@@ -9,14 +8,10 @@ reachability indices and deg det P the minimal state dimension.  P
 generates the module M of polynomial inputs with polynomial response, and
 any column-reduced basis of M is such a P.
 
-With v = abar / d, M = {u : abar * u = 0 mod d}.  Its minimal basis is
-read off one incremental elimination on the Krylov columns
-z^i * abar * e_j mod d, whose ranks are the controllability indices of
-multiplication by z on (Q[z]/d)^p with input abar.  It runs fraction-free
-on integer multiples of those columns and builds Fractions only for the
-basis P, which polynomial products certify; N = abar * P / d is the
-quotient of the division that shows P lies in M.  No determinant is
-computed and no matrix is inverted over Q(z).
+With v = abar / d, M = {u : abar * u = 0 mod d}.  Its minimal basis P is
+read off one fraction-free elimination on the Krylov columns
+z^i * abar * e_j mod d, and N = abar * P / d.  No determinant is computed
+and no matrix is inverted over Q(z).
 """
 
 from __future__ import annotations
@@ -58,11 +53,6 @@ class PolyMatrix:
     @classmethod
     def identity(cls, n: int) -> PolyMatrix:
         return cls([[Poly.one() if i == j else Poly.zero() for j in range(n)]
-                    for i in range(n)])
-
-    @classmethod
-    def scalar_diag(cls, d: Poly, n: int) -> PolyMatrix:
-        return cls([[d if i == j else Poly.zero() for j in range(n)]
                     for i in range(n)])
 
     def to_transfer(self) -> TransferMatrix:
@@ -180,25 +170,6 @@ def _over_common_denominator(v: TransferMatrix):
                         for row in v.entries]), d)
 
 
-def product_agrees_on_window(a: TransferMatrix, b: TransferMatrix,
-                             c: TransferMatrix, horizon: int) -> bool:
-    """Whether a * b and c have equal Laurent coefficients at z^-t for
-    every t <= horizon, decided on numerators with no series expanded.
-
-    With a = A / da, b = B / db and c = C / dc over monic denominators,
-    a * b - c = X / (da db dc) for X = (A B) dc - C (da db), and an entry
-    x != 0 of X starts at z^-(deg(da db dc) - deg x).
-    """
-    if (a.rows, b.cols) != (c.rows, c.cols):
-        return False
-    (na, da), (nb, db), (nc, dc) = map(_over_common_denominator, (a, b, c))
-    dab = da * db
-    bound = dab.degree + dc.degree - horizon
-    return all((x := ab * dc - ce * dab).is_zero or x.degree < bound
-               for ab_row, c_row in zip((na * nb).entries, nc.entries)
-               for ab, ce in zip(ab_row, c_row))
-
-
 @dataclass(frozen=True)
 class CoprimeFraction:
     """v = num * den^-1 with right coprime factors and column-reduced den.
@@ -222,13 +193,16 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
 
     With v = abar / d, den is the basis k of M = {u : abar * u = 0 mod d}
     that krylov_kernel_basis reads off exact ranks over Q, and num the
-    quotient of abar * k by d.  Three checks certify k: zero remainders
-    (k lies in M, and num = v * den), a high-coefficient matrix of rank m
-    (k is column-reduced), and column degrees equal to the Krylov ranks.
-    A column-reduced k in M with those degrees spans, in each degree, as
-    much of M as the ranks count, so it generates M.  That is right
-    coprimeness: a common right divisor r of num and den leaves den * r^-1
-    in M, so r^-1 is polynomial.
+    quotient of abar * k by d.  Four checks certify k: zero remainders
+    (k lies in M, and num = v * den), a rank-m high-coefficient matrix (k
+    is column-reduced), column degrees equal to the reported ones, and,
+    apart from the elimination, independent Krylov columns
+    z^i * abar * e_j mod d for i below them.  Those lie in
+    abar * Q[z]^m mod d = Q[z]^m / M, of dimension deg det P for a basis P
+    of M, so the degrees sum to at most deg det P; k = P * U has deg det k
+    equal to that sum, so U is unimodular and k generates M.  That is
+    right coprimeness: a common right divisor r of num and den leaves
+    den * r^-1 in M, so r^-1 is polynomial.
     """
     abar, d = _over_common_denominator(v)
     degrees, k = krylov_kernel_basis(abar, d)
@@ -237,7 +211,8 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
         raise InternalCheckError("reachability basis leaves the module")
     if linalg.rank(k.high_coefficient_matrix()) != v.cols:
         raise InternalCheckError("reachability basis is not column-reduced")
-    if k.column_degrees() != tuple(degrees):
+    if (k.column_degrees() != tuple(degrees)
+            or not _krylov_columns_independent(abar, d, degrees)):
         raise InternalCheckError("reachability basis degrees differ from "
                                  "the Krylov ranks")
     num = PolyMatrix([[q for q, _ in row] for row in quotients])
@@ -333,6 +308,37 @@ def _without_content(vec: list, s: Fraction):
     if g > 1:
         return [x // g for x in vec], s / g
     return vec, s
+
+
+_PRIME = (1 << 61) - 1  # ranks of integer vectors are taken modulo it first
+
+
+def _krylov_columns_independent(abar: PolyMatrix, d: Poly, degrees) -> bool:
+    """Whether the columns z^i * abar * e_j mod d, i < degrees[j], are
+    independent over Q.  They are built by polynomial division, apart from
+    krylov_kernel_basis, as integer vectors.  A full rank modulo _PRIME is
+    a nonzero minor, so it proves independence; only a shortfall there is
+    taken again over Q."""
+    n, vectors = d.degree, []
+    for j, degree in enumerate(degrees):
+        column = [row[j] % d for row in abar.entries]
+        for _ in range(degree):
+            parts = [e.int_coeffs() for e in column]
+            den = math.lcm(*(pd for _, pd in parts))
+            vectors.append([x * (den // pd) for xs, pd in parts
+                            for x in xs + [0] * (n - len(xs))])
+            column = [(Poly.z() * e) % d for e in column]
+    basis = {}  # pivot -> vector modulo the prime, 1 at the pivot
+    for x in vectors:
+        for piv, w in basis.items():
+            if c := x[piv] % _PRIME:
+                x = [(xe - c * we) % _PRIME for xe, we in zip(x, w)]
+        piv = next((t for t, xe in enumerate(x) if xe % _PRIME), None)
+        if piv is None:
+            return linalg.rank(linalg.mat(vectors)) == len(vectors)
+        inv = pow(x[piv], -1, _PRIME)
+        basis[piv] = [xe * inv % _PRIME for xe in x]
+    return True
 
 
 def reachability_indices(v: TransferMatrix):

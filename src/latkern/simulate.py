@@ -1,6 +1,6 @@
 """Truncated-series matrices: the convolution simulation harness.
 
-This is the independent cross-check path: transfer matrices are expanded
+Apart from the exact rational arithmetic, transfer matrices are expanded
 into truncated series by integer recurrences and composed by convolution
 and recursive series inversion only.  An entry with a denominator of its
 own is expanded in one integer pass (`RatFun.laurent_ints`); 1/den of a

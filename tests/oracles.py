@@ -10,10 +10,8 @@ reference_latency_generator, which keeps the earlier kernel generator
 column-reduced from the Smith form, reference_coprime_fraction, which
 keeps the earlier coprime fraction built by inverting the GCRD over Q(z)
 and column-reducing it with column_reduce_poly (the library's earlier
-polynomial column reduction), reference_krylov_kernel_basis, which keeps
-the earlier Krylov elimination over Fractions, and
-reference_window_agrees, which keeps the earlier series route of the
-realize cross-check.
+polynomial column reduction), and reference_krylov_kernel_basis, which
+keeps the earlier Krylov elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -160,17 +158,6 @@ def agrees_with(a: SeriesMatrix, b: SeriesMatrix) -> bool:
             if [e * dy for e in x] != [e * dx for e in y]:
                 return False
     return True
-
-
-def reference_window_agrees(a, b, c, horizon: int) -> bool:
-    """polymatrix.product_agrees_on_window by the series route: a, b and c
-    expanded to the horizon by SeriesMatrix.from_transfer, a convolved
-    with b, and the product compared with c on the common window.  The
-    product is known only up to horizon + min(start of a, start of b), so
-    the two routes decide the same proposition when a and b are causal."""
-    product = (SeriesMatrix.from_transfer(a, horizon)
-               * SeriesMatrix.from_transfer(b, horizon))
-    return agrees_with(product, SeriesMatrix.from_transfer(c, horizon))
 
 
 def add_dicts(a, b):
@@ -410,7 +397,8 @@ def reference_coprime_fraction(v):
             d = poly_lcm(d, e.den)
     m = v.cols
     abar = PolyMatrix([[e.num * (d // e.den) for e in row] for row in v.entries])
-    dmat = PolyMatrix.scalar_diag(d, m)
+    dmat = PolyMatrix([[d if i == j else Poly.zero() for j in range(m)]
+                       for i in range(m)])
     r, _, _ = hermite_gcrd(abar, dmat)
     r_inv = r.to_transfer().inverse()
     num = poly_matrix_from_transfer(abar.to_transfer() * r_inv)

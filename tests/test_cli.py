@@ -101,6 +101,22 @@ def test_factor_command_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_static_factor_failed_certificate_is_not_a_no(tmp_path, capsys,
+                                                       monkeypatch):
+    # A wrong solution of the window system fails the certificate g*f == h:
+    # that is exit 3, never the "no" of exit 1.
+    from latkern import linalg
+
+    exact = linalg.solve
+    monkeypatch.setattr(linalg, "solve",
+                        lambda a, b: [x + 1 for x in exact(a, b)])
+    f = write(tmp_path / "f.json", TransferMatrix.diag([z(-1), z(-3)]))
+    h = write(tmp_path / "h.json", TransferMatrix.diag([2 * z(-1), z(-3)]))
+    assert main(["--json", "factor", f, h, "--static"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "factor", "error": "static factor reconstruction failed"}
+
+
 def test_equiv_command(tmp_path, capsys):
     f1 = write(tmp_path / "f1.json", TransferMatrix.scalar(z(-1)))
     f2 = write(tmp_path / "f2.json",
@@ -139,69 +155,81 @@ def test_realize_command_writes_files(tmp_path, capsys):
     assert v.classify().bicausal and g.classify().causal
 
 
+def _realize_files(tmp_path):
+    f = write(tmp_path / "f.json",
+              TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]]))
+    l = write(tmp_path / "l.json",
+              TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
+                              [RatFun.const(2), RatFun.const(1)]]))
+    return ["--json", "realize", f, l, "--out-dir", str(tmp_path / "out")]
+
+
+def _faulty_check(monkeypatch, fault):
+    """Run the realization identity on what fault makes of (loop, v)."""
+    from latkern import feedback
+
+    exact = feedback._check_realization
+    monkeypatch.setattr(feedback, "_check_realization",
+                        lambda loop, v, l: exact(*fault(loop, v), l))
+
+
 @pytest.mark.parametrize("t", [1, 6, 7])
 def test_realize_cross_check_catches_perturbed_v(tmp_path, capsys,
                                                  monkeypatch, t):
-    # The true realization with v moved by 3 z^-t at the window's first
-    # strictly causal index and at its last one, the horizon, is refused;
-    # moved just beyond the horizon, it passes the window check.
-    import dataclasses
-
-    from latkern.feedback import vg_representation
-
+    # v moved by 3 z^-t where vg_representation certifies it, inside the
+    # reported window or beyond it, is refused: the identity is exact.
     monkeypatch.setenv("LATKERN_HORIZON", "6")
-    f_m = TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]])
-    l_m = TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
-                          [RatFun.const(2), RatFun.const(1)]])
-    true = vg_representation(f_m, l_m)
-    f = write(tmp_path / "f.json", f_m)
-    l = write(tmp_path / "l.json", l_m)
-    out = str(tmp_path / "out")
-
-    monkeypatch.setattr("latkern.cli.vg_representation",
-                        lambda f, l: true)
-    assert main(["--json", "realize", f, l, "--out-dir", out]) == 0
-    capsys.readouterr()
-
     bump = TransferMatrix([[RatFun.const(0), RatFun.const(0)],
                            [3 * z(-t), RatFun.const(0)]])
-    wrong = dataclasses.replace(true, v=true.v + bump)
-    monkeypatch.setattr("latkern.cli.vg_representation",
-                        lambda f, l: wrong)
-    code = 0 if t > 6 else 3
-    assert main(["--json", "realize", f, l, "--out-dir", out]) == code
-    diag = json.loads(capsys.readouterr().out)
-    if code:
-        assert diag == {"command": "realize",
-                        "error": "simulation cross-check failed"}
+    _faulty_check(monkeypatch, lambda loop, v: (loop, v + bump))
+    assert main(_realize_files(tmp_path)) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "realize", "error": "realization identity failed"}
 
 
 def test_realize_cross_check_needs_a_causal_unit(tmp_path, capsys,
                                                  monkeypatch):
-    # A loop with a z term, or with constant term other than I, is
-    # refused before the window is compared.
-    import dataclasses
-
-    from latkern.feedback import vg_representation
-
-    f_m = TransferMatrix.scalar(z(-2))
-    l_m = TransferMatrix.scalar(RatFun(Poly([0, 1]), Poly([1, 1])))
-    true = vg_representation(f_m, l_m)
-    f = write(tmp_path / "f.json", f_m)
-    l = write(tmp_path / "l.json", l_m)
-    for loop in (true.loop + TransferMatrix.scalar(z(1)), true.loop * 2):
-        wrong = dataclasses.replace(true, loop=loop)
-        monkeypatch.setattr("latkern.cli.vg_representation",
-                            lambda f, l: wrong)
-        assert main(["--json", "realize", f, l,
-                     "--out-dir", str(tmp_path / "out")]) == 3
+    # A loop with a z term, or with constant term other than I, fails the
+    # exact identity; realize needs no causal-unit guard of its own.
+    argv = _realize_files(tmp_path)
+    for wrong in (lambda loop: loop + z(1) * TransferMatrix.identity(2),
+                  lambda loop: loop * 2):
+        _faulty_check(monkeypatch, lambda loop, v: (wrong(loop), v))
+        assert main(argv) == 3
         assert json.loads(capsys.readouterr().out) == {
-            "command": "realize", "error": "simulation cross-check failed: "
-                                           "I + g f is not a causal unit"}
+            "command": "realize", "error": "realization identity failed"}
+        monkeypatch.undo()
+
+
+def test_realize_certifies_once_in_the_library(tmp_path, capsys,
+                                               monkeypatch):
+    # (I + g f) l = v is checked once, by vg_representation; the CLI
+    # checks nothing of its own and imports nothing from polymatrix.
+    import ast
+    import inspect
+
+    from latkern import cli, feedback
+
+    exact = feedback._check_realization
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(feedback, "_check_realization", counted)
+    assert main(_realize_files(tmp_path)) == 0
+    assert json.loads(capsys.readouterr().out)["exit_status"] == 0
+    assert len(calls) == 1
+    tree = ast.parse(inspect.getsource(cli))
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert "polymatrix" not in modules and "latkern.polymatrix" not in modules
 
 
 def test_realize_expands_no_series(tmp_path, capsys, monkeypatch):
-    # The cross-check decides its window on polynomial numerators.
+    # The realization is certified by exact rational arithmetic: no series
+    # is expanded for the reported window.
     from latkern.simulate import SeriesMatrix
 
     def refuse(*args):
@@ -209,13 +237,7 @@ def test_realize_expands_no_series(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(SeriesMatrix, "from_transfer", refuse)
     monkeypatch.setattr(RatFun, "laurent_ints", refuse)
-    f = write(tmp_path / "f.json",
-              TransferMatrix([[z(-1), z(-2)], [RatFun.const(0), z(-3)]]))
-    l = write(tmp_path / "l.json",
-              TransferMatrix([[RatFun(Poly([1, 1]), Poly([2, 1])), z(-1)],
-                              [RatFun.const(2), RatFun.const(1)]]))
-    assert main(["--json", "realize", f, l,
-                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert main(_realize_files(tmp_path)) == 0
     assert json.loads(capsys.readouterr().out)["exit_status"] == 0
 
 

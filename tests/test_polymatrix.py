@@ -17,16 +17,15 @@ from latkern.matrixio import dump_matrix
 from latkern.polymatrix import (PolyMatrix, hermite_gcrd, krylov_kernel_basis,
                                 poly_module_contains,
                                 polynomial_kernel_module,
-                                product_agrees_on_window,
                                 reachability_indices, right_coprime_fraction)
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import (column_reduce_poly, poly_matrix_det,
                      poly_matrix_from_transfer, reference_coprime_fraction,
-                     reference_krylov_kernel_basis, reference_window_agrees)
+                     reference_krylov_kernel_basis)
 
 from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,
-                 rand_ratfun, rand_strictly_causal_injective, rationals)
+                 rand_strictly_causal_injective)
 
 z = RatFun.zpow
 
@@ -272,6 +271,9 @@ def _corrupt_krylov_basis(monkeypatch, how):
             cols[0][0] = cols[0][0] + Poly.one()
         elif how == "duplicate":
             cols[1], degrees[1] = cols[0], degrees[0]
+        elif how == "shifted":  # z * column 0 still lies in the module
+            cols[0], degrees[0] = [Poly.z(1) * e for e in cols[0]], \
+                degrees[0] + 1
         else:
             degrees[0] += 1
         return degrees, PolyMatrix(zip(*cols))
@@ -284,7 +286,8 @@ def _corrupt_krylov_basis(monkeypatch, how):
 @pytest.mark.parametrize("how, message", [
     ("entry", "reachability basis leaves the module"),
     ("duplicate", "reachability basis is not column-reduced"),
-    ("degree", "reachability basis degrees differ from the Krylov ranks")])
+    ("degree", "reachability basis degrees differ from the Krylov ranks"),
+    ("shifted", "reachability basis degrees differ from the Krylov ranks")])
 def test_corrupt_krylov_basis_is_caught(tmp_path, capsys, monkeypatch, how,
                                         message, entry):
     _corrupt_krylov_basis(monkeypatch, how)
@@ -412,30 +415,32 @@ def test_krylov_indices_match_coprime_fraction(v):
     _krylov_matches_reference(v)
 
 
-def _strictly_causal(rng, m):
-    """m x m with general denominators: random entries shifted to order
-    at least 1."""
-    rows = [[rand_ratfun(rng, 2) for _ in range(m)] for _ in range(m)]
-    return TransferMatrix([[e if e.is_zero else e * z(-max(1 - e.order(), 0))
-                            for e in row] for row in rows])
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1),
-       st.data())
-def test_window_check_matches_the_series_route(m, horizon, seed, data):
-    # loop = I + (strictly causal), l bicausal and v = loop l; then v is
-    # moved by c z^-t inside the window, beyond it, or not at all.
-    rng = random.Random(seed)
-    loop = TransferMatrix.identity(m) + _strictly_causal(rng, m)
-    l = rand_bicausal(rng, m, 2) + _strictly_causal(rng, m)
-    v = loop * l
-    t = data.draw(st.one_of(st.none(), st.integers(-1, horizon + 3)))
-    if t is not None:
-        bump = [[RatFun.const(0)] * m for _ in range(m)]
-        r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
-        bump[r][c] = data.draw(rationals.filter(bool)) * z(-t)
-        v = v + TransferMatrix(bump)
-    agrees = t is None or t > horizon
-    assert product_agrees_on_window(loop, l, v, horizon) == agrees
-    assert reference_window_agrees(loop, l, v, horizon) == agrees
+def test_krylov_independence_modulo_the_prime_matches_rank_over_q(
+        monkeypatch):
+    # On the Krylov degrees the columns are independent; with one degree
+    # raised by one they are not, and that shortfall modulo the prime is
+    # then confirmed by a rank over Q, which a prime dividing every
+    # vector's content forces on the true degrees too.
+    rng = random.Random(68)
+    cases = [rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 2)
+             for _ in range(12)] + [_V, TransferMatrix.identity(2)]
+    ranks = []
+    monkeypatch.setattr(linalg, "rank",
+                        lambda a, rank=linalg.rank: ranks.append(a) or rank(a))
+    for v in cases:
+        abar, d = polymatrix._over_common_denominator(v)
+        degrees, _ = krylov_kernel_basis(abar, d)
+        assert polymatrix._krylov_columns_independent(abar, d, degrees)
+        assert not ranks
+        for j in range(len(degrees)):
+            raised = [s + (i == j) for i, s in enumerate(degrees)]
+            assert not polymatrix._krylov_columns_independent(abar, d, raised)
+            assert len(ranks) == 1
+            ranks.clear()
+    monkeypatch.setattr(polymatrix, "_PRIME", 2)
+    abar, d = polymatrix._over_common_denominator(2 * _V)
+    degrees, _ = krylov_kernel_basis(abar, d)
+    assert polymatrix._krylov_columns_independent(abar, d, degrees)
+    assert len(ranks) == 1

@@ -156,8 +156,8 @@ def test_laurent_ints_with_a_highly_composite_lead():
 
 def test_laurent_ints_on_the_realize_loop_at_m4():
     # The entries of a realization's I + g f on the benchmark's 4 x 4
-    # plant family, whose leads have hundreds of bits.  The realize
-    # cross-check no longer expands them; they stay as a hard input.
+    # plant family, whose leads have hundreds of bits.  realize no longer
+    # expands them; they stay as a hard input.
     from latkern.feedback import vg_representation
     instances = _perfbench_module("instances")
     rng = random.Random(12)

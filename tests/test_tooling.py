@@ -87,9 +87,9 @@ def test_certificate_holds_under_python_O(tmp_path):
     # in test_polymatrix, the factor witness check against a generator
     # column moved out of the kernel as in test_factor, the realization
     # identity (the one check of rho * f == phi) against a perturbed rho as
-    # in test_feedback, and the realize cross-check against a v moved by one
-    # coefficient as in test_cli, in an interpreter that strips assert
-    # statements.
+    # in test_feedback, directly and through the realize command, and the
+    # static factor certificate against a wrong solve as in test_cli, in an
+    # interpreter that strips assert statements.
     script = (
         "import dataclasses, sys\n"
         "import latkern.cli\n"
@@ -195,23 +195,29 @@ def test_certificate_holds_under_python_O(tmp_path):
         "    print(exc)\n"
         "else:\n"
         "    sys.exit('no InternalCheckError under -O')\n"
-        "latkern.feedback.construct_causal_factor = construct\n"
-        "true = vg_representation(f, l)\n"
-        "bump = TransferMatrix([[0, 0], [3 * z(-1), 0]])\n"
-        "wrong = dataclasses.replace(true, v=true.v + bump)\n"
-        "latkern.cli.vg_representation = lambda f, l: wrong\n"
         "paths = [sys.argv[1] + '/f.json', sys.argv[1] + '/l.json']\n"
         "dump_matrix(f, paths[0])\n"
         "dump_matrix(l, paths[1])\n"
         "code = latkern.cli.main(['--json', 'realize', *paths,\n"
         "                         '--out-dir', sys.argv[1] + '/out'])\n"
-        "print(code, file=sys.stderr)\n")
+        "print(code, file=sys.stderr)\n"
+        "latkern.feedback.construct_causal_factor = construct\n"
+        "import latkern.linalg\n"
+        "from latkern.factor import static_factor\n"
+        "solve = latkern.linalg.solve\n"
+        "latkern.linalg.solve = lambda a, b: [x + 1 for x in solve(a, b)]\n"
+        "try:\n"
+        "    static_factor(f, 2 * f)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('no InternalCheckError under -O')\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     (optimize, precondition, coordinates, reconstruction, left, coprime,
-     krylov, witness, rho, *realize) = proc.stdout.splitlines()
+     krylov, witness, rho, *realize, static) = proc.stdout.splitlines()
     assert optimize == "1"
     assert "inverse not strictly causal" in precondition
     assert coordinates == "causal factor reconstruction failed"
@@ -222,7 +228,8 @@ def test_certificate_holds_under_python_O(tmp_path):
     assert rho == "realization identity failed"
     assert proc.stderr.splitlines()[-1] == "3"
     assert json.loads("\n".join(realize)) == {
-        "command": "realize", "error": "simulation cross-check failed"}
+        "command": "realize", "error": "realization identity failed"}
+    assert static == "static factor reconstruction failed"
 
 
 def test_benchmark_trace_entries_resolve():
