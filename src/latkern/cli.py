@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -25,8 +24,8 @@ from .latency import (KernelNotFinitelyGenerated, compensation_equivalence,
 from .matrixio import (InputFormatError, OutputPathError, check_output_dir,
                        check_output_file, constant_matrix_to_json,
                        dump_matrix, dump_matrix_json, entry_to_json,
-                       load_constant_matrix, load_matrix, make_output_dir,
-                       matrix_from_json, matrix_to_json)
+                       json_text, load_constant_matrix, load_matrix,
+                       make_output_dir, matrix_from_json, matrix_to_json)
 from .rational import ORD_INF
 from .simulate import check_horizon, simulate_response, verification_horizon
 from .transfer import InternalCheckError, SingularMatrixError
@@ -301,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail(args, exc, code: int) -> int:
     if args.json:
-        print(json.dumps({"command": args.subcommand, "error": str(exc)},
-                         indent=2, sort_keys=True))
+        print(json_text({"command": args.subcommand, "error": str(exc)}))
     else:
         print(f"error: {exc}", file=sys.stderr)
     return code
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
         return _fail(args, exc, 3)
     report["exit_status"] = code
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
     else:
         print("\n".join(_render_text(report)))
     return code

@@ -3,9 +3,12 @@
 Entries are {num, den} coefficient lists, ascending by power of z, every
 coefficient an exact decimal string "a" or "a/b".  No floating point is
 accepted anywhere in the format; round-tripping reproduces the canonical
-matrix bit for bit.  A coefficient list is read straight into an integer
-polynomial over the lcm of its denominators, with no `Fraction` per
-coefficient; constant matrices are read through the same parser.
+matrix bit for bit.  Coefficient text is read and written on integer
+parts: a coefficient list is checked in one regex pass and read straight
+into an integer polynomial over the lcm of its denominators, and each
+written coefficient comes from a polynomial's content and primitive part,
+with no `Fraction` per coefficient either way.  `json_text` writes every
+JSON document the package emits.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import os
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .rational import Poly, RatFun
 from .transfer import TransferMatrix
@@ -30,7 +34,12 @@ class OutputPathError(ValueError):
 
 
 # The denominator takes no sign, as in Fraction's own string syntax.
-_COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_COEFF = r"[+-]?\d+(?:/\d+)?"
+_COEFF_RE = re.compile(rf"^{_COEFF}$")
+# Coefficients joined by commas, each padded with the whitespace that
+# `_parse_pair` strips; no coefficient holds a comma.
+_PADDED = rf"\s*{_COEFF}\s*"
+_COEFF_LIST_RE = re.compile(rf"{_PADDED}(?:,{_PADDED})*")
 
 
 def _parse_pair(raw) -> tuple[int, int]:
@@ -57,19 +66,65 @@ def _parse_coeff(raw) -> Fraction:
     return Fraction(*_parse_pair(raw))
 
 
+def _batch_ints(raws: list):
+    """(ints, den) with raws[i] == ints[i] / den, from one regex pass over
+    the coefficients joined by commas and int() on the pieces; None unless
+    every coefficient is one `_parse_pair` accepts, with the pieces exactly
+    the coefficients (so none held a comma)."""
+    try:
+        # A JSON integer joins as its digits; any other non-string as "",
+        # which is no coefficient.
+        text = ",".join([c if type(c) is str else
+                         str(c) if type(c) is int else "" for c in raws])
+        parts = text.split(",")
+        if len(parts) != len(raws) or not _COEFF_LIST_RE.fullmatch(text):
+            return None
+        if "/" not in text:
+            return list(map(int, parts)), 1
+        nums, dens = [], []
+        for part in parts:
+            n, _, d = part.partition("/")
+            nums.append(int(n))
+            dens.append(int(d) if d else 1)
+    except ValueError:  # more digits than str() or int() converts
+        return None
+    if 0 in dens:
+        return None
+    den = math.lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
 def _poly_from_json(raws) -> Poly:
     """The polynomial of a coefficient list, built over the lcm of its
-    denominators without a Fraction per coefficient."""
+    denominators without a Fraction per coefficient.  A list the batch
+    refuses is read again one coefficient at a time, which raises the
+    message for its first bad coefficient if it has one."""
     if not isinstance(raws, list):
         raise InputFormatError(
             f"num and den must be JSON lists of coefficients, got {raws!r}")
-    pairs = [_parse_pair(c) for c in raws]
-    den = math.lcm(*(d for _, d in pairs))
-    return Poly._scaled([n * (den // d) for n, d in pairs], 1, den)
+    batch = _batch_ints(raws)
+    if batch is None:
+        pairs = [_parse_pair(c) for c in raws]
+        den = math.lcm(*(d for _, d in pairs))
+        batch = [n * (den // d) for n, d in pairs], den
+    ints, den = batch
+    return Poly._scaled(ints, 1, den)
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    """The text of the reduced fraction n/d, d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _coeff_strs(p: Poly) -> list[str]:
+    """The coefficient texts of p from its content n/d and primitive part:
+    n/d is reduced, so gcd(x, d) reduces n*x/d."""
+    n, d = p._n, p._d
+    if d == 1:
+        return [str(n * x) for x in p._p]
+    gcd = math.gcd
+    return [_ratio_str(n * (x // g), d // g)
+            for x in p._p for g in (gcd(x, d),)]
 
 
 def _entry_from_json(obj) -> RatFun:
@@ -85,10 +140,7 @@ def _entry_from_json(obj) -> RatFun:
 
 
 def entry_to_json(e: RatFun) -> dict:
-    return {
-        "num": [_coeff_str(c) for c in e.num.coeffs] or ["0"],
-        "den": [_coeff_str(c) for c in e.den.coeffs],
-    }
+    return {"num": _coeff_strs(e.num) or ["0"], "den": _coeff_strs(e.den)}
 
 
 def matrix_to_json(m: TransferMatrix) -> dict:
@@ -131,7 +183,8 @@ def constant_matrix_to_json(a) -> dict:
     return {
         "rows": len(a),
         "cols": len(a[0]) if a else 0,
-        "entries": [[_coeff_str(Fraction(c)) for c in row] for row in a],
+        "entries": [[_ratio_str(c.numerator, c.denominator)
+                     for c in map(Fraction, row)] for row in a],
     }
 
 
@@ -153,10 +206,47 @@ def load_constant_matrix(path: str):
     return constant_matrix_from_json(_read_json(path))
 
 
+def json_text(obj) -> str:
+    """obj as JSON text indented by two spaces with sorted keys: the same
+    bytes as the standard library's encoder with indent=2, sort_keys=True,
+    which runs in pure Python whenever it indents.  obj nests dicts with
+    str keys, lists and tuples over str, int, bool and None; any other
+    value or key raises TypeError."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    """json_text of obj placed after the line break and indent nl."""
+    t = type(obj)
+    if t is str:
+        return _json_str(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join(
+            [_json_text(x, inner) for x in obj]) + nl + "]")
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        # _json_str raises TypeError on a key that is not a str.
+        return ("{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_text(v, inner)
+             for k, v in sorted(obj.items())]) + nl + "}")
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def dump_matrix_json(obj: dict, path: str):
     """Write a matrix_to_json dict to path in one write; OutputPathError
     if path cannot be written."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json_text(obj)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latkern import matrixio
 from latkern.cli import build_parser, main
-from latkern.matrixio import (InputFormatError, dump_matrix, load_matrix,
-                              matrix_from_json, matrix_to_json)
+from latkern.matrixio import (InputFormatError, dump_matrix, json_text,
+                              load_matrix, matrix_from_json, matrix_to_json)
 from latkern.rational import Poly, RatFun
 from latkern.transfer import TransferMatrix
 
@@ -555,6 +557,103 @@ def test_loader_matches_the_fraction_route(tmp_path, capsys):
                                    "entries": [[{"num": [raw], "den": ["1"]}]]}))
         assert main(["--json", "classify", str(bad)]) == 2
         assert "coefficient" in json.loads(capsys.readouterr().out)["error"]
+
+
+def _bad(raw):
+    return (f"bad coefficient {raw!r}: expected an exact 'a' or 'a/b' "
+            "integer string (no decimals)")
+
+
+@pytest.mark.parametrize("raws, want", [
+    # The batch joins a list's coefficients with commas: a comma or a
+    # second slash inside one coefficient must not read as a list.
+    (["1,2"], _bad("1,2")),
+    (["1", "2,3"], _bad("2,3")),
+    (["1/2/3"], _bad("1/2/3")),
+    ([",1"], _bad(",1")),
+    (["3,"], _bad("3,")),
+    # Padding is stripped; Unicode decimal digits are digits.
+    ([" 3 "], [3]),
+    (["\u20033\x1f"], [3]),
+    (["٣/٤"], [Fraction(3, 4)]),
+    (["１２", "-0/7"], [12]),
+    # JSON integers mixed with strings.
+    ([2, "1/2", -3], [2, Fraction(1, 2), -3]),
+    (["1/3", 4, " -5/6 "], [Fraction(1, 3), 4, Fraction(-5, 6)]),
+    ([0, "0"], []),
+    ([10 ** 5000, "1/2"], [10 ** 5000, Fraction(1, 2)]),  # too long for str()
+    ([7, "1.5"], _bad("1.5")),
+    (["1", True],
+     "coefficients must be integer or 'a/b' strings, got True"),
+    ([1, "1_0", "2/0"], _bad("1_0")),
+    ([1, "2/0", "1_0"], "bad coefficient '2/0': Fraction(2, 0)"),
+])
+def test_loader_parity_cases(raws, want):
+    # Each case reads as it did when every coefficient was parsed alone:
+    # the same value, or the message for the first bad coefficient.
+    if isinstance(want, str):
+        with pytest.raises(InputFormatError) as exc:
+            matrixio._poly_from_json(raws)
+        assert str(exc.value) == want
+    else:
+        assert matrixio._poly_from_json(raws) == Poly(want)
+
+
+def _one_at_a_time(raws):
+    pairs = [matrixio._parse_pair(c) for c in raws]
+    return Poly([Fraction(n, d) for n, d in pairs])
+
+
+_digits = st.sampled_from(["0", "1", "-3", "+20", "٣", "１２"])
+# Mostly well-formed coefficients, and two of them run together by a
+# slash, a comma or another separator, padded or not.
+_coeff_text = st.one_of(
+    _digits,
+    st.tuples(st.sampled_from(["", " ", "\t"]), _digits,
+              st.sampled_from(["/", ",", "//", " / ", "_", ".", ""]),
+              _digits).map("".join),
+    st.text(st.sampled_from("0123456789+-/, _."), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_coeff_text, st.integers(), st.booleans(),
+                          st.none()), max_size=5))
+def test_loader_batch_agrees_with_one_at_a_time(raws):
+    # _parse_pair is the one definition of a coefficient: the batch reads
+    # the value it reads, or raises the error it raises first.
+    try:
+        want = _one_at_a_time(raws)
+    except InputFormatError as exc:
+        with pytest.raises(InputFormatError) as got:
+            matrixio._poly_from_json(raws)
+        assert str(got.value) == str(exc)
+    else:
+        got = matrixio._poly_from_json(raws)
+        assert (got._n, got._d, got._p) == (want._n, want._d, want._p)
+
+
+_json_strings = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€😀'),
+                                  st.characters()), max_size=8)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _json_strings),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_json_strings, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_text_matches_the_stdlib_encoder(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), {1: "a"}, {"a": [1, {None: 2}]}, [1, 2.0],
+    {"a": {1, 2}}])
+def test_json_text_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)
 
 
 def _loader_mutations(obj):

@@ -358,6 +358,23 @@ def test_static_state_feedback_no_carries_a_witness():
         assert not all(e.is_polynomial for e in l.inverse().apply(u))
 
 
+def test_static_state_feedback_corrupted_gain_is_caught(monkeypatch):
+    # The gain's only certificate is static_factor's g*f == strict: a
+    # wrong solution of its window system is an internal failure, never
+    # a gain handed back.
+    from latkern import linalg
+
+    ss = StateSpace(a=((0, 1), (0, 0)), b=((0,), (1,)))
+    l_yes = TransferMatrix.scalar(
+        RatFun(Poly([1, 0, 1]), Poly([0, 0, 1]))).inverse()
+    exact = linalg.solve
+    monkeypatch.setattr(linalg, "solve",
+                        lambda a, b: [x + 1 for x in exact(a, b)])
+    with pytest.raises(InternalCheckError,
+                       match="static factor reconstruction failed"):
+        static_state_feedback_test(ss, l_yes)
+
+
 def test_static_state_feedback_refuses_dependent_inputs():
     # the columns of B are dependent, so the state-output map is not
     # injective
