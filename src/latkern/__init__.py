@@ -17,8 +17,7 @@ from .latency import (ContainmentResult, EquivalenceResult,
                       compensation_equivalence, latency_kernel,
                       module_contains, strictly_polynomial_basis)
 from .factor import FactorOutcome, causal_factor, constant_matrix, static_factor
-from .polymatrix import (CoprimeFraction, PolyMatrix, hermite_gcrd,
-                         poly_module_contains, polynomial_kernel_module,
+from .polymatrix import (CoprimeFraction, hermite_gcrd, poly_module_contains,
                          reachability_indices, right_coprime_fraction)
 from .feedback import (FeedbackRealization, PreconditionError, StateSpace,
                        StaticFeedbackResult, StaticStateFeedbackResult,

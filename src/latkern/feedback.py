@@ -102,7 +102,6 @@ class FeedbackRealization:
     rho: TransferMatrix
     sigma: tuple  # reachability indices of v, nonincreasing
     nu: tuple     # latency indices of f, nonincreasing
-    loop: TransferMatrix  # I + g f, certified: loop l = v
 
 
 def _check_realization(loop: TransferMatrix, v: TransferMatrix,
@@ -151,15 +150,13 @@ def vg_representation(f: TransferMatrix, l: TransferMatrix) -> FeedbackRealizati
     g = v * rho
     if g.order() < 0:
         raise InternalCheckError("feedback compensator is not causal")
-    loop = TransferMatrix.identity(f.cols) + g * f
-    _check_realization(loop, v, l)
+    _check_realization(TransferMatrix.identity(f.cols) + g * f, v, l)
     sigma, _ = reachability_indices(v)
     nu = kernel.indices
     if any(s > nu_i for s, nu_i in zip(sigma, nu)):
         raise InternalCheckError(
             f"remainder indices {sigma} exceed latency indices {nu}")
-    return FeedbackRealization(v=v, g=g, rho=rho, sigma=sigma, nu=nu,
-                               loop=loop)
+    return FeedbackRealization(v=v, g=g, rho=rho, sigma=sigma, nu=nu)
 
 
 def worst_case_precompensator(f: TransferMatrix) -> TransferMatrix:
@@ -304,7 +301,7 @@ def static_state_feedback_test(ss: StateSpace,
     l_inv = l.inverse()
     static_part, strict = l_inv.static_strict_split()
 
-    escaping = [u for u in p_f.to_transfer().columns()
+    escaping = [u for u in p_f.columns()
                 if not all(e.is_polynomial for e in l_inv.apply(u))]
     test_direct = not escaping
     p_h = right_coprime_fraction(strict).den

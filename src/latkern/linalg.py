@@ -96,10 +96,12 @@ class RowOps:
     """A record of elementary row operations, replayed on demand.
 
     Steps: swap(i, j), add(i, j, c) (row i += c * row j) and scale(i, c)
-    (row i *= c, c a unit), over a field with + - * / and a truth value
-    (RatFun; Poly with Fraction scalings).  Each step is also applied to
-    rows when given.  transform() replays the record on the identity: T
-    with T * rows_before == rows_after.  inverse() replays the inverse
+    (row i *= c, c a unit with 1 / c), on entries with + - * and a truth
+    value: RatFun, or Poly with Fraction scalings as in the Hermite
+    elimination, whose replays are read as polynomial TransferMatrix
+    entries.  Each step is also applied to rows when given.  transform()
+    replays the record on the identity: T with T * rows_before ==
+    rows_after.  inverse() replays the inverse
     steps as column operations: T^-1.  Column operations are recorded as
     row operations on the list of columns; their transform is transposed.
     """

@@ -2,6 +2,11 @@
 indices from one Krylov elimination, and the Hermite GCRD, kept as a
 reference.
 
+A polynomial matrix is a TransferMatrix whose entries are polynomials.
+It is column-reduced exactly when its columns are properly independent in
+K((z^-1)): each column degree is minus the column order, and the
+high-coefficient matrix is the leading matrix of properbasis.leading_data.
+
 A right coprime fraction v = N * P^-1 with P column-reduced exposes the
 reachability structure of a rational map: the column degrees of P are its
 reachability indices and deg det P the minimal state dimension.  P
@@ -21,93 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .rational import Poly, RatFun, poly_lcm
+from .properbasis import leading_data
+from .rational import Poly, poly_lcm
 from .transfer import InternalCheckError, TransferMatrix
 
 
-class PolyMatrix:
-    """Rectangular grid of Poly entries; immutable."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(tuple(_poly(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @classmethod
-    def identity(cls, n: int) -> PolyMatrix:
-        return cls([[Poly.one() if i == j else Poly.zero() for j in range(n)]
-                    for i in range(n)])
-
-    def to_transfer(self) -> TransferMatrix:
-        return TransferMatrix([[RatFun(e) for e in row] for row in self.entries])
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
-
-    def column_degree(self, j: int) -> int:
-        """Maximum entry degree in column j; -1 for a zero column."""
-        return max(e.degree for e in (row[j] for row in self.entries))
-
-    def column_degrees(self) -> tuple[int, ...]:
-        return tuple(self.column_degree(j) for j in range(self.cols))
-
-    def high_coefficient_matrix(self):
-        """Coefficient of z^(column degree) entrywise, per column."""
-        degs = self.column_degrees()
-        return tuple(tuple(row[j].coeff(degs[j]) if degs[j] >= 0 else Fraction(0)
-                           for j in range(self.cols))
-                     for row in self.entries)
-
-    def __mul__(self, other: PolyMatrix) -> PolyMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        n = self.cols
-        return PolyMatrix(
-            [[sum((self.entries[i][k] * other.entries[k][j] for k in range(n)),
-                  Poly.zero())
-              for j in range(other.cols)] for i in range(self.rows)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row)
-                               for row in self.entries) + "]"
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.rows}x{self.cols})"
-
-
-def _poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
-    raise TypeError(f"not a polynomial entry: {x!r}")
-
-
-def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
-    """Greatest common right divisor of (a, b) with unimodular certificate.
+def hermite_gcrd(a: TransferMatrix, b: TransferMatrix):
+    """Greatest common right divisor of the polynomial matrices (a, b),
+    with unimodular certificate.
 
     Returns (r, u, u_inv) with u * [a; b] = [r; 0] and r in Hermite form:
     upper triangular, monic diagonal, entries above each pivot of lower
@@ -125,7 +51,7 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
     if a.cols != b.cols:
         raise ValueError("stacked matrices need matching column counts")
     c = a.cols
-    work = [list(row) for row in a.entries] + [list(row) for row in b.entries]
+    work = [[e.num for e in row] for row in a.entries + b.entries]
     nrows = len(work)
     if nrows < c:
         raise ValueError("stacked matrix cannot have full column rank")
@@ -150,11 +76,11 @@ def hermite_gcrd(a: PolyMatrix, b: PolyMatrix):
             if work[i][col].degree >= work[col][col].degree:
                 ops.add(i, col, -(work[i][col] // work[col][col]))
 
-    r = PolyMatrix([work[i][:c] for i in range(c)])
+    r = TransferMatrix([work[i][:c] for i in range(c)])
     if any(not work[i][j].is_zero for i in range(c, nrows) for j in range(c)):
         raise InternalCheckError("elimination left residue below the divisor")
-    u, u_inv = PolyMatrix(ops.transform()), PolyMatrix(ops.inverse())
-    if u * u_inv != PolyMatrix.identity(nrows):
+    u, u_inv = TransferMatrix(ops.transform()), TransferMatrix(ops.inverse())
+    if u * u_inv != TransferMatrix.identity(nrows):
         raise InternalCheckError("row transformation is not unimodular")
     return r, u, u_inv
 
@@ -166,8 +92,8 @@ def _over_common_denominator(v: TransferMatrix):
     for row in v.entries:
         for e in row:
             d = poly_lcm(d, e.den)
-    return (PolyMatrix([[e.num * (d // e.den) for e in row]
-                        for row in v.entries]), d)
+    return (TransferMatrix([[e.num * (d // e.den) for e in row]
+                            for row in v.entries]), d)
 
 
 @dataclass(frozen=True)
@@ -175,17 +101,17 @@ class CoprimeFraction:
     """v = num * den^-1 with right coprime factors and column-reduced den.
 
     den is a minimal basis of the polynomial inputs u with v * u
-    polynomial.  column_degrees are its column degrees, in column order:
-    the reachability indices of v, summing to deg det den.
+    polynomial.  degrees are its column degrees, in column order: the
+    reachability indices of v, summing to deg det den.
     """
 
-    num: PolyMatrix
-    den: PolyMatrix
-    column_degrees: tuple
+    num: TransferMatrix
+    den: TransferMatrix
+    degrees: tuple
 
     @property
     def state_dimension(self) -> int:
-        return sum(self.column_degrees)
+        return sum(self.degrees)
 
 
 def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
@@ -194,10 +120,11 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
     With v = abar / d, den is the basis k of M = {u : abar * u = 0 mod d}
     that krylov_kernel_basis reads off exact ranks over Q, and num the
     quotient of abar * k by d.  Four checks certify k: zero remainders
-    (k lies in M, and num = v * den), a rank-m high-coefficient matrix (k
-    is column-reduced), column degrees equal to the reported ones, and,
-    apart from the elimination, independent Krylov columns
-    z^i * abar * e_j mod d for i below them.  Those lie in
+    (k lies in M, and num = v * den); from one leading_data call, a rank-m
+    leading matrix (the columns of k are properly independent at infinity,
+    so k is column-reduced) and column degrees, minus the column orders,
+    equal to the reported ones; and, apart from the elimination,
+    independent Krylov columns z^i * abar * e_j mod d for i below them.  Those lie in
     abar * Q[z]^m mod d = Q[z]^m / M, of dimension deg det P for a basis P
     of M, so the degrees sum to at most deg det P; k = P * U has deg det k
     equal to that sum, so U is unimodular and k generates M.  That is
@@ -206,24 +133,26 @@ def right_coprime_fraction(v: TransferMatrix) -> CoprimeFraction:
     """
     abar, d = _over_common_denominator(v)
     degrees, k = krylov_kernel_basis(abar, d)
-    quotients = [[divmod(e, d) for e in row] for row in (abar * k).entries]
+    quotients = [[divmod(e.num, d) for e in row]
+                 for row in (abar * k).entries]
     if any(not r.is_zero for row in quotients for _, r in row):
         raise InternalCheckError("reachability basis leaves the module")
-    if linalg.rank(k.high_coefficient_matrix()) != v.cols:
+    orders, leads = leading_data(k.columns())
+    if linalg.rank(leads) != v.cols:
         raise InternalCheckError("reachability basis is not column-reduced")
-    if (k.column_degrees() != tuple(degrees)
+    if (orders != [-s for s in degrees]
             or not _krylov_columns_independent(abar, d, degrees)):
         raise InternalCheckError("reachability basis degrees differ from "
                                  "the Krylov ranks")
-    num = PolyMatrix([[q for q, _ in row] for row in quotients])
+    num = TransferMatrix([[q for q, _ in row] for row in quotients])
     return CoprimeFraction(num, k, tuple(degrees))
 
 
-def krylov_kernel_basis(abar: PolyMatrix, d: Poly):
+def krylov_kernel_basis(abar: TransferMatrix, d: Poly):
     """Minimal basis of M = {u in Q[z]^m : abar * u = 0 mod d}; uncertified.
 
-    Returns (degrees, k) with k an m x m PolyMatrix whose column j lies in
-    M and has degree degrees[j].  The columns z^i * abar * e_j mod d, as
+    Returns (degrees, k) with k an m x m polynomial matrix whose column j
+    lies in M and has degree degrees[j].  The columns z^i * abar * e_j mod d, as
     vectors over Q of p * deg d coefficients, enter one incremental
     elimination i by i.  Once z^i * abar * e_j depends on the columns
     before it, so does every later power of z on e_j (multiply the
@@ -251,7 +180,7 @@ def krylov_kernel_basis(abar: PolyMatrix, d: Poly):
     m = abar.cols
     residues = {}  # j -> (R, s): R = s * (z^i abar e_j mod d)
     for j in range(m):
-        rs = [(row[j] % d).int_coeffs() for row in abar.entries]
+        rs = [(row[j].num % d).int_coeffs() for row in abar.entries]
         den = math.lcm(*(rd for _, rd in rs))
         vec = []
         for ints, rd in rs:
@@ -298,7 +227,7 @@ def krylov_kernel_basis(abar: PolyMatrix, d: Poly):
                             for t in range(n)]
             residues[j] = _without_content(shifted, s * lead)
         i += 1
-    return degrees, PolyMatrix(zip(*kernel))
+    return degrees, TransferMatrix(zip(*kernel))
 
 
 def _without_content(vec: list, s: Fraction):
@@ -313,7 +242,8 @@ def _without_content(vec: list, s: Fraction):
 _PRIME = (1 << 61) - 1  # ranks of integer vectors are taken modulo it first
 
 
-def _krylov_columns_independent(abar: PolyMatrix, d: Poly, degrees) -> bool:
+def _krylov_columns_independent(abar: TransferMatrix, d: Poly,
+                                degrees) -> bool:
     """Whether the columns z^i * abar * e_j mod d, i < degrees[j], are
     independent over Q.  They are built by polynomial division, apart from
     krylov_kernel_basis, as integer vectors.  A full rank modulo _PRIME is
@@ -321,7 +251,7 @@ def _krylov_columns_independent(abar: PolyMatrix, d: Poly, degrees) -> bool:
     taken again over Q."""
     n, vectors = d.degree, []
     for j, degree in enumerate(degrees):
-        column = [row[j] % d for row in abar.entries]
+        column = [row[j].num % d for row in abar.entries]
         for _ in range(degree):
             parts = [e.int_coeffs() for e in column]
             den = math.lcm(*(pd for _, pd in parts))
@@ -345,22 +275,11 @@ def reachability_indices(v: TransferMatrix):
     """(indices sorted nonincreasing, minimal state dimension): the column
     degrees of the certified right_coprime_fraction(v)."""
     frac = right_coprime_fraction(v)
-    return (tuple(sorted(frac.column_degrees, reverse=True)),
+    return (tuple(sorted(frac.degrees, reverse=True)),
             frac.state_dimension)
 
 
-def polynomial_kernel_module(f: TransferMatrix) -> PolyMatrix:
-    """Generator P of the polynomial inputs with polynomial image under f.
-
-    A polynomial u has f*u polynomial exactly when P^-1 u is polynomial.
-    Requires f injective.
-    """
-    if f.rank() != f.cols:
-        raise ValueError("polynomial kernel module needs an injective map")
-    return right_coprime_fraction(f).den
-
-
-def poly_module_contains(p1: PolyMatrix, p2: PolyMatrix) -> bool:
+def poly_module_contains(p1: TransferMatrix, p2: TransferMatrix) -> bool:
     """Whether p2's polynomial column module sits inside p1's."""
-    ratio = p1.to_transfer().inverse() * p2.to_transfer()
+    ratio = p1.inverse() * p2
     return all(e.is_polynomial for row in ratio.entries for e in row)

@@ -265,12 +265,11 @@ def order_chain(d: TransferMatrix) -> OrderChain:
     otherwise); the chain is then read off the ordered basis directly.
     """
     cols = d.columns()
-    ok, _ = proper_independence_check(cols)
-    if not ok:
+    # A zero column has a zero lead, so the rank covers it.
+    orders, leads = leading_data(cols)
+    if linalg.rank(leads) != len(cols):
         raise ValueError("order chain needs a properly independent generator; "
                          "run column_reduce_at_infinity first")
-    orders = [column_order(c) for c in cols]
-    leads = [column_lead(c, o) for c, o in zip(cols, orders)]
     by_order = sorted(range(len(cols)), key=lambda i: (orders[i], i))
     k_lower = orders[by_order[0]]
     k_upper = orders[by_order[-1]]
@@ -278,8 +277,7 @@ def order_chain(d: TransferMatrix) -> OrderChain:
     mu = {}
     for j in range(k_lower, k_upper + 1):
         sel = [i for i in by_order if orders[i] <= j]
-        basis = tuple(tuple(leads[i][r] for i in sel)
-                      for r in range(d.rows))
+        basis = tuple(tuple(row[i] for i in sel) for row in leads)
         subspaces[j] = basis
         mu[j] = len(sel)
     return OrderChain(k_lower, k_upper, subspaces, mu)

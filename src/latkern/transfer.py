@@ -35,8 +35,8 @@ def _fmt_vec(v) -> str:
 def _entry(x) -> RatFun:
     if isinstance(x, RatFun):
         return x
-    if isinstance(x, Poly):
-        return RatFun(x)
+    if isinstance(x, Poly):  # a polynomial over 1 is canonical as it is
+        return RatFun._raw(x, Poly.one())
     if isinstance(x, (int, Fraction)):
         return RatFun.const(x)
     raise TypeError(f"not a matrix entry: {x!r}")

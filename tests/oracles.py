@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities by definitions only: schoolbook
 long division for expansions, permutation-sum determinants for minors,
-window scans for properness.  None of it shares code with the library's
+window scans for properness, coefficient lists for the column degrees and
+high-coefficient matrix of a polynomial matrix (a TransferMatrix with
+polynomial entries; high_coefficient_data).  None of it shares code with the library's
 decision procedures, except reference_causal_factor and
 reference_left_factor, which keep earlier constructions of the causal and
 the bicausal left factor built from column reduction and one inversion,
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from latkern import linalg
-from latkern.polymatrix import CoprimeFraction, PolyMatrix, hermite_gcrd
+from latkern.polymatrix import CoprimeFraction, hermite_gcrd
 from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
 from latkern.rational import ORD_INF, Poly, RatFun, poly_lcm
 from latkern.simulate import SeriesMatrix
@@ -341,7 +343,7 @@ def reference_left_factor(f1, f2):
     return target * source.inverse()
 
 
-def column_reduce_poly(p: PolyMatrix):
+def column_reduce_poly(p: TransferMatrix):
     """Column-reduced form of a nonsingular polynomial matrix.
 
     Returns (p', w, w_inv) with p' = p * w, w unimodular with inverse w_inv
@@ -353,7 +355,7 @@ def column_reduce_poly(p: PolyMatrix):
     if p.rows != p.cols:
         raise ValueError("column reduction here expects a square matrix")
     n = p.cols
-    cols = [[p.entries[i][j] for i in range(n)] for j in range(n)]
+    cols = [list(c) for c in zip(*poly_entries(p))]
     ops = linalg.RowOps(n, Poly.one(), cols)
     degs = [max(e.degree for e in col) for col in cols]
     highs = [tuple(e.coeff(d) for e in col) for col, d in zip(cols, degs)]
@@ -378,8 +380,8 @@ def column_reduce_poly(p: PolyMatrix):
         degs[j] = new_deg
         highs[j] = tuple(e.coeff(new_deg) for e in cols[j])
     # The record acts on columns, so w and w^-1 are its replays transposed.
-    return (PolyMatrix(zip(*cols)), PolyMatrix(zip(*ops.transform())),
-            PolyMatrix(zip(*ops.inverse())))
+    return (TransferMatrix(zip(*cols)), TransferMatrix(zip(*ops.transform())),
+            TransferMatrix(zip(*ops.inverse())))
 
 
 def reference_coprime_fraction(v):
@@ -396,38 +398,53 @@ def reference_coprime_fraction(v):
         for e in row:
             d = poly_lcm(d, e.den)
     m = v.cols
-    abar = PolyMatrix([[e.num * (d // e.den) for e in row] for row in v.entries])
-    dmat = PolyMatrix([[d if i == j else Poly.zero() for j in range(m)]
-                       for i in range(m)])
+    abar = TransferMatrix([[e.num * (d // e.den) for e in row]
+                           for row in v.entries])
+    dmat = TransferMatrix.diag([d] * m)
     r, _, _ = hermite_gcrd(abar, dmat)
-    r_inv = r.to_transfer().inverse()
-    num = poly_matrix_from_transfer(abar.to_transfer() * r_inv)
-    den = poly_matrix_from_transfer(dmat.to_transfer() * r_inv)
+    r_inv = r.inverse()
+    num, den = abar * r_inv, dmat * r_inv
+    poly_entries(num)
     den, cert, _ = column_reduce_poly(den)
     num = num * cert
-    degrees = den.column_degrees()
+    degrees, _ = high_coefficient_data(den)
     assert poly_matrix_det(den).degree == sum(degrees)
-    assert num.to_transfer() * den.to_transfer().inverse() == v
+    assert num * den.inverse() == v
     gc, _, _ = hermite_gcrd(num, den)
     assert poly_matrix_det(gc).degree == 0
     return CoprimeFraction(num, den, degrees)
 
 
-def poly_matrix_from_transfer(t) -> PolyMatrix:
-    """The polynomial matrix of a transfer matrix with polynomial entries."""
+def poly_entries(t) -> list:
+    """The Poly entries of a transfer matrix with polynomial entries, row
+    by row; ValueError names the first entry that is not polynomial."""
     for row in t.entries:
         for e in row:
             if not e.is_polynomial:
                 raise ValueError(f"entry {e} is not polynomial")
-    return PolyMatrix([[e.num for e in row] for row in t.entries])
+    return [[e.num for e in row] for row in t.entries]
+
+
+def high_coefficient_data(p):
+    """(column degrees, high-coefficient matrix) of a polynomial matrix,
+    read off the coefficient lists: the degree of column j is the largest
+    index of a nonzero coefficient in its entries (-1 for a zero column),
+    and the high-coefficient matrix holds each entry's coefficient at its
+    column's degree (zeros in a zero column)."""
+    coeffs = [[e.coeffs for e in row] for row in poly_entries(p)]
+    degrees = tuple(max(len(row[j]) for row in coeffs) - 1
+                    for j in range(p.cols))
+    high = tuple(tuple(c[d] if 0 <= d < len(c) else Fraction(0)
+                       for c, d in zip(row, degrees)) for row in coeffs)
+    return degrees, high
 
 
 def poly_matrix_det(p) -> Poly:
     """Determinant of a square polynomial matrix by the permutation sum."""
-    return permutation_det(p.to_transfer().entries).num
+    return permutation_det(p.entries).num
 
 
-def reference_krylov_kernel_basis(abar: PolyMatrix, d: Poly):
+def reference_krylov_kernel_basis(abar: TransferMatrix, d: Poly):
     """(degrees, k) as krylov_kernel_basis returns them, by the earlier
     elimination over Q: the residues of z^i * abar * e_j mod d are Fraction
     vectors, each basis vector is scaled to 1 at its pivot, and the
@@ -441,7 +458,7 @@ def reference_krylov_kernel_basis(abar: PolyMatrix, d: Poly):
     for j in range(m):
         vec = []
         for row in abar.entries:
-            c = (row[j] % d).coeffs
+            c = (row[j].num % d).coeffs
             vec += c + (Fraction(0),) * (n - len(c))
         residues[j] = vec
     basis = []  # (pivot, vector with 1 at the pivot, {(i, j): coefficient})
@@ -478,4 +495,4 @@ def reference_krylov_kernel_basis(abar: PolyMatrix, d: Poly):
                             for t in range(n)]
             residues[j] = shifted
         i += 1
-    return degrees, PolyMatrix(zip(*kernel))
+    return degrees, TransferMatrix(zip(*kernel))

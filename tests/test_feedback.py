@@ -229,7 +229,6 @@ def test_vg_representation_random_pipeline():
         rep = vg_representation(f, l)
         loop = TransferMatrix.identity(m) + rep.g * f
         assert loop.inverse() * rep.v == l
-        assert rep.loop == loop
         assert rep.v.classify().bicausal
         assert all(s <= n for s, n in zip(rep.sigma, rep.nu))
         # remainder and its inverse share reachability indices
@@ -248,7 +247,8 @@ def test_realization_identity_rejects_perturbations(monkeypatch):
     f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
     l = rand_bicausal(rng, 2, 2)
     rep = vg_representation(f, l)
-    feedback._check_realization(rep.loop, rep.v, l)
+    loop = TransferMatrix.identity(2) + rep.g * f
+    feedback._check_realization(loop, rep.v, l)
 
     def bump(m):
         # a strictly causal change to one entry keeps every map causal
@@ -256,10 +256,10 @@ def test_realization_identity_rejects_perturbations(monkeypatch):
                                     for j in range(m.cols)]
                                    for i in range(m.rows)])
 
-    for loop, v in [(bump(rep.loop), rep.v), (rep.loop, bump(rep.v))]:
+    for bad_loop, v in [(bump(loop), rep.v), (loop, bump(rep.v))]:
         with pytest.raises(InternalCheckError,
                            match="realization identity failed"):
-            feedback._check_realization(loop, v, l)
+            feedback._check_realization(bad_loop, v, l)
     # End to end: a factor rho of the correction term off by a strictly
     # causal map, where vg_representation builds it, perturbs the loop;
     # the realization identity is the only check of rho * f == phi.

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkern.linalg import RowOps
-from latkern.polymatrix import PolyMatrix
 from latkern.rational import Poly, RatFun
 from latkern.transfer import TransferMatrix
 
@@ -16,9 +15,11 @@ units = scalars.filter(bool)
 polys = st.lists(scalars, max_size=3).map(Poly)
 nonzero_polys = polys.filter(bool)
 ratfuns = st.builds(RatFun, polys, nonzero_polys)
-# (matrix type, entries, multipliers of add, multipliers of scale, one)
+# (matrix type, entries, multipliers of add, multipliers of scale, one);
+# the "poly" record works on Poly entries, read back as polynomial
+# TransferMatrix entries.
 FIELDS = {
-    "poly": (PolyMatrix, polys, polys, units, Poly.one()),
+    "poly": (TransferMatrix, polys, polys, units, Poly.one()),
     "ratfun": (TransferMatrix, ratfuns, ratfuns, ratfuns.filter(bool),
                RatFun.const(1)),
 }

@@ -1,5 +1,6 @@
-"""Polynomial matrices: coprime fractions and reachability indices from
-the Krylov basis, and the reference GCRD and column reduction."""
+"""Polynomial matrices (TransferMatrix with polynomial entries): coprime
+fractions and reachability indices from the Krylov basis, column-reducedness
+as properness at infinity, and the reference GCRD and column reduction."""
 
 import json
 import random
@@ -14,14 +15,13 @@ from latkern.cli import main
 from latkern.feedback import (StateSpace, static_state_feedback_test,
                               vg_representation)
 from latkern.matrixio import dump_matrix
-from latkern.polymatrix import (PolyMatrix, hermite_gcrd, krylov_kernel_basis,
-                                poly_module_contains,
-                                polynomial_kernel_module,
-                                reachability_indices, right_coprime_fraction)
-from latkern.rational import Poly, RatFun
+from latkern.polymatrix import (hermite_gcrd, krylov_kernel_basis,
+                                poly_module_contains, reachability_indices,
+                                right_coprime_fraction)
+from latkern.rational import ORD_INF, Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
-from oracles import (column_reduce_poly, poly_matrix_det,
-                     poly_matrix_from_transfer, reference_coprime_fraction,
+from oracles import (column_reduce_poly, high_coefficient_data, poly_entries,
+                     poly_matrix_det, reference_coprime_fraction,
                      reference_krylov_kernel_basis)
 
 from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,
@@ -30,43 +30,45 @@ from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,
 z = RatFun.zpow
 
 
-def is_unimodular(u: PolyMatrix) -> bool:
+def is_unimodular(u: TransferMatrix) -> bool:
     """A nonzero constant determinant, by the permutation-sum oracle."""
     return poly_matrix_det(u).degree == 0
 
 
 def test_gcrd_examples():
-    r, u, _ = hermite_gcrd(PolyMatrix([[Poly.z(2)]]), PolyMatrix([[Poly.z(1)]]))
-    assert r == PolyMatrix([[Poly.z(1)]])
+    r, u, _ = hermite_gcrd(TransferMatrix([[Poly.z(2)]]),
+                           TransferMatrix([[Poly.z(1)]]))
+    assert r == TransferMatrix([[Poly.z(1)]])
     assert is_unimodular(u)
 
-    r, u, _ = hermite_gcrd(PolyMatrix.identity(2),
-                        PolyMatrix([[Poly.z(3), Poly([1, 2])],
-                                    [Poly.zero(), Poly.z(1)]]))
+    r, u, _ = hermite_gcrd(TransferMatrix.identity(2),
+                           TransferMatrix([[Poly.z(3), Poly([1, 2])],
+                                           [Poly.zero(), Poly.z(1)]]))
     assert is_unimodular(r)
 
-    r, _, _ = hermite_gcrd(PolyMatrix([[Poly([1, 1])]]),
-                           PolyMatrix([[Poly([-1, 1])]]))
-    assert r == PolyMatrix([[Poly.one()]])
+    r, _, _ = hermite_gcrd(TransferMatrix([[Poly([1, 1])]]),
+                           TransferMatrix([[Poly([-1, 1])]]))
+    assert r == TransferMatrix([[Poly.one()]])
 
 
 def test_gcrd_certificate_reconstructs():
     rng = random.Random(61)
     for _ in range(15):
         m = rng.randint(1, 2)
-        a = PolyMatrix([[rand_poly(rng, 2) for _ in range(m)] for _ in range(m)])
-        b = PolyMatrix([[rand_poly(rng, 2) for _ in range(m)] for _ in range(m)])
-        stacked = TransferMatrix(
-            [[RatFun(e) for e in row] for row in (a.entries + b.entries)])
+        a = TransferMatrix([[rand_poly(rng, 2) for _ in range(m)]
+                            for _ in range(m)])
+        b = TransferMatrix([[rand_poly(rng, 2) for _ in range(m)]
+                            for _ in range(m)])
+        stacked = TransferMatrix(a.entries + b.entries)
         if stacked.rank() != m:
             continue
         r, u, u_inv = hermite_gcrd(a, b)
         assert is_unimodular(u)
-        assert u * u_inv == PolyMatrix.identity(2 * m)
-        prod = u.to_transfer() * stacked
+        assert u * u_inv == TransferMatrix.identity(2 * m)
+        prod = u * stacked
         for i in range(m):
             for j in range(m):
-                assert prod.entry(i, j) == RatFun(r.entry(i, j))
+                assert prod.entry(i, j) == r.entry(i, j)
         for i in range(m, 2 * m):
             for j in range(m):
                 assert prod.entry(i, j).is_zero
@@ -74,48 +76,50 @@ def test_gcrd_certificate_reconstructs():
 
 def test_gcrd_rejects_rank_deficiency():
     with pytest.raises(ValueError):
-        hermite_gcrd(PolyMatrix([[Poly.zero()]]), PolyMatrix([[Poly.zero()]]))
+        hermite_gcrd(TransferMatrix([[Poly.zero()]]),
+                     TransferMatrix([[Poly.zero()]]))
 
 
 def test_column_reduce_examples():
-    p = PolyMatrix([[Poly([1, 0, 1]), Poly([0, 0, 1])],
-                    [Poly.one(), Poly.one()]])
+    p = TransferMatrix([[Poly([1, 0, 1]), Poly([0, 0, 1])],
+                        [Poly.one(), Poly.one()]])
     reduced, v, _ = column_reduce_poly(p)
     assert is_unimodular(v)
-    assert sum(reduced.column_degrees()) == poly_matrix_det(p).degree
-    high = reduced.high_coefficient_matrix()
+    degrees, high = high_coefficient_data(reduced)
+    assert sum(degrees) == poly_matrix_det(p).degree
     assert linalg.rank(high) == 2
 
-    d = PolyMatrix([[Poly.z(1), Poly.zero()], [Poly.zero(), Poly.z(2)]])
+    d = TransferMatrix([[Poly.z(1), Poly.zero()], [Poly.zero(), Poly.z(2)]])
     rd, _, _ = column_reduce_poly(d)
     assert rd == d
 
-    p2 = PolyMatrix([[Poly.z(1), Poly.z(1)], [Poly.zero(), Poly.one()]])
+    p2 = TransferMatrix([[Poly.z(1), Poly.z(1)], [Poly.zero(), Poly.one()]])
     r2, _, _ = column_reduce_poly(p2)
-    assert sum(r2.column_degrees()) == 1
-    assert linalg.rank(r2.high_coefficient_matrix()) == 2
+    degrees, high = high_coefficient_data(r2)
+    assert sum(degrees) == 1
+    assert linalg.rank(high) == 2
 
 
 def test_column_reduce_rejects_singular():
     with pytest.raises(ValueError):
-        column_reduce_poly(PolyMatrix([[Poly.z(1), Poly.z(1)],
-                                       [Poly.z(1), Poly.z(1)]]))
+        column_reduce_poly(TransferMatrix([[Poly.z(1), Poly.z(1)],
+                                           [Poly.z(1), Poly.z(1)]]))
 
 
 def test_fraction_examples():
     fr = right_coprime_fraction(
         TransferMatrix.scalar(RatFun(Poly([0, 1]), Poly([1, 1]))))
-    assert fr.num == PolyMatrix([[Poly.z(1)]])
-    assert fr.den == PolyMatrix([[Poly([1, 1])]])
-    assert fr.column_degrees == (1,)
+    assert fr.num == TransferMatrix([[Poly.z(1)]])
+    assert fr.den == TransferMatrix([[Poly([1, 1])]])
+    assert fr.degrees == (1,)
 
     fr2 = right_coprime_fraction(TransferMatrix.scalar(z(-2)))
-    assert fr2.num == PolyMatrix([[Poly.one()]])
-    assert fr2.den == PolyMatrix([[Poly.z(2)]])
+    assert fr2.num == TransferMatrix([[Poly.one()]])
+    assert fr2.den == TransferMatrix([[Poly.z(2)]])
 
     fr3 = right_coprime_fraction(TransferMatrix.from_columns([[z(-2), z(-1)]]))
-    assert fr3.den == PolyMatrix([[Poly.z(2)]])
-    assert fr3.num == PolyMatrix([[Poly.one()], [Poly.z(1)]])
+    assert fr3.den == TransferMatrix([[Poly.z(2)]])
+    assert fr3.num == TransferMatrix([[Poly.one()], [Poly.z(1)]])
 
 
 def test_reachability_examples():
@@ -129,22 +133,16 @@ def test_reachability_examples():
 
 def test_kernel_module_examples():
     f = TransferMatrix.from_columns([[z(-2), z(-1)]])
-    p = polynomial_kernel_module(f)
-    assert p == PolyMatrix([[Poly.z(2)]])
+    p = right_coprime_fraction(f).den
+    assert p == TransferMatrix([[Poly.z(2)]])
     # z^2 stays polynomial under f, z does not
     assert all(e.is_polynomial for e in f.apply([z(2)]))
     assert not all(e.is_polynomial for e in f.apply([z(1)]))
 
-    assert polynomial_kernel_module(TransferMatrix.diag([z(-1), z(-1)])) == \
-        PolyMatrix([[Poly.z(1), Poly.zero()], [Poly.zero(), Poly.z(1)]])
-    assert polynomial_kernel_module(TransferMatrix.identity(2)) == \
-        PolyMatrix.identity(2)
-
-
-def test_kernel_module_rejects_rank_deficiency():
-    with pytest.raises(ValueError):
-        polynomial_kernel_module(TransferMatrix([[z(-1), z(-1)],
-                                                 [z(-1), z(-1)]]))
+    assert right_coprime_fraction(TransferMatrix.diag([z(-1), z(-1)])).den \
+        == TransferMatrix.diag([Poly.z(1), Poly.z(1)])
+    assert right_coprime_fraction(TransferMatrix.identity(2)).den == \
+        TransferMatrix.identity(2)
 
 
 def test_fraction_membership_oracle():
@@ -153,7 +151,7 @@ def test_fraction_membership_oracle():
         p, m = rng.randint(1, 2), rng.randint(1, 2)
         v = rand_matrix(rng, p, m, 2)
         frac = right_coprime_fraction(v)
-        den_inv = frac.den.to_transfer().inverse()
+        den_inv = frac.den.inverse()
         for _ in range(7):
             u = rand_poly_vector(rng, m, 4)
             image_poly = all(e.is_polynomial for e in v.apply(u))
@@ -168,46 +166,45 @@ def test_fraction_soundness_random():
         p, m = rng.randint(1, 2), rng.randint(1, 2)
         v = rand_matrix(rng, p, m, 2)
         frac = right_coprime_fraction(v)
-        assert frac.num.to_transfer() * frac.den.to_transfer().inverse() == v
+        assert frac.num * frac.den.inverse() == v
         gc, _, _ = hermite_gcrd(frac.num, frac.den)
         assert is_unimodular(gc)
-        assert poly_matrix_det(frac.den).degree == sum(frac.column_degrees)
+        assert poly_matrix_det(frac.den).degree == sum(frac.degrees)
 
 
 def test_reachability_invariance_under_unimodular_postfactor():
     rng = random.Random(64)
     for _ in range(10):
         v = rand_matrix(rng, 2, 2, 2)
-        shear = PolyMatrix([[Poly.one(), rand_poly(rng, 2)],
-                            [Poly.zero(), Poly.one()]])
+        shear = TransferMatrix([[Poly.one(), rand_poly(rng, 2)],
+                                [Poly.zero(), Poly.one()]])
         assert is_unimodular(shear)
-        assert reachability_indices(v) == \
-            reachability_indices(v * shear.to_transfer())
+        assert reachability_indices(v) == reachability_indices(v * shear)
 
 
 def test_poly_module_contains():
-    p1 = PolyMatrix([[Poly.z(1)]])
-    p2 = PolyMatrix([[Poly.z(2)]])
+    p1 = TransferMatrix([[Poly.z(1)]])
+    p2 = TransferMatrix([[Poly.z(2)]])
     assert poly_module_contains(p1, p2)
     assert not poly_module_contains(p2, p1)
 
 
 def test_fraction_of_zero_map():
     frac = right_coprime_fraction(TransferMatrix.zero(2, 2))
-    assert frac.den == PolyMatrix.identity(2)
-    assert frac.column_degrees == (0, 0)
+    assert frac.den == TransferMatrix.identity(2)
+    assert frac.degrees == (0, 0)
     assert reachability_indices(TransferMatrix.zero(2, 2)) == ((0, 0), 0)
 
 
 def _same_fraction_up_to_unimodular(got, ref, v):
     # Two minimal bases of one module differ by a unimodular right
     # factor: den^-1 * den_ref and its inverse are both polynomial.
-    assert sorted(got.column_degrees) == sorted(ref.column_degrees)
-    assert got.column_degrees == got.den.column_degrees()
-    assert got.num.to_transfer() == v * got.den.to_transfer()
-    ratio = got.den.to_transfer().inverse() * ref.den.to_transfer()
-    poly_matrix_from_transfer(ratio)
-    poly_matrix_from_transfer(ratio.inverse())
+    assert sorted(got.degrees) == sorted(ref.degrees)
+    assert got.degrees == high_coefficient_data(got.den)[0]
+    assert got.num == v * got.den
+    ratio = got.den.inverse() * ref.den
+    poly_entries(ratio)
+    poly_entries(ratio.inverse())
 
 
 def test_fraction_matches_reference_construction():
@@ -276,7 +273,7 @@ def _corrupt_krylov_basis(monkeypatch, how):
                 degrees[0] + 1
         else:
             degrees[0] += 1
-        return degrees, PolyMatrix(zip(*cols))
+        return degrees, TransferMatrix(zip(*cols))
 
     monkeypatch.setattr(polymatrix, "krylov_kernel_basis", corrupted)
 
@@ -302,12 +299,12 @@ _SS = StateSpace(a=((0, 1), (0, 0)), b=((0,), (1,)))
 
 
 def test_corrupt_krylov_basis_reaches_no_feedback_answer(monkeypatch):
-    # The library callers of the fraction get the basis only through its
-    # checks, so a corrupted basis stops them instead of deciding.
+    # The callers of the fraction get the basis only through its checks,
+    # so a corrupted basis stops them instead of deciding.
     message = "reachability basis leaves the module"
     _corrupt_krylov_basis(monkeypatch, "entry")
     with pytest.raises(InternalCheckError, match=message):
-        polynomial_kernel_module(TransferMatrix.diag([z(-1), z(-2)]))
+        right_coprime_fraction(TransferMatrix.diag([z(-1), z(-2)])).den
     with pytest.raises(InternalCheckError, match=message):
         static_state_feedback_test(_SS, TransferMatrix.identity(1))
 
@@ -317,8 +314,8 @@ def test_feedback_tests_run_no_gcrd(monkeypatch):
         raise RuntimeError("Hermite elimination called")
 
     monkeypatch.setattr(polymatrix, "hermite_gcrd", refuse)
-    assert polynomial_kernel_module(TransferMatrix.diag([z(-1), z(-2)])) == \
-        PolyMatrix([[Poly.z(1), Poly.zero()], [Poly.zero(), Poly.z(2)]])
+    assert right_coprime_fraction(TransferMatrix.diag([z(-1), z(-2)])).den \
+        == TransferMatrix.diag([Poly.z(1), Poly.z(2)])
     assert static_state_feedback_test(_SS, TransferMatrix.identity(1)).gain \
         == ((0, 0),)
 
@@ -327,7 +324,7 @@ def _fraction_indices(v):
     # The reference fraction: Hermite GCRD, inversion over Q(z) and
     # column reduction, with no Krylov elimination.
     frac = reference_coprime_fraction(v)
-    return tuple(sorted(frac.column_degrees, reverse=True)), \
+    return tuple(sorted(frac.degrees, reverse=True)), \
         frac.state_dimension
 
 
@@ -380,19 +377,38 @@ def test_column_reduction_predictable_degree(data):
     # column is a polynomial combination of the others is refused.
     n = data.draw(st.integers(1, 3))
     rows = [[data.draw(polys) for _ in range(n)] for _ in range(n)]
-    p = PolyMatrix(rows)
+    p = TransferMatrix(rows)
     det = poly_matrix_det(p)
     assume(not det.is_zero)
     reduced, w, w_inv = column_reduce_poly(p)
     assert reduced == p * w
-    assert w * w_inv == PolyMatrix.identity(n)
-    assert linalg.rank(reduced.high_coefficient_matrix()) == n
-    assert sum(reduced.column_degrees()) == det.degree
+    assert w * w_inv == TransferMatrix.identity(n)
+    degrees, high = high_coefficient_data(reduced)
+    assert linalg.rank(high) == n
+    assert sum(degrees) == det.degree
     qs = [data.draw(polys) for _ in range(n - 1)]
     singular = [row[:-1] + [sum((q * x for q, x in zip(qs, row)), Poly.zero())]
                 for row in rows]
     with pytest.raises(ValueError, match="singular"):
-        column_reduce_poly(PolyMatrix(singular))
+        column_reduce_poly(TransferMatrix(singular))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_leading_data_of_a_polynomial_matrix_is_its_high_coefficient_data(
+        data):
+    # Column-reducedness is properness at infinity: on polynomial columns
+    # leading_data reads each order as minus the column degree (inf for a
+    # zero column) and each lead as the coefficients at that degree, which
+    # right_coprime_fraction's certificate relies on.
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entries = st.one_of(st.just(Poly.zero()), polys)
+    p = TransferMatrix([[data.draw(entries) for _ in range(cols)]
+                        for _ in range(rows)])
+    orders, leads = properbasis.leading_data(p.columns())
+    degrees, high = high_coefficient_data(p)
+    assert orders == [ORD_INF if s < 0 else -s for s in degrees]
+    assert leads == high
 
 
 @st.composite

@@ -159,10 +159,12 @@ def test_laurent_ints_on_the_realize_loop_at_m4():
     # plant family, whose leads have hundreds of bits.  realize no longer
     # expands them; they stay as a hard input.
     from latkern.feedback import vg_representation
+    from latkern.transfer import TransferMatrix
     instances = _perfbench_module("instances")
     rng = random.Random(12)
     f, _ = instances.injective_plant(rng, 4, 4, (1, 2, 3, 4), 1)
-    loop = vg_representation(f, instances.rand_bicausal(rng, 4, 2)).loop
+    rep = vg_representation(f, instances.rand_bicausal(rng, 4, 2))
+    loop = TransferMatrix.identity(4) + rep.g * f
     for row in loop.entries:
         for e in row:
             assert e.laurent_ints(0, 40) == _over_lcm(e.laurent_window(0, 40))

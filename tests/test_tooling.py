@@ -141,14 +141,13 @@ def test_certificate_holds_under_python_O(tmp_path):
         "else:\n"
         "    sys.exit('no InternalCheckError under -O')\n"
         "import latkern.polymatrix\n"
-        "from latkern.polymatrix import PolyMatrix\n"
         "from latkern.rational import Poly\n"
         "krylov = latkern.polymatrix.krylov_kernel_basis\n"
         "def corrupted_krylov(abar, d):\n"
         "    degrees, k = krylov(abar, d)\n"
         "    rows = [list(row) for row in k.entries]\n"
         "    rows[0][0] = rows[0][0] + Poly.one()\n"
-        "    return degrees, PolyMatrix(rows)\n"
+        "    return degrees, TransferMatrix(rows)\n"
         "latkern.polymatrix.krylov_kernel_basis = corrupted_krylov\n"
         "for entry in ('right_coprime_fraction', 'reachability_indices'):\n"
         "    try:\n"
