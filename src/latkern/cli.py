@@ -25,7 +25,7 @@ from .matrixio import (InputFormatError, OutputPathError, check_output_dir,
                        check_output_file, constant_matrix_to_json,
                        dump_matrix, dump_matrix_json, entry_to_json,
                        json_text, load_constant_matrix, load_matrix,
-                       make_output_dir, matrix_from_json, matrix_to_json)
+                       make_output_dir, matrix_json_str, matrix_to_json)
 from .rational import ORD_INF
 from .simulate import check_horizon, simulate_response, verification_horizon
 from .transfer import InternalCheckError, SingularMatrixError
@@ -75,12 +75,15 @@ def cmd_factor(args):
     f = load_matrix(args.f)
     h = load_matrix(args.h)
     if args.static:
-        g = static_factor(f, h)
-        if g is None:
-            return {"command": "factor", "mode": "static",
-                    "decision": "no"}, 1
-        return {"command": "factor", "mode": "static", "decision": "yes",
-                "gain": _const_json(constant_matrix(g))}, 0
+        outcome = static_factor(f, h)
+        if outcome.decision:
+            return {"command": "factor", "mode": "static", "decision": "yes",
+                    "gain": _const_json(constant_matrix(outcome.g))}, 0
+        row, terms = outcome.witness
+        y = [{"column": j, "index": t, "coeff": str(c)}
+             for j, t, c in terms]
+        return {"command": "factor", "mode": "static", "decision": "no",
+                "witness": {"row": row, "y": y}}, 1
     outcome = causal_factor(f, h)
     if outcome.decision:
         return {"command": "factor", "mode": "causal", "decision": "yes",
@@ -207,7 +210,7 @@ def _render_text(obj, indent=0):
                 obj.get("entries"), list) and obj["entries"] and isinstance(
                 obj["entries"][0], list) and obj["entries"][0] and isinstance(
                 obj["entries"][0][0], dict):
-            lines.append(pad + str(matrix_from_json(obj)))
+            lines.append(pad + matrix_json_str(obj))
             return lines
         for key in obj:
             val = obj[key]

@@ -4,7 +4,7 @@ The causal factorization decision h = g*f with g causal reduces to a
 containment of latency kernels; the constructive yes-branch builds g from
 the kernel's Smith form, as h on the image of f and zero on a constant
 complement of it.  The static variant solves an exact finite linear
-system over the ground field.
+system over the ground field, and refutes by a Fredholm witness of it.
 """
 
 from __future__ import annotations
@@ -84,22 +84,29 @@ def construct_causal_factor(f: TransferMatrix, h: TransferMatrix,
     return FactorOutcome(True, g=g)
 
 
-def static_factor(f: TransferMatrix, h: TransferMatrix):
-    """Constant g with h = g*f, or None.
+def static_factor(f: TransferMatrix, h: TransferMatrix) -> FactorOutcome:
+    """Decide h = g*f with g constant; construct g or a witness.
 
     Linear equations over K in the entries of g, obtained by matching
     Laurent coefficients columnwise on the window from the minimum order
     up to the degree of the column's common denominator: a nonzero
     rational over that denominator has order at most that degree, so a
-    solution has g*f == h exactly (else InternalCheckError, never None).
+    solution has g*f == h exactly (else InternalCheckError, never a no).
+
+    Stack the windows as A (one column per row of f) and b_i (row i of
+    h).  When A x = b_i has no solution, the Fredholm alternative gives
+    y with y A = 0 and y b_i != 0, found by solving the transposed
+    system.  The witness is (i, y), y as (column j, index t, coefficient)
+    terms: a functional on Laurent coefficients that vanishes on every
+    row of f, hence on every constant combination of them, but not on
+    row i of h.  It is checked on coefficients read afresh by
+    laurent_coeff ("static factor witness does not refute").
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")
     p, m, q = f.rows, f.cols, h.rows
-    if f.is_zero:
-        return TransferMatrix.zero(q, p) if h.is_zero else None
-
     rows_a = []
+    coords = []  # (column, index) of each stacked row
     rhs_cols = [[] for _ in range(q)]
     for j in range(m):
         den = Poly.one()
@@ -119,21 +126,41 @@ def static_factor(f: TransferMatrix, h: TransferMatrix):
                  for i in range(q)]
         for k in range(den.degree - t_lo + 1):
             rows_a.append([w[k] for w in f_win])
+            coords.append((j, t_lo + k))
             for i in range(q):
                 rhs_cols[i].append(h_win[i][k])
     if not rows_a:
-        return TransferMatrix.zero(q, p)
+        return FactorOutcome(True, g=TransferMatrix.zero(q, p))
 
     g_rows = []
     for i in range(q):
         sol = linalg.solve(rows_a, rhs_cols[i])
         if sol is None:
-            return None
+            return FactorOutcome(False, witness=_static_witness(
+                f, h, i, rows_a, rhs_cols[i], coords))
         g_rows.append(sol)
     g = TransferMatrix.from_constant(g_rows)
     if g * f != h:
         raise InternalCheckError("static factor reconstruction failed")
-    return g
+    return FactorOutcome(True, g=g)
+
+
+def _static_witness(f, h, i, rows_a, rhs, coords) -> tuple:
+    """(i, y terms) with y A = 0 and y b_i = 1, checked; see static_factor."""
+    p = len(rows_a[0])
+    system = [list(col) for col in zip(*rows_a)] + [rhs]
+    y = linalg.solve(system, [0] * p + [1])
+    if y is None:
+        raise InternalCheckError("inconsistent static system has no "
+                                 "Fredholm witness")
+    terms = tuple((j, t, c) for (j, t), c in zip(coords, y) if c)
+
+    def value(row):
+        return sum(c * row[j].laurent_coeff(t) for j, t, c in terms)
+
+    if any(value(r) for r in f.entries) or not value(h.entries[i]):
+        raise InternalCheckError("static factor witness does not refute")
+    return i, terms
 
 
 def constant_matrix(g: TransferMatrix):

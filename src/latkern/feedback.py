@@ -315,9 +315,9 @@ def static_state_feedback_test(ss: StateSpace,
                           "the polynomials", witness=escaping[0])
     # static_factor certifies gain * f == strict, and strict is
     # l^-1 - static_part exactly, so l^-1 == static_part + gain * f.
-    gain_matrix = static_factor(f, strict)
-    if gain_matrix is None:
+    gain = static_factor(f, strict)
+    if not gain.decision:
         raise InternalCheckError("static factor missing despite a positive "
                                  "containment test")
     return StaticStateFeedbackResult(True, static_part=static_part,
-                                     gain=constant_matrix(gain_matrix))
+                                     gain=constant_matrix(gain.g))

@@ -31,7 +31,8 @@ class LatencyKernel:
     generator          m x m nonsingular, columns ordered by nondecreasing
                        order; generator^-1 is strictly causal for strictly
                        causal f.
-    generator_inv      generator^-1; certify_latency_kernel checks
+    generator_inv      generator^-1, built on first read (factor never
+                       reads it); certify_latency_kernel checks
                        generator * generator_inv == I.
     orders             column orders of generator (nondecreasing): -sigma
                        in the order perm.
@@ -39,8 +40,8 @@ class LatencyKernel:
     strictly_causal_input  False flags the advisory case where f had
                        order <= 0 and indices may be negative.
     smith              the Smith form at infinity f = b1 * delta * b2 the
-                       kernel was read from, with b2^-1 (and b1^-1,
-                       replayed when left_factor first reads it).
+                       kernel was read from; each factor and inverse is
+                       replayed from its record when first read.
     perm               the column order: generator column k is column
                        perm[k] of raw = b2^-1 * diag(z^sigma).
                        raw * b1^-1[:m, :] is a left inverse of f, so
@@ -60,12 +61,18 @@ class LatencyKernel:
     """
 
     generator: TransferMatrix
-    generator_inv: TransferMatrix
     orders: tuple
     indices: tuple
     strictly_causal_input: bool
     smith: SmithAtInfinity
     perm: tuple
+
+    @functools.cached_property
+    def generator_inv(self) -> TransferMatrix:
+        # diag(z^-sigma) * b2, its rows taken in the order perm
+        sigma, b2 = self.smith.sigma, self.smith.b2.entries
+        return TransferMatrix([[e * RatFun.zpow(-sigma[i]) for e in b2[i]]
+                               for i in self.perm])
 
     @functools.cached_property
     def poly_generator(self) -> TransferMatrix | None:
@@ -131,8 +138,9 @@ def build_latency_kernel(f: TransferMatrix) -> LatencyKernel:
     bicausal, so column i of raw has order -sigma_i and its lead is column
     i of b2^-1's constant term: raw is already a proper basis, and the
     ordered generator d is raw with its columns sorted by (-sigma_i, i).
-    The Smith form carries b2^-1, so d^-1 is diag(z^-sigma) * b2 with its
-    rows sorted the same way, a product, not an inversion.  A rank below
+    The Smith form carries the record of b2, so d^-1 is diag(z^-sigma) *
+    b2 with its rows sorted the same way, a product, not an inversion,
+    built when LatencyKernel.generator_inv is first read.  A rank below
     m is refused only once the Smith form reassembles f; nothing else is
     checked here (certify_latency_kernel does).
     """
@@ -146,16 +154,12 @@ def build_latency_kernel(f: TransferMatrix) -> LatencyKernel:
             "latency kernel is not finitely generated: map has rank "
             f"{len(sigma)} < {m} (not injective)")
     perm = tuple(sorted(range(m), key=lambda i: (-sigma[i], i)))
-    # d = b2^-1 * diag(z^sigma) and d^-1 = diag(z^-sigma) * b2, each built
-    # by scaling columns or rows, taken in the order perm.
+    # d = b2^-1 * diag(z^sigma), built by scaling columns, taken in the
+    # order perm.
     d = TransferMatrix([[row[i] * RatFun.zpow(sigma[i]) for i in perm]
                         for row in smith.b2_inv.entries])
-    b2 = smith.b2.entries
-    d_inv = TransferMatrix([[e * RatFun.zpow(-sigma[i]) for e in b2[i]]
-                            for i in perm])
     return LatencyKernel(
         generator=d,
-        generator_inv=d_inv,
         orders=tuple(-sigma[i] for i in perm),
         indices=tuple(sigma[i] - 1 for i in perm),
         strictly_causal_input=f.order() >= 1,

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .rational import Poly, RatFun
+from .rational import Poly, RatFun, poly_text, quotient_text
 from .transfer import TransferMatrix
 
 
@@ -149,6 +149,15 @@ def matrix_to_json(m: TransferMatrix) -> dict:
         "cols": m.cols,
         "entries": [[entry_to_json(e) for e in row] for row in m.entries],
     }
+
+
+def matrix_json_str(obj: dict) -> str:
+    """str(matrix_from_json(obj)) for a matrix_to_json dict, read off its
+    coefficient texts: a report is printed without parsing it back."""
+    return "[" + "; ".join(
+        ", ".join(quotient_text(poly_text(e["num"]), poly_text(e["den"]))
+                  for e in row)
+        for row in obj["entries"]) + "]"
 
 
 def _grid(obj, what: str):

@@ -136,11 +136,13 @@ class SmithAtInfinity:
     """Factorization f = b1 * delta * b2 with b1, b2 bicausal.
 
     delta is rows x cols with z^-sigma[i] on the diagonal and zeros
-    elsewhere; sigma is nondecreasing with one entry per rank.  b2_inv and
-    b1_inv are b2^-1 and b1^-1, replayed from the records of b2 and b1;
-    b1_inv on first read only.  Nothing is checked here, not even
-    reassemble() == f: latency_kernel certifies the kernel b2_inv yields,
-    causal_factor and compensation_equivalence the answers read off them.
+    elsewhere; sigma is nondecreasing with one entry per rank.  b2_inv is
+    b2^-1, replayed from the record of column operations, which every
+    latency kernel reads.  The form keeps both records; b1, b2 and b1_inv
+    = b1^-1 are each replayed on first read, so a caller pays only for the
+    factors it reads.  Nothing is checked here, not even reassemble() ==
+    f: latency_kernel certifies the kernel b2_inv yields, causal_factor
+    and compensation_equivalence the answers read off them.
 
     For injective f (rank m = cols) the first m columns of b1 span the
     image of f, and b1 is bicausal, so their constant terms are
@@ -148,15 +150,24 @@ class SmithAtInfinity:
     order 0.  The rows m.. of b1_inv annihilate the image.
     """
 
-    b1: TransferMatrix
     sigma: tuple
-    b2: TransferMatrix
     b2_inv: TransferMatrix
     row_ops: linalg.RowOps = field(repr=False, compare=False)
+    col_ops: linalg.RowOps = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def b1(self) -> TransferMatrix:
+        return TransferMatrix(self.row_ops.inverse())
 
     @functools.cached_property
     def b1_inv(self) -> TransferMatrix:
         return TransferMatrix(self.row_ops.transform())
+
+    @functools.cached_property
+    def b2(self) -> TransferMatrix:
+        # The column record acts on the list of columns: its replay is
+        # transposed, as for b2_inv in smith_at_infinity.
+        return TransferMatrix(zip(*self.col_ops.inverse()))
 
     def image_complement(self) -> tuple:
         """Unit columns completing the image of f to a proper basis of K^p.
@@ -190,15 +201,16 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
     (ties row-major); elimination multipliers are then proper, so both
     accumulated transformations stay bicausal.  Orders never drop below
     the pivot order, which makes sigma nondecreasing.  Row and column
-    operations are each recorded once; b1, b2 and b2_inv are replayed
-    from the records, and b1_inv only when read.  Uncertified: the
-    reassembly check is certify_latency_kernel's.
+    operations are only recorded; b2_inv is replayed here, and every other
+    factor when it is first read.  Uncertified: the reassembly check is
+    certify_latency_kernel's.
     """
     if f.is_zero:
         raise ValueError("Smith form at infinity of the zero matrix")
     p, m = f.rows, f.cols
     work = [list(row) for row in f.entries]
-    row_ops = linalg.RowOps(p, RatFun.const(1), work)
+    zero = RatFun.const(0)
+    row_ops = linalg.RowOps(p, RatFun.const(1))
     col_ops = linalg.RowOps(m, RatFun.const(1))  # on the columns of work
 
     sigma = []
@@ -217,30 +229,40 @@ def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:
             break
         _, pi, pj = best
         row_ops.swap(k, pi)
+        work[k], work[pi] = work[pi], work[k]
         col_ops.swap(k, pj)
         for row in work:
             row[k], row[pj] = row[pj], row[k]
-        pivot = work[k][k]
-        pinv = pivot.inverse()
+        pivot_row = work[k]
+        pinv = pivot_row[k].inverse()
+        # Row i += c * row k clears work[i][k]: that entry becomes the known
+        # zero, and only the columns right of the pivot are computed.  Left
+        # of the pivot, row k is zero already.
         for i in range(k + 1, p):
-            if not work[i][k].is_zero:
-                row_ops.add(i, k, -(work[i][k] * pinv))
+            row = work[i]
+            if row[k].is_zero:
+                continue
+            c = -(row[k] * pinv)
+            row_ops.add(i, k, c)
+            row[k] = zero
+            for j in range(k + 1, m):
+                if not pivot_row[j].is_zero:
+                    row[j] = row[j] + c * pivot_row[j]
         # The column operations clear row k right of the pivot.  No later
         # step reads that part of work, so they are only recorded.
         for j in range(k + 1, m):
-            if not work[k][j].is_zero:
-                col_ops.add(j, k, -(work[k][j] * pinv))
-        sigma.append(pivot.order())
+            if not pivot_row[j].is_zero:
+                col_ops.add(j, k, -(pivot_row[j] * pinv))
+        sigma.append(pivot_row[k].order())
         k += 1
 
     # Absorb the unit part of each pivot into b2, leaving pure powers.
     for i, s in enumerate(sigma):
         col_ops.scale(i, 1 / (work[i][i] * RatFun.zpow(s)))
 
-    return SmithAtInfinity(TransferMatrix(row_ops.inverse()), tuple(sigma),
-                           TransferMatrix(zip(*col_ops.inverse())),
+    return SmithAtInfinity(tuple(sigma),
                            TransferMatrix(zip(*col_ops.transform())),
-                           row_ops)
+                           row_ops, col_ops)
 
 
 @dataclass(frozen=True)

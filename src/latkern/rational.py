@@ -256,26 +256,41 @@ class Poly:
         return bool(self._p)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                sign = "-" if c < 0 else ""
-                zp = "z" if i == 1 else f"z^{i}"
-                terms.append(f"{sign}{mag}{zp}" if not terms else f"{mag}{zp}")
-            if len(terms) > 1:
-                terms[-1] = ("- " if c < 0 else "+ ") + terms[-1].lstrip("-")
-        return " ".join(terms)
+        return poly_text([str(c) for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
+
+
+def poly_text(coeffs: list[str]) -> str:
+    """str(Poly) from the polynomial's ascending coefficient texts, each
+    a reduced "a" or "a/b" as str(Fraction) writes it; matrix reports
+    are printed from their JSON coefficient texts by it."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == "0":
+            continue
+        neg = c[0] == "-"
+        if i:
+            mag = c[1:] if neg else c
+            zp = "z" if i == 1 else f"z^{i}"
+            term = zp if mag == "1" else f"{mag}*{zp}"
+        else:
+            term = c
+        if terms:
+            term = ("- " if neg else "+ ") + term.lstrip("-")
+        elif neg and i:
+            term = "-" + term
+        terms.append(term)
+    return " ".join(terms) or "0"
+
+
+def quotient_text(num: str, den: str) -> str:
+    """str(RatFun) from the texts of its numerator and monic denominator."""
+    if den == "1":
+        return num
+    return "/".join(f"({t})" if " " in t else t for t in (num, den))
 
 
 _set_n = Poly._n.__set__
@@ -382,9 +397,11 @@ def _heu_gcd(f: tuple, g: tuple):
     when h divides both f and g (Char, Geddes and Gonnet 1989), so a
     candidate that passes trial division is the gcd, and the trial
     division gives the two cofactors.  A constant candidate divides
-    everything, so it needs no division.  The first xi exceeds the bound
-    by 27, as in sympy's heuristicgcd: on the kernel workload that lets
-    98% of calls succeed at the first xi instead of 70%.
+    everything, so it needs no division; a gcd(f(xi), g(xi)) of at most
+    xi/2 is one digit, that candidate, so it needs no digits either.  The
+    first xi exceeds the bound by 27, as in sympy's heuristicgcd: on the
+    kernel workload that lets 98% of calls succeed at the first xi instead
+    of 70%.
     """
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(HEU_GCD_MAX):
@@ -396,6 +413,8 @@ def _heu_gcd(f: tuple, g: tuple):
         if fv and gv:
             gam = math.gcd(fv, gv)
             half = xi // 2
+            if gam <= half:  # one digit: the constant candidate
+                return (1,), f, g
             digits = []
             while gam:
                 d = gam % xi
@@ -791,15 +810,7 @@ class RatFun:
         return not self.is_zero
 
     def __str__(self) -> str:
-        if self.is_polynomial:
-            return str(self.num)
-        num = str(self.num)
-        if " " in num:
-            num = f"({num})"
-        den = str(self.den)
-        if " " in den:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return quotient_text(str(self.num), str(self.den))
 
     def __repr__(self) -> str:
         return f"RatFun({self.num!r}, {self.den!r})"

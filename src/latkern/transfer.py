@@ -249,15 +249,19 @@ class TransferMatrix:
 
 
 def _dot(xs, ys) -> RatFun:
-    """sum x * y over a nonempty pair of sequences of RatFun, from the
-    first term.  Matrix entries are canonical RatFun, so the products and
-    sums skip operand coercion."""
-    pairs = zip(xs, ys)
-    x, y = next(pairs)
-    acc = x._mul_reduced(y.num, y.den)
-    for x, y in pairs:
-        acc = acc._add_reduced(x._mul_reduced(y.num, y.den), 1)
-    return acc
+    """sum x * y over a pair of sequences of RatFun.  Matrix entries are
+    canonical RatFun, so the products and sums skip operand coercion, and
+    a pair with a zero factor adds nothing, so it costs nothing: Smith
+    factors, b1^-1 and identity targets are sparse."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x.num._p and y.num._p:
+            term = x._mul_reduced(y.num, y.den)
+            acc = term if acc is None else acc._add_reduced(term, 1)
+    return _ZERO if acc is None else acc
+
+
+_ZERO = RatFun.const(0)
 
 
 def _total_degree(r: RatFun) -> int:

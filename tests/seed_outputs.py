@@ -7,12 +7,12 @@ operation by operation, the exit code, the stdout and, for realize, the
 bytes of the written v.json and g.json.  Two checkouts whose digests
 agree emit the same output on every operation.
 
-Inputs are written under WORKDIR/inputs and realize writes to
-WORKDIR/out, so the paths inside the reports are the same in every
-checkout run with the same WORKDIR (the default is one fixed directory
-under the system's temporary directory).  Those two subdirectories are
-removed before and after each workload; nothing else in WORKDIR is
-touched.
+Each workload runs in WORKDIR (by default one fixed directory under the
+system's temporary directory): inputs are written under the relative
+path inputs/ and realize writes to out/, so the paths inside the
+reports, and the digests, are the same whatever WORKDIR and checkout.
+Those two subdirectories are removed before and after each workload;
+nothing else in WORKDIR is touched.
 
     python tests/seed_outputs.py [--seed N] [--workdir DIR] [workload ...]
 
@@ -39,9 +39,18 @@ from latkern.cli import main as cli_main  # noqa: E402
 
 
 def workload_digest(name: str, seed: int, workdir: str):
-    """(operation count, SHA-256 hex digest) of one workload's outputs."""
-    inputs = os.path.join(workdir, "inputs")
-    out_dir = os.path.join(workdir, "out")
+    """(operation count, SHA-256 hex digest) of one workload's outputs,
+    run in workdir."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        return _digest_here(name, seed)
+    finally:
+        os.chdir(cwd)
+
+
+def _digest_here(name: str, seed: int):
+    inputs, out_dir = "inputs", "out"
     for path in (inputs, out_dir):
         shutil.rmtree(path, ignore_errors=True)
     os.makedirs(inputs)

@@ -32,6 +32,19 @@ def test_matrix_round_trip_random():
         assert matrix_from_json(matrix_to_json(m)) == m
 
 
+def test_matrix_text_read_off_json_matches_str():
+    # Text mode prints a report matrix from its coefficient texts; that
+    # must be str() of the matrix, signs, unit and fractional terms alike.
+    rng = random.Random(92)
+    ms = [rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
+          for _ in range(40)]
+    ms.append(TransferMatrix([[0, -1, z(1) - 1, -z(2) + Fraction(-1, 2)],
+                              [z(-1), -z(-2), 1 / (1 - z(1)),
+                               (z(1) + 1) / (2 * z(2) - 3)]]))
+    for m in ms:
+        assert matrixio.matrix_json_str(matrix_to_json(m)) == str(m)
+
+
 def test_matrix_file_round_trip(tmp_path):
     m = TransferMatrix([[RatFun(Poly([1, 2]), Poly([0, 0, 3])), z(1)]])
     path = write(tmp_path / "m.json", m)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import latkern.factor
+import latkern.linalg
 from latkern.cli import main
 from latkern.factor import (causal_factor, constant_matrix, static_factor)
 from latkern.latency import latency_kernel
@@ -246,12 +247,12 @@ def test_bicausal_equivalence_wrappers():
 def test_static_factor_examples():
     f = TransferMatrix.scalar(z(-1))
     doubled = static_factor(f, TransferMatrix.scalar(RatFun.const(2) * z(-1)))
-    assert constant_matrix(doubled) == ((2,),)
+    assert constant_matrix(doubled.g) == ((2,),)
 
-    assert static_factor(f, TransferMatrix.scalar(z(-2))) is None
+    assert not static_factor(f, TransferMatrix.scalar(z(-2))).decision
 
     f2 = TransferMatrix.from_columns([[z(-2), z(-1)]])
-    g = static_factor(f2, TransferMatrix.scalar(z(-1)))
+    g = static_factor(f2, TransferMatrix.scalar(z(-1))).g
     assert constant_matrix(g) == ((0, 1),)
     assert g * f2 == TransferMatrix.scalar(z(-1))
 
@@ -270,8 +271,8 @@ def test_static_factor_window_bound_against_bruteforce():
         else:
             h = rand_matrix(rng, q, m, 2)
         got = static_factor(f, h)
-        if got is not None:
-            assert got * f == h
+        if got.decision:
+            assert got.g * f == h
         else:
             # brute force: no constant combination reproduces h
             found = brute_force_static(f, h)
@@ -314,5 +315,87 @@ def test_static_implies_causal():
         g0 = TransferMatrix.from_constant(
             [[Fraction(rng.randint(-2, 2)) for _ in range(2)]])
         h = g0 * f
-        assert static_factor(f, h) is not None
+        assert static_factor(f, h).decision
         assert causal_factor(f, h).decision
+
+
+def _write_pair(tmp_path, f, h):
+    """Paths of f and h written as f.json and h.json under tmp_path."""
+    paths = [str(tmp_path / "f.json"), str(tmp_path / "h.json")]
+    dump_matrix(f, paths[0])
+    dump_matrix(h, paths[1])
+    return paths
+
+
+def test_square_factor_replays_neither_b1_nor_b2(monkeypatch, tmp_path,
+                                                 capsys):
+    # For square f, factor reads b1^-1 and b2^-1 off the Smith records
+    # (transform replays) and never b1 or b2 (inverse replays).
+    rng = random.Random(63)
+    f, _ = rand_strictly_causal_injective(rng, 3, 3, max_nu=2, max_deg=1)
+    h = rand_causal(rng, 2, 3) * f
+    paths = _write_pair(tmp_path, f, h)
+
+    def refuse(self):
+        raise AssertionError("a Smith factor was replayed")
+
+    monkeypatch.setattr(latkern.linalg.RowOps, "inverse", refuse)
+    assert main(["--json", "factor", *paths]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["decision"] == "yes"
+
+
+def _functional(terms, row):
+    """sum c * [z^-t] row[j] over the witness terms (j, t, c)."""
+    return sum(c * row[j].laurent_coeff(t) for j, t, c in terms)
+
+
+def test_static_factor_no_carries_a_fredholm_witness():
+    # No constant g has g * f == h; the witness functional y vanishes on
+    # each row of f but not on the named row of h.
+    rng = random.Random(64)
+    cases = [(TransferMatrix.scalar(z(-1)), TransferMatrix.scalar(z(-2))),
+             (TransferMatrix.zero(1, 2), TransferMatrix([[0, z(-1)]]))]
+    while len(cases) < 12:
+        f, h = rand_matrix(rng, 2, 2, 2), rand_matrix(rng, 2, 2, 2)
+        if not static_factor(f, h).decision:
+            cases.append((f, h))
+    for f, h in cases:
+        out = static_factor(f, h)
+        assert not out.decision and out.g is None
+        row, terms = out.witness
+        assert all(_functional(terms, r) == 0 for r in f.entries)
+        assert _functional(terms, h.entries[row]) != 0
+
+
+def test_static_factor_no_reports_its_witness(tmp_path, capsys):
+    paths = _write_pair(tmp_path, TransferMatrix.scalar(z(-1)),
+                        TransferMatrix.scalar(z(-2)))
+    assert main(["--json", "factor", *paths, "--static"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["decision"] == "no"
+    witness = report["witness"]
+    assert witness["row"] == 0
+    terms = [(y["column"], y["index"], Fraction(y["coeff"]))
+             for y in witness["y"]]
+    assert _functional(terms, [z(-1)]) == 0
+    assert _functional(terms, [z(-2)]) != 0
+
+
+def test_static_factor_corrupted_witness_exits_3(tmp_path, capsys,
+                                                 monkeypatch):
+    # Every solution linalg.solve returns is moved off by one: the window
+    # system of g stays inconsistent, and the witness y no longer
+    # annihilates f's windows.
+    exact = latkern.linalg.solve
+
+    def off_by_one(a, b):
+        x = exact(a, b)
+        return None if x is None else tuple(v + 1 for v in x)
+
+    monkeypatch.setattr(latkern.linalg, "solve", off_by_one)
+    paths = _write_pair(tmp_path, TransferMatrix.scalar(z(-1)),
+                        TransferMatrix.scalar(z(-2)))
+    assert main(["--json", "factor", *paths, "--static"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "factor", "error": "static factor witness does not refute"}

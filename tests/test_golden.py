@@ -1,4 +1,5 @@
-"""Golden outputs: the SHA-256 of `--json` stdout on fixed inputs.
+"""Golden outputs: the SHA-256 of stdout on fixed inputs, with and
+without `--json`, and of every seed-1 output of two benchmark workloads.
 
 Any change to how a report is computed or printed moves a digest, so a
 speed-up that claims byte-identical output is held to it here.  Inputs
@@ -11,10 +12,13 @@ import random
 
 import pytest
 
+import latkern.cli
+import latkern.matrixio
 from latkern.cli import main
 from latkern.matrixio import dump_matrix
 from latkern.transfer import TransferMatrix
 
+import seed_outputs
 from gen import (rand_bicausal, rand_matrix, rand_ratfun,
                  rand_strictly_causal_injective)
 
@@ -71,3 +75,78 @@ def test_json_stdout_digest(argv, code, digest, tmp_path, capsys,
     assert main(["--json"] + argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Text-mode stdout of the same argv, by test id.
+TEXT_DIGESTS = {
+    "realize":
+        "d5d11cba1d9c97f0f38482d1c144eb0fd9383ba0fbaf3bd5fb4e4ba717cd1f42",
+    "simulate":
+        "9ea8f74069d87b20dafa1edba0b3e6f73cac519ad9143fc90a377325c6ebcf81",
+    "expand":
+        "7cdf4bf7db39f6ddfe8c13e206867e5b07fc101692903d048d991ae50e0a92c9",
+    "latency":
+        "47f134b97101dd5765ea41835baea35b8481c83f84ca5a7d3ccad118fc0ee00d",
+    "factor-yes":
+        "6a6e8ca58ca3b98d0b9083b943b7873a2b2caf01902f64d24f3520f70be97a78",
+    "factor-no":
+        "3610cc7b549f6ff554e8acc6fc4ca135dca83a9fb7a861d306f2255021d5ec26",
+    "equiv-post":
+        "1a757b562e641d4e96ac62fe998c7e1d0be8eac664201576ae4ca8c7e0af2d15",
+    "equiv-two-sided":
+        "5c4f689abc69fb6cf223289765d640a1f248545af5bd3d6b57ae5d670a74a3be",
+}
+
+
+def _run_text(argv, code, tmp_path, capsys, monkeypatch):
+    """Text-mode stdout of argv on the golden inputs; checks the exit."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LATKERN_HORIZON", raising=False)
+    for name, matrix in _inputs().items():
+        dump_matrix(matrix, name)
+    assert main(argv) == code
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tid,argv,code", [g[:3] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_text_stdout_digest(tid, argv, code, tmp_path, capsys, monkeypatch):
+    out = _run_text(argv, code, tmp_path, capsys, monkeypatch)
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[tid]
+
+
+@pytest.mark.parametrize("argv,code", [g[1:3] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_text_mode_prints_matrices_without_parsing_them(argv, code, tmp_path,
+                                                        capsys, monkeypatch):
+    # Inputs load through the real parser; any other matrix_from_json
+    # call, such as one reading a report matrix back to print it, raises.
+    parse = latkern.matrixio.matrix_from_json
+
+    def refuse(obj):
+        raise AssertionError("a report matrix was parsed to be printed")
+
+    monkeypatch.setattr(latkern.cli, "load_matrix",
+                        lambda path: parse(latkern.matrixio._read_json(path)))
+    monkeypatch.setattr(latkern.matrixio, "matrix_from_json", refuse)
+    monkeypatch.setattr(latkern.cli, "matrix_from_json", refuse,
+                        raising=False)
+    out = _run_text(argv, code, tmp_path, capsys, monkeypatch)
+    assert out and "error" not in out
+
+
+# (operations, digest) of tests/seed_outputs.py on seed 1: every output of
+# the benchmark workloads that reach the kernel path and realize.
+SEED_DIGESTS = {
+    "kernel": (152, "bff9a01ebc07eccf5c07e7fcedec1a73"
+                    "a0abdd95a6da9b703f6d49236eb89193"),
+    "realize": (280, "c09962a96ebc1c037a7273000bc253bb"
+                     "4537cca7207da0ad251867688defa80a"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_DIGESTS))
+def test_seed_1_workload_digest(workload, tmp_path, monkeypatch):
+    monkeypatch.delenv("LATKERN_HORIZON", raising=False)
+    assert (seed_outputs.workload_digest(workload, 1, str(tmp_path))
+            == SEED_DIGESTS[workload])

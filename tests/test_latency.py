@@ -259,7 +259,11 @@ def test_corrupt_b2_inverse_constant_term_is_caught(monkeypatch):
 
     def corrupted(f):
         s = smith_at_infinity(f)
-        return dataclasses.replace(s, b2_inv=s.b2_inv * t, b2=t_inv * s.b2)
+        s = dataclasses.replace(s, b2_inv=s.b2_inv * t)
+        # b2 is replayed from the column record on first read: corrupt the
+        # cached factor along with b2^-1.
+        vars(s)["b2"] = t_inv * s.b2
+        return s
 
     monkeypatch.setattr("latkern.latency.smith_at_infinity", corrupted)
     f, _ = rand_strictly_causal_injective(random.Random(46), 2, 2, max_nu=2,

@@ -171,3 +171,32 @@ def test_static_strict_split_roundtrip_random():
         l0, h = f.static_strict_split()
         assert TransferMatrix.from_constant(l0) + h == f
         assert h.classify().strictly_causal
+
+
+def test_products_skip_pairs_with_a_zero_factor(monkeypatch):
+    # A pair with a zero factor adds nothing to an entry of a product, so
+    # no RatFun product is formed for it; the values are the plain sums.
+    rng = random.Random(61)
+    a, b = rand_nonzero_matrix(rng, 3, 4, 2), rand_nonzero_matrix(rng, 4, 2, 2)
+    a = TransferMatrix([[0 if (i + j) % 2 else e for j, e in enumerate(row)]
+                        for i, row in enumerate(a.entries)])
+    b = TransferMatrix([[0 if i == 1 else e for e in row]
+                        for i, row in enumerate(b.entries)])
+    u = [rand_ratfun(rng, 2), RatFun.const(0), rand_ratfun(rng, 2), 0]
+    want_ab = [[sum((a.entry(i, k) * b.entry(k, j) for k in range(4)),
+                    RatFun.const(0)) for j in range(2)] for i in range(3)]
+    want_au = [sum((a.entry(i, k) * u[k] for k in range(4)), RatFun.const(0))
+               for i in range(3)]
+    zero_operands = []
+    mul = RatFun._mul_reduced
+
+    def checked(self, num, den):
+        if self.is_zero or num.is_zero:
+            zero_operands.append((self, num))
+        return mul(self, num, den)
+
+    monkeypatch.setattr(RatFun, "_mul_reduced", checked)
+    assert a * b == TransferMatrix(want_ab)
+    assert a.apply(u) == tuple(want_au)
+    assert TransferMatrix.zero(2, 3) * a == TransferMatrix.zero(2, 4)
+    assert zero_operands == []
