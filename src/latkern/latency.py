@@ -71,8 +71,8 @@ class LatencyKernel:
     def generator_inv(self) -> TransferMatrix:
         # diag(z^-sigma) * b2, its rows taken in the order perm
         sigma, b2 = self.smith.sigma, self.smith.b2.entries
-        return TransferMatrix([[e * RatFun.zpow(-sigma[i]) for e in b2[i]]
-                               for i in self.perm])
+        return TransferMatrix([[e * RatFun.zpow(-sigma[i]) if e else e
+                                for e in b2[i]] for i in self.perm])
 
     @functools.cached_property
     def poly_generator(self) -> TransferMatrix | None:
@@ -155,9 +155,9 @@ def build_latency_kernel(f: TransferMatrix) -> LatencyKernel:
             f"{len(sigma)} < {m} (not injective)")
     perm = tuple(sorted(range(m), key=lambda i: (-sigma[i], i)))
     # d = b2^-1 * diag(z^sigma), built by scaling columns, taken in the
-    # order perm.
-    d = TransferMatrix([[row[i] * RatFun.zpow(sigma[i]) for i in perm]
-                        for row in smith.b2_inv.entries])
+    # order perm; a zero entry stays as it is.
+    d = TransferMatrix([[row[i] * RatFun.zpow(sigma[i]) if row[i] else row[i]
+                         for i in perm] for row in smith.b2_inv.entries])
     return LatencyKernel(
         generator=d,
         orders=tuple(-sigma[i] for i in perm),

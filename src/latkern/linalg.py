@@ -143,11 +143,13 @@ class RowOps:
 
 
 def _row_op(rows, kind, i, j, c):
-    # A zero entry stays as it is, as in _echelon.
+    # A zero entry stays as it is, as in _echelon, and c * y added to a
+    # zero x is c * y.
     if kind == "swap":
         rows[i], rows[j] = rows[j], rows[i]
     elif kind == "add":
-        rows[i] = [x + c * y if y else x for x, y in zip(rows[i], rows[j])]
+        rows[i] = [(x + c * y if x else c * y) if y else x
+                   for x, y in zip(rows[i], rows[j])]
     else:
         rows[i] = [x * c if x else x for x in rows[i]]
 

@@ -189,7 +189,7 @@ class SmithAtInfinity:
         z^-sigma) * (b2's first r rows), where r = len(sigma)."""
         r = len(self.sigma)
         shifts = [RatFun.zpow(-s) for s in self.sigma]
-        left = TransferMatrix([[e * s for e, s in zip(row, shifts)]
+        left = TransferMatrix([[e * s if e else e for e, s in zip(row, shifts)]
                                for row in self.b1.entries])
         return left * TransferMatrix(self.b2.entries[:r])
 

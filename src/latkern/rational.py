@@ -19,6 +19,14 @@ with them instead of dividing again.  Delays make most operands on the
 kernel path divisible by z, so each gcd first splits off the common and
 the excess powers of z, which changes no result, and runs GCDHEU or the
 remainder sequence only on parts with a nonzero constant term.
+
+`RatFun` sums and products, and the dot products of `transfer`, run on
+integer parts: a value in flight is (n, d, p, q), meaning (n / d) p / q,
+with p and q coprime primitive integer tuples and d > 0.  `_mul_parts`
+cancels each numerator against the other denominator; `_add_parts`
+reduces only against gcd(q1, q2), which holds every common factor of
+the sum's numerator and denominator.  Each result is in lowest terms,
+and `_over_monic` builds the canonical `RatFun` once, at the end.
 """
 
 from __future__ import annotations
@@ -325,12 +333,22 @@ def _primitive(c: list[int]) -> tuple[int, tuple]:
 
 
 def _int_mul(a: tuple, b: tuple) -> tuple:
-    """Product of integer coefficient tuples (ascending), schoolbook."""
+    """Product of integer coefficient tuples (ascending), schoolbook.
+
+    An operand c z^k, common on the kernel path, shifts and scales the
+    other one instead.
+    """
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
         y = b[0]
-        return a if y == 1 else tuple(y * x for x in a)
+        return a if y == 1 else tuple([y * x for x in a])
+    if not b[0] and not any(b[1:-1]):  # the monomial goes first
+        a, b = b, a
+    if not a[0] and not any(a[1:-1]):
+        y = a[-1]
+        return (0,) * (len(a) - 1) + (b if y == 1 else
+                                      tuple([y * x for x in b]))
     out = [0] * (len(a) + len(b) - 1)
     for i, y in enumerate(b):
         if y:
@@ -507,7 +525,8 @@ class RatFun:
             num, den = Poly.zero(), Poly.one()
         else:
             _, p, q = _gcd_cofactors(num._p, den._p)
-            num, den = _over_monic(num._n, num._d, p, den._n, den._d, q)
+            n, d, _, _ = _parts(num, den)
+            num, den = _over_monic(n, d, p, q)
         _set_num(self, num)
         _set_den(self, den)
 
@@ -687,35 +706,14 @@ class RatFun:
         return q, RatFun(r, self.den) + RatFun.const(q.coeff(0))
 
     def _add_reduced(self, other: RatFun, sign: int) -> RatFun:
-        """Sum/difference of canonical operands, reduced without a full gcd.
-
-        Any common factor of the combined numerator and the lcm denominator
-        divides gcd(den1, den2), so one small gcd finishes the reduction.
-        """
-        if self.is_zero:
+        """Sum/difference of canonical operands: one `_add_parts`."""
+        if not self.num._p:
             return other if sign > 0 else -other
-        if other.is_zero:
+        if not other.num._p:
             return self
-        onum = other.num if sign > 0 else -other.num
-        den1, den2 = self.den, other.den
-        if den1.degree == 0 and den2.degree == 0:
-            return RatFun._raw(self.num + onum, Poly.one())
-        g, e1, e2 = _gcd_cofactors(den1._p, den2._p)
-        if len(g) == 1:
-            num = self.num * den2 + onum * den1
-            if num.is_zero:
-                return RatFun._raw(Poly.zero(), Poly.one())
-            return RatFun._raw(num, den1 * den2)
-        # The dens are monic, so den_i // monic(g) = monic(e_i).
-        m1, m2 = Poly._monic_of(e1), Poly._monic_of(e2)
-        num = self.num * m2 + onum * m1
-        if num.is_zero:
-            return RatFun._raw(Poly.zero(), Poly.one())
-        h, cn, cg = _gcd_cofactors(num._p, g)
-        if len(h) > 1:  # num // monic(h)
-            num = Poly._make(*_content_mul(num._n, num._d, h[-1], 1), cn)
-        # den2 // monic(h) = monic((g / h) e2)
-        return RatFun._raw(num, m1 * Poly._monic_of(_int_mul(cg, e2)))
+        n, d, p, q = _parts(other.num, other.den)
+        return RatFun._raw(*_over_monic(*_add_parts(
+            _parts(self.num, self.den), (n if sign > 0 else -n, d, p, q))))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -742,18 +740,12 @@ class RatFun:
         return RatFun._raw(-self.num, self.den)
 
     def _mul_reduced(self, num2: Poly, den2: Poly) -> RatFun:
-        """Product with cross-cancellation; operands must be canonical."""
-        if self.is_zero or num2.is_zero:
-            return RatFun._raw(Poly.zero(), Poly.one())
-        num1, den1 = self.num, self.den
-        p1, q1, p2, q2 = num1._p, den1._p, num2._p, den2._p
-        if len(q2) > 1 and len(p1) > 1:
-            _, p1, q2 = _gcd_cofactors(p1, q2)
-        if len(q1) > 1 and len(p2) > 1:
-            _, p2, q1 = _gcd_cofactors(p2, q1)
-        return RatFun._raw(*_over_monic(
-            num1._n * num2._n, num1._d * num2._d, _int_mul(p1, p2),
-            den1._n * den2._n, den1._d * den2._d, _int_mul(q1, q2)))
+        """Product with num2 / den2, a coprime pair (den2 need not be
+        monic): one `_mul_parts`."""
+        if not self.num._p or not num2._p:
+            return RatFun._raw(_ZERO, _ONE)
+        return RatFun._raw(*_over_monic(*_mul_parts(
+            _parts(self.num, self.den), _parts(num2, den2))))
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -781,9 +773,7 @@ class RatFun:
     def inverse(self) -> RatFun:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        num, den = self.num, self.den
-        return RatFun._raw(*_over_monic(den._n, den._d, den._p,
-                                        num._n, num._d, num._p))
+        return RatFun._raw(*_over_monic(*_parts(self.den, self.num)))
 
     def __pow__(self, k: int) -> RatFun:
         if k < 0:
@@ -820,20 +810,87 @@ _set_num = RatFun.num.__set__
 _set_den = RatFun.den.__set__
 
 
-def _over_monic(n: int, d: int, p: tuple, dn: int, dd: int,
-                q: tuple) -> tuple[Poly, Poly]:
-    """(num, den) for ((n / d) p) / ((dn / dd) q) with den monic.
+def _parts(num: Poly, den: Poly) -> tuple:
+    """(n, d, p, q) with num / den = (n / d) p / q and d > 0.
 
-    p and q are coprime primitive parts, and d, dd > 0.  A den that is
-    monic already (a product of monic factors) leaves n / d as it is;
-    otherwise its scale moves into the numerator.  One gcd then reduces
-    the numerator's content.
+    p and q are the primitive parts of num and den.  For a coprime pair
+    this is the form of every value in flight in a sum or a product:
+    coprime primitive integer tuples, q with a positive lead.  n / d need
+    not be reduced; `_over_monic` reduces it once, at the end.
     """
+    n, d = num._n * den._d, num._d * den._n
+    if d < 0:
+        n, d = -n, -d
+    return n, d, num._p, den._p
+
+
+def _mul_parts(x: tuple, y: tuple) -> tuple:
+    """The product of two values in parts form, in parts form.
+
+    Each numerator is cancelled against the other value's denominator by
+    one gcd, so the two products are coprime and need no further gcd.
+    """
+    n1, d1, p1, q1 = x
+    n2, d2, p2, q2 = y
+    if not p1 or not p2:
+        return 0, 1, (), (1,)
+    if len(q2) > 1 and len(p1) > 1:
+        _, p1, q2 = _gcd_cofactors(p1, q2)
+    if len(q1) > 1 and len(p2) > 1:
+        _, p2, q1 = _gcd_cofactors(p2, q1)
+    return n1 * n2, d1 * d2, _int_mul(p1, p2), _int_mul(q1, q2)
+
+
+def _add_parts(x: tuple, y: tuple) -> tuple:
+    """The sum of two values in parts form, in parts form.
+
+    With g = gcd(q1, q2), q1 = g e1 and q2 = g e2, the sum is
+    (s1 p1 e2 + s2 p2 e1) / (g e1 e2) over the lcm of d1 and d2.  An
+    irreducible factor of e1 divides q1, so neither p1 nor e2, hence not
+    the numerator; the same holds for e2.  So any common factor of the
+    numerator and g e1 e2 divides g, and one gcd against g brings the sum
+    to lowest terms; none is needed when g = 1.
+    """
+    n1, d1, p1, q1 = x
+    n2, d2, p2, q2 = y
+    if not p1:
+        return y
+    if not p2:
+        return x
+    k = math.gcd(d1, d2)
+    s1, s2, d = n1 * (d2 // k), n2 * (d1 // k), d1 // k * d2
+    g, e1, e2 = _gcd_cofactors(q1, q2)
+    a, b = _int_mul(p1, e2), _int_mul(p2, e1)
+    if len(a) < len(b):
+        a, b, s1, s2 = b, a, s2, s1
+    out = [s1 * v for v in a]
+    for i, v in enumerate(b):
+        out[i] += s2 * v
+    c, p = _primitive(out)
+    if not p:
+        return 0, 1, (), (1,)
+    if len(g) > 1:
+        _, p, g = _gcd_cofactors(p, g)
+        q = _int_mul(_int_mul(g, e1), e2)
+    else:  # q1 = e1
+        q = _int_mul(q1, e2)
+    k = math.gcd(c, d)
+    return c // k, d // k, p, q
+
+
+def _over_monic(n: int, d: int, p: tuple, q: tuple) -> tuple[Poly, Poly]:
+    """(num, den) for the parts form (n / d) p / q, with den monic.
+
+    p and q are coprime primitive parts, and d > 0.  The scale of the
+    monic den, its lead, moves into the numerator's denominator, and one
+    gcd reduces the numerator's content.  A zero p gives the canonical
+    zero.
+    """
+    if not p:
+        return _ZERO, _ONE
     lead = q[-1]
-    if dn * lead != dd:
-        n, d = n * dd, d * dn * lead
-        if d < 0:
-            n, d = -n, -d
+    if lead != 1:
+        d *= lead
     g = math.gcd(n, d)
     return Poly._make(n // g, d // g, p), Poly._monic_of(q)
 

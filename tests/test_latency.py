@@ -534,3 +534,39 @@ def test_kernel_paths_compute_no_rank(monkeypatch):
                                     "two_sided").equivalent
     rep = vg_representation(square, l)
     assert all(s <= n for s, n in zip(rep.sigma, rep.nu))
+
+
+def test_kernel_path_forms_no_arithmetic_on_zero_entries(monkeypatch):
+    # A block-diagonal plant plants zeros in every Smith factor.  Scaling
+    # a zero entry of b2^-1 or b2 by z^±sigma, a zero entry of b1 by
+    # z^-sigma in the reassembly, and a record replay adding c * y to a
+    # zero x all skip RatFun arithmetic on the zero; the certificates
+    # still hold.
+    rng = random.Random(71)
+    f2, _ = rand_strictly_causal_injective(rng, 2, 2, max_nu=2, max_deg=1)
+    zero = RatFun.const(0)
+    f = TransferMatrix([[f2.entry(0, 0), f2.entry(0, 1), zero],
+                        [f2.entry(1, 0), f2.entry(1, 1), zero],
+                        [zero, zero, z(-2)]])
+    zero_operands = []
+    mul, add = RatFun._mul_reduced, RatFun._add_reduced
+
+    def checked_mul(self, num, den):
+        if self.is_zero or num.is_zero:
+            zero_operands.append(("mul", self, num))
+        return mul(self, num, den)
+
+    def checked_add(self, other, sign):
+        if self.is_zero or other.is_zero:
+            zero_operands.append(("add", self, other))
+        return add(self, other, sign)
+
+    monkeypatch.setattr(RatFun, "_mul_reduced", checked_mul)
+    monkeypatch.setattr(RatFun, "_add_reduced", checked_add)
+    k = latency_kernel(f)
+    s = k.smith
+    assert s.b1 * s.b1_inv == TransferMatrix.identity(3)
+    assert s.b2 * s.b2_inv == TransferMatrix.identity(3)
+    assert k.generator * k.generator_inv == TransferMatrix.identity(3)
+    assert any(e.is_zero for row in s.b2_inv.entries for e in row)
+    assert zero_operands == []

@@ -1,6 +1,7 @@
 """Scalar arithmetic: orders, leading coefficients, expansion, truncations."""
 
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latkern.rational import ORD_INF, Poly, RatFun
+from latkern.rational import (ORD_INF, Poly, RatFun, _add_parts, _mul_parts,
+                              _parts)
 from latkern.simulate import _over_lcm
-from oracles import add_dicts, convolve_dicts, expansion_oracle
+from latkern.transfer import TransferMatrix
+from oracles import add_dicts, convolve_dicts, expansion_oracle, poly_gcd_ref
 
 from gen import rand_poly, rand_ratfun, rationals
 
@@ -265,3 +268,89 @@ def test_reduced_arithmetic_matches_naive():
         assert p == naive_mul(a, b)
         assert p.is_zero or (poly_gcd(p.num, p.den).degree == 0
                              and p.den.lead == 1)
+
+
+# 2^20 3^10 5^8: a lead with many small prime factors makes the content
+# gcds and the cross-cancellations of the parts form nontrivial.
+COMPOSITE = 2**20 * 3**10 * 5**8
+small_polys = st.lists(rationals, max_size=4).map(Poly)
+composite_leads = st.lists(st.integers(-9, 9), max_size=3).map(
+    lambda c: Poly(c + [COMPOSITE]))
+nonzero_rationals = rationals.filter(bool)
+# General, constant, c z^k and composite-lead denominators; a shared one
+# is drawn per example.
+parts_dens = st.one_of(
+    small_polys.filter(bool),
+    nonzero_rationals.map(lambda c: Poly([c])),
+    st.builds(lambda k, c: Poly.z(k) * c, st.integers(1, 4),
+              nonzero_rationals),
+    composite_leads)
+parts_nums = st.one_of(small_polys, composite_leads)
+signs = st.sampled_from([1, -1, Fraction(-3, 7)])
+
+
+@st.composite
+def parts_entries(draw, shared: Poly):
+    """A RatFun over a general, shared, constant or c z^k denominator, or
+    one with a highly composite lead; the numerator may be zero, have a
+    composite lead, or carry a negative content."""
+    den = shared if draw(st.booleans()) else draw(parts_dens)
+    return RatFun(draw(parts_nums) * draw(signs), den)
+
+
+def _assert_parts(parts, num: Poly, den: Poly):
+    """parts = (n, d, p, q) is num / den in the form of the parts helpers:
+    p and q coprime primitive, q with a positive lead, d > 0."""
+    n, d, p, q = parts
+    assert d > 0 and q[-1] > 0 and math.gcd(*q) == 1
+    if p:
+        assert p[-1] > 0 and math.gcd(*p) == 1
+        assert len(poly_gcd_ref(p, q)) == 1
+    assert Poly(p) * n * den == num * Poly(q) * d
+
+
+def _assert_canonical_of(r: RatFun, num: Poly, den: Poly):
+    """r is the canonical form of num / den, checked without RatFun's
+    own reduction, and equal to RatFun(num, den)."""
+    assert r.num * den == num * r.den
+    assert r.den.lead == 1
+    assert len(poly_gcd_ref(r.num.coeffs, r.den.coeffs)) == 1
+    assert r == RatFun(num, den)
+
+
+def _unreduced_dot(xs, ys):
+    """(num, den) of sum x * y, over the product of every denominator."""
+    num, den = Poly.zero(), Poly.one()
+    for x, y in zip(xs, ys):
+        tn, td = x.num * y.num, x.den * y.den
+        num, den = num * td + tn * den, den * td
+    return num, den
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parts_arithmetic_matches_unreduced_polys(data):
+    shared = data.draw(small_polys.filter(bool))
+    x, y, w, v = (data.draw(parts_entries(shared)) for _ in range(4))
+    px, py = _parts(x.num, x.den), _parts(y.num, y.den)
+    _assert_parts(px, x.num, x.den)
+    if y:  # the divisor's pair: a numerator as denominator, any sign
+        _assert_parts(_parts(y.den, y.num), y.den, y.num)
+        _assert_canonical_of(x / y, x.num * y.den, x.den * y.num)
+    _assert_parts(_mul_parts(px, py), x.num * y.num, x.den * y.den)
+    _assert_parts(_add_parts(px, py), x.num * y.den + y.num * x.den,
+                  x.den * y.den)
+    _assert_parts(_add_parts(px, _parts(-x.num, x.den)), Poly.zero(), x.den)
+    _assert_canonical_of(x + y, x.num * y.den + y.num * x.den, x.den * y.den)
+    _assert_canonical_of(x - y, x.num * y.den - y.num * x.den, x.den * y.den)
+    _assert_canonical_of(x * y, x.num * y.num, x.den * y.den)
+    # Row 0 cancels to zero after two terms and then adds w * v; row 1
+    # cancels to zero at its end; row 2 is dense.
+    a = TransferMatrix([[x, -x, w], [x, -x, 0], [w, y, x]])
+    b = TransferMatrix([[y, v], [y, w], [v, y]])
+    ab = a * b
+    for i, row in enumerate(a.entries):
+        for j, col in enumerate(zip(*b.entries)):
+            _assert_canonical_of(ab.entry(i, j), *_unreduced_dot(row, col))
+    for r, row in zip(a.apply(b.column(0)), a.entries):
+        _assert_canonical_of(r, *_unreduced_dot(row, b.column(0)))

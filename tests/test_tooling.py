@@ -6,9 +6,12 @@ import importlib.util
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import latkern
 import latkern.latency
@@ -264,3 +267,29 @@ def test_latency_kernel_inverts_no_matrix(monkeypatch):
     k = latkern.latency.latency_kernel(f)
     assert k.indices == nu and k.poly_generator is not None
     assert k.contains(k.generator.column(0))
+
+
+def test_ab_replay_runs_a_against_a(capsys):
+    # tests/ab_replay.py with this checkout as its own parent: one kernel
+    # round, both sides equal on every operation, one ratio printed.
+    import ab_replay
+    assert ab_replay.main([str(SRC.parents[1]), "--rounds", "1",
+                           "--reps", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "kernel seed 1: 19 operations from 1 rounds"
+    assert out[1].startswith("rep 1: parent ") and " ratio " in out[1]
+    assert out[2].endswith("stdout equal on every operation")
+
+
+def test_ab_replay_stops_at_a_difference(tmp_path, capsys):
+    # A parent whose cli prints one more line differs on the first
+    # operation.
+    import ab_replay
+    copy = tmp_path / "src" / "latkern"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "cli.py", "a") as fh:
+        fh.write("\n_main = main\n\n\ndef main(argv=None):\n"
+                 "    code = _main(argv)\n    print('extra')\n"
+                 "    return code\n")
+    with pytest.raises(ab_replay.OutputMismatch, match="operation 0 "):
+        ab_replay.main([str(tmp_path), "--rounds", "1", "--reps", "1"])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import latkern.transfer
 from latkern.rational import ORD_INF, Poly, RatFun
 from latkern.transfer import SingularMatrixError, TransferMatrix
 from oracles import expansion_oracle
@@ -175,7 +176,9 @@ def test_static_strict_split_roundtrip_random():
 
 def test_products_skip_pairs_with_a_zero_factor(monkeypatch):
     # A pair with a zero factor adds nothing to an entry of a product, so
-    # no RatFun product is formed for it; the values are the plain sums.
+    # no RatFun product is formed for it: not by the parts product of a
+    # dot with several pairs, nor by the one _mul_reduced of a dot with
+    # one.  The values are the plain sums.
     rng = random.Random(61)
     a, b = rand_nonzero_matrix(rng, 3, 4, 2), rand_nonzero_matrix(rng, 4, 2, 2)
     a = TransferMatrix([[0 if (i + j) % 2 else e for j, e in enumerate(row)]
@@ -187,16 +190,44 @@ def test_products_skip_pairs_with_a_zero_factor(monkeypatch):
                     RatFun.const(0)) for j in range(2)] for i in range(3)]
     want_au = [sum((a.entry(i, k) * u[k] for k in range(4)), RatFun.const(0))
                for i in range(3)]
-    zero_operands = []
+    zero_operands, calls = [], []
     mul = RatFun._mul_reduced
+    mul_parts = latkern.transfer._mul_parts
 
     def checked(self, num, den):
+        calls.append("_mul_reduced")
         if self.is_zero or num.is_zero:
             zero_operands.append((self, num))
         return mul(self, num, den)
 
+    def checked_parts(x, y):
+        calls.append("_mul_parts")
+        if not x[2] or not y[2]:
+            zero_operands.append((x, y))
+        return mul_parts(x, y)
+
     monkeypatch.setattr(RatFun, "_mul_reduced", checked)
+    monkeypatch.setattr(latkern.transfer, "_mul_parts", checked_parts)
     assert a * b == TransferMatrix(want_ab)
     assert a.apply(u) == tuple(want_au)
     assert TransferMatrix.zero(2, 3) * a == TransferMatrix.zero(2, 4)
     assert zero_operands == []
+    assert set(calls) == {"_mul_reduced", "_mul_parts"}  # both dot paths
+
+
+def test_dense_product_makes_no_ratfun_sum(monkeypatch):
+    # Each entry of a product stays in parts form from its first product
+    # to its last sum, so no canonical RatFun sum is formed on the way.
+    rng = random.Random(62)
+    a, b = rand_nonzero_matrix(rng, 3, 3, 2), rand_nonzero_matrix(rng, 3, 3, 2)
+    a = TransferMatrix([[e or RatFun.const(1) for e in row]
+                        for row in a.entries])
+    b = TransferMatrix([[e or z(-1) for e in row] for row in b.entries])
+    want = [[sum((a.entry(i, k) * b.entry(k, j) for k in range(3)),
+                 RatFun.const(0)) for j in range(3)] for i in range(3)]
+
+    def refuse(self, other, sign):
+        raise AssertionError("RatFun._add_reduced called")
+
+    monkeypatch.setattr(RatFun, "_add_reduced", refuse)
+    assert a * b == TransferMatrix(want)
