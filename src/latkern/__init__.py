@@ -24,7 +24,7 @@ from .feedback import (FeedbackRealization, PreconditionError, StateSpace,
                        closed_loop, from_state_space, is_nonlatency_check,
                        static_feedback_realizable, static_state_feedback_test,
                        vg_representation, worst_case_precompensator)
-from .simulate import SeriesMatrix, simulate_response, verification_horizon
+from .simulate import SeriesMatrix, simulate_response
 from .matrixio import (InputFormatError, dump_matrix, load_matrix,
                        matrix_from_json, matrix_to_json)
 

@@ -27,7 +27,7 @@ from .matrixio import (InputFormatError, OutputPathError, check_output_dir,
                        json_text, load_constant_matrix, load_matrix,
                        make_output_dir, matrix_json_str, matrix_to_json)
 from .rational import ORD_INF
-from .simulate import check_horizon, simulate_response, verification_horizon
+from .simulate import DEFAULT_HORIZON, check_horizon, simulate_response
 from .transfer import InternalCheckError, SingularMatrixError
 
 
@@ -115,9 +115,6 @@ def cmd_equiv(args):
 
 
 def cmd_realize(args):
-    # Read first, so a bad LATKERN_HORIZON exits 2 before any algebra; the
-    # exact (I + g f) l = v that vg_representation certifies covers it.
-    horizon = verification_horizon()
     check_output_dir(args.out_dir, ("v.json", "g.json"))
     f = load_matrix(args.f)
     l = load_matrix(args.l)
@@ -135,7 +132,6 @@ def cmd_realize(args):
         "v": v_json,
         "g": g_json,
         "files": {"v": v_path, "g": g_path},
-        "simulation_horizon": horizon,
     }
     return report, 0
 
@@ -183,10 +179,7 @@ def cmd_statespace(args):
 
 
 def cmd_simulate(args):
-    if args.horizon is None:
-        horizon = verification_horizon()
-    else:
-        horizon = check_horizon(args.horizon, "--horizon")
+    horizon = check_horizon(args.horizon, "--horizon")
     f = load_matrix(args.f)
     u_mat = load_matrix(args.u)
     if u_mat.cols != 1:
@@ -296,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="convolution response to a rational input")
     p.add_argument("f")
     p.add_argument("u")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
+                   help=f"last series index (default {DEFAULT_HORIZON})")
     p.set_defaults(run=cmd_simulate)
     return parser
 

@@ -20,9 +20,10 @@ kernel path divisible by z, so each gcd first splits off the common and
 the excess powers of z, which changes no result, and runs GCDHEU or the
 remainder sequence only on parts with a nonzero constant term.
 
-`RatFun` sums and products, and the dot products of `transfer`, run on
-integer parts: a value in flight is (n, d, p, q), meaning (n / d) p / q,
-with p and q coprime primitive integer tuples and d > 0.  `_mul_parts`
+`RatFun` sums and products, `Poly` sums and the dot products of
+`transfer` run on integer parts: a value in flight is (n, d, p, q),
+meaning (n / d) p / q, with p and q coprime primitive integer tuples
+and d > 0 (q = (1,) for a `Poly`).  `_mul_parts`
 cancels each numerator against the other denominator; `_add_parts`
 reduces only against gcd(q1, q2), which holds every common factor of
 the sum's numerator and denominator.  Each result is in lowest terms,
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 # Order of the zero element.  Finite orders are plain ints.
 ORD_INF = math.inf
@@ -183,23 +183,11 @@ class Poly:
         return Poly._make(self._n, self._d, (0,) * k + self._p)
 
     def _add(self, other: Poly, n2: int) -> Poly:
-        """self + (n2 / other._d) * (primitive part of other)."""
-        if not other._p:
-            return self
-        if not self._p:
-            return Poly._make(n2, other._d, other._p)
-        n1, d1, d2 = self._n, self._d, other._d
-        g = math.gcd(d1, d2)
-        s1, s2 = n1 * (d2 // g), n2 * (d1 // g)
-        h = math.gcd(s1, s2)
-        s1, s2 = s1 // h, s2 // h
-        a, b = self._p, other._p
-        if len(a) < len(b):
-            a, b, s1, s2 = b, a, s2, s1
-        out = [s1 * x for x in a] if s1 != 1 else list(a)
-        for i, y in enumerate(b):
-            out[i] += s2 * y
-        return Poly._scaled(out, h, d1 // g * d2)
+        """self + (n2 / other._d) * (primitive part of other): one
+        `_add_parts` over the denominator 1."""
+        n, d, p, _ = _add_parts((self._n, self._d, self._p, (1,)),
+                                (n2, other._d, other._p, (1,)))
+        return Poly._make(n, d, p) if p else _ZERO
 
     def __add__(self, other: Poly) -> Poly:
         return self._add(other, other._n)
@@ -669,32 +657,6 @@ class RatFun:
         g = math.gcd(common, *ints)
         pad = [0] * max(t0 - start, 0)
         return pad + [x // g for x in ints], common // g
-
-    def laurent_ints_from(self, recip, start: int,
-                          horizon: int) -> tuple[list[int], int]:
-        """laurent_ints(start, horizon) by an integer convolution.
-
-        recip = (r, s) is RatFun(1, self.den).laurent_ints(deg den, h) for
-        some h >= horizon + deg num: the coefficient of z^-(deg den + k) in
-        1/den is r[k] / s.  With num = (n/d) * sum_j p_j z^j (p primitive),
-        the coefficient of z^-t is n * sum_j p_j r[t + j - deg den] / (d s),
-        and one gcd brings the window to the lowest terms laurent_ints
-        returns.  One expansion of 1/den then serves every entry over den.
-        """
-        r, s = recip
-        num = self.num
-        p, dd = num._p, self.den.degree
-        ints = []
-        for t in range(start, horizon + 1):
-            lo = max(dd - t, 0)  # r starts at index deg den
-            ints.append(sum(map(mul, p[lo:], r[t + lo - dd:t + len(p) - dd])))
-        if num._n != 1:
-            ints = [num._n * x for x in ints]
-        scale = num._d * s
-        g = math.gcd(scale, *ints)
-        if g == 1:
-            return ints, scale
-        return [x // g for x in ints], scale // g
 
     def plus_part(self) -> Poly:
         """Truncation to indices t <= 0: the polynomial part, constant included."""

@@ -2,13 +2,10 @@
 
 Apart from the exact rational arithmetic, transfer matrices are expanded
 into truncated series by integer recurrences and composed by convolution
-and recursive series inversion only.  An entry with a denominator of its
-own is expanded in one integer pass (`RatFun.laurent_ints`); 1/den of a
-denominator that several entries share is expanded once, and each of
-those entries is an integer convolution of its numerator with it.  Each
-entry is held as one integer sequence over one denominator, so neither
-the expansion nor a product builds a Fraction; coefficient matrices over
-Q are built only when they are read.
+and recursive series inversion only.  Each entry is expanded in one
+integer pass (`RatFun.laurent_ints`) and held as one integer sequence
+over one denominator, so neither the expansion nor a product builds a
+Fraction; a coefficient matrix over Q is built only when it is read.
 Agreement with the exact rational arithmetic on a window is the
 acceptance-level consistency test, and the `simulate` CLI subcommand runs
 inputs through it.
@@ -17,16 +14,14 @@ inputs through it.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .rational import ORD_INF, RatFun
+from .rational import ORD_INF
 from .transfer import TransferMatrix
 
 DEFAULT_HORIZON = 40
-HORIZON_ENV = "LATKERN_HORIZON"
 # Expansion is linear in the number of terms per entry, but convolution
 # is quadratic, so longer windows are refused before any work starts.
 MAX_HORIZON = 1000
@@ -41,17 +36,6 @@ def check_horizon(value: int, name: str) -> int:
     return value
 
 
-def verification_horizon() -> int:
-    raw = os.environ.get(HORIZON_ENV)
-    if raw is None:
-        return DEFAULT_HORIZON
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{HORIZON_ENV} must be an integer, got {raw!r}")
-    return check_horizon(value, HORIZON_ENV)
-
-
 class SeriesMatrix:
     """Matrix-valued truncated Laurent series: coefficient matrices
     indexed start, start+1, ..., horizon.
@@ -61,10 +45,10 @@ class SeriesMatrix:
     nums[t - start] / den at index t.  The scale is not reduced, so equal
     values may be stored over different denominators, and two series are
     compared by cross-multiplying.  `coeff(t)` builds the Fraction matrix
-    at t on first use and caches it.
+    at t each time it is read.
     """
 
-    __slots__ = ("start", "horizon", "rows", "cols", "_entries", "_fracs")
+    __slots__ = ("start", "horizon", "rows", "cols", "_entries")
 
     def __init__(self, start: int, coeffs, horizon: int, rows: int, cols: int):
         coeffs = list(coeffs)
@@ -88,8 +72,7 @@ class SeriesMatrix:
     def _fill(self, start, horizon, rows, cols, entries):
         for name, value in (("start", start), ("horizon", horizon),
                             ("rows", rows), ("cols", cols),
-                            ("_entries", entries),
-                            ("_fracs", [None] * (horizon - start + 1))):
+                            ("_entries", entries)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -97,38 +80,14 @@ class SeriesMatrix:
 
     @classmethod
     def from_transfer(cls, f: TransferMatrix, horizon: int) -> SeriesMatrix:
-        """The expansion of f from min(order, 0) to horizon.
-
-        Each entry is the pair `RatFun.laurent_ints` returns, its window
-        over the least common denominator, and no Fraction is built.  A
-        denominator held by one entry is expanded with the entry.  For a
-        denominator that two or more entries share, 1/den is expanded once
-        by `laurent_ints`, from index deg den to the horizon plus the
-        largest numerator degree among them, and each such entry's window
-        is an integer convolution of its numerator with that reciprocal
-        (`RatFun.laurent_ints_from`).
-        """
+        """The expansion of f from min(order, 0) to horizon: each entry is
+        the pair `RatFun.laurent_ints` returns, its window over the least
+        common denominator, and no Fraction is built."""
         order = f.order()
         start = 0 if order == ORD_INF else min(order, 0)
-        by_den = {}
-        for row in f.entries:
-            for e in row:
-                if not e.is_zero:
-                    by_den.setdefault(e.den, []).append(e.num.degree)
-        recips = {den: RatFun(1, den).laurent_ints(den.degree,
-                                                   horizon + max(degs))
-                  for den, degs in by_den.items() if len(degs) > 1}
-        entries = []
-        for row in f.entries:
-            out = []
-            for e in row:
-                recip = recips.get(e.den)
-                if recip is None or e.is_zero:
-                    out.append(e.laurent_ints(start, horizon))
-                else:
-                    out.append(e.laurent_ints_from(recip, start, horizon))
-            entries.append(out)
-        return cls._make(start, horizon, f.rows, f.cols, entries)
+        return cls._make(start, horizon, f.rows, f.cols,
+                         [[e.laurent_ints(start, horizon) for e in row]
+                          for row in f.entries])
 
     def coeff(self, t: int):
         if t > self.horizon:
@@ -136,12 +95,8 @@ class SeriesMatrix:
         if t < self.start:
             return linalg.zeros(self.rows, self.cols)
         i = t - self.start
-        m = self._fracs[i]
-        if m is None:
-            m = tuple(tuple(Fraction(nums[i], den) for nums, den in row)
-                      for row in self._entries)
-            self._fracs[i] = m
-        return m
+        return tuple(tuple(Fraction(nums[i], den) for nums, den in row)
+                     for row in self._entries)
 
     def __mul__(self, other: SeriesMatrix) -> SeriesMatrix:
         if self.cols != other.rows:
@@ -183,8 +138,8 @@ class SeriesMatrix:
                                   for row in self._entries
                                   for nums, _ in row):
             raise ValueError("series inverse needs a causal series")
-        m0 = self.coeff(0)
-        inv0 = linalg.invert(m0)
+        cs = [self.coeff(t) for t in range(self.horizon + 1)]
+        inv0 = linalg.invert(cs[0])
         if inv0 is None:
             raise ValueError("constant coefficient is singular")
         n = self.rows
@@ -192,7 +147,7 @@ class SeriesMatrix:
         for k in range(1, self.horizon + 1):
             acc = [[Fraction(0)] * n for _ in range(n)]
             for i in range(1, k + 1):
-                a = self.coeff(i)
+                a = cs[i]
                 b = out[k - i]
                 for r in range(n):
                     for c in range(n):

@@ -8,6 +8,7 @@ the static/strictly-causal decomposition.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,14 +139,17 @@ class TransferMatrix:
         return TransferMatrix([[self.entries[i][j] for i in range(self.rows)]
                                for j in range(self.cols)])
 
-    def __add__(self, other: TransferMatrix) -> TransferMatrix:
+    def _entrywise(self, other: TransferMatrix, op) -> TransferMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return TransferMatrix([[a + b for a, b in zip(r1, r2)]
+        return TransferMatrix([[op(a, b) for a, b in zip(r1, r2)]
                                for r1, r2 in zip(self.entries, other.entries)])
 
+    def __add__(self, other: TransferMatrix) -> TransferMatrix:
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: TransferMatrix) -> TransferMatrix:
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> TransferMatrix:
         return TransferMatrix([[-a for a in row] for row in self.entries])

@@ -21,7 +21,7 @@ this checkout as PARENT for an A/A control.
                               [--rounds 8] [--reps 6]
 
 PARENT is a checkout root that holds src/latkern, for example a
-`git archive` of the parent commit.  LATKERN_HORIZON is read as usual.
+`git archive` of the parent commit.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ nothing else in WORKDIR is touched.
 
     python tests/seed_outputs.py [--seed N] [--workdir DIR] [workload ...]
 
-latkern is imported from this checkout's src/.  LATKERN_HORIZON is read
-as usual; leave it unset to compare with recorded digests.
+latkern is imported from this checkout's src/.
 """
 
 from __future__ import annotations

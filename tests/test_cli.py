@@ -191,9 +191,9 @@ def _faulty_check(monkeypatch, fault):
 @pytest.mark.parametrize("t", [1, 6, 7])
 def test_realize_cross_check_catches_perturbed_v(tmp_path, capsys,
                                                  monkeypatch, t):
-    # v moved by 3 z^-t where vg_representation certifies it, inside the
-    # reported window or beyond it, is refused: the identity is exact.
-    monkeypatch.setenv("LATKERN_HORIZON", "6")
+    # v moved by 3 z^-t where vg_representation certifies it, at a small
+    # index or a large one, is refused: the identity is exact, so no
+    # window bounds what it covers.
     bump = TransferMatrix([[RatFun.const(0), RatFun.const(0)],
                            [3 * z(-t), RatFun.const(0)]])
     _faulty_check(monkeypatch, lambda loop, v: (loop, v + bump))
@@ -351,7 +351,7 @@ def test_statespace_command(tmp_path, capsys):
     assert got == TransferMatrix.from_columns([[z(-2), z(-1)]])
 
 
-def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
+def test_usage_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["classify", missing]) == 2
     capsys.readouterr()
@@ -372,10 +372,8 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert main(["--json", "simulate", f, u2]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert "2 entries" in error and "1 columns" in error
-    monkeypatch.setenv("LATKERN_HORIZON", "1001")
     over_cap = [["expand", f, "--terms", "1001"],
-                ["simulate", f, u, "--horizon", "1001"],
-                ["simulate", f, u]]
+                ["simulate", f, u, "--horizon", "1001"]]
     for argv in over_cap:
         assert main(["--json"] + argv) == 2
         assert "at most 1000" in json.loads(capsys.readouterr().out)["error"]
@@ -473,13 +471,19 @@ def test_json_reports_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_horizon_env_respected(tmp_path, capsys, monkeypatch):
+def test_no_environment_horizon(tmp_path, capsys, monkeypatch):
+    # simulate's horizon comes from --horizon alone, and realize reports
+    # no series window: its identity is exact.
+    monkeypatch.setenv("LATKERN_HORIZON", "5")
     f = write(tmp_path / "f.json", TransferMatrix.scalar(z(-1)))
     u = write(tmp_path / "u.json", TransferMatrix.scalar(RatFun.const(1)))
-    monkeypatch.setenv("LATKERN_HORIZON", "5")
     assert main(["--json", "simulate", f, u]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["horizon"] == 5
+    assert report["horizon"] == 40
+    assert [t["index"] for t in report["output"]] == list(range(41))
+    assert main(_realize_files(tmp_path)) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == [
+        "command", "exit_status", "files", "g", "nu", "sigma", "v"]
 
 
 def test_failed_certificate_exits_3(tmp_path, capsys, monkeypatch):

@@ -45,7 +45,7 @@ def _inputs():
 # latency, factor (one yes, one no) and equivalence (post, two-sided).
 GOLDEN = [
     ("realize", ["realize", "f.json", "l.json", "--out-dir", "out"], 0,
-     "deecbe353539fce1eb8f66dee0cf8ba9f9405aea379934f2bcbbb5d5af41cc3a"),
+     "2be874fc820af4342dc1871321f3ed3b7ec3659167cb346f0510a2e7a4263b91"),
     ("simulate", ["simulate", "g.json", "u.json", "--horizon", "25"], 0,
      "8798ce7e13a9475e33ec681899125d018a1db33517cf108878c91777d78fba7a"),
     ("expand", ["expand", "g.json", "--terms", "25"], 0,
@@ -69,7 +69,6 @@ GOLDEN = [
 def test_json_stdout_digest(argv, code, digest, tmp_path, capsys,
                             monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LATKERN_HORIZON", raising=False)
     for name, matrix in _inputs().items():
         dump_matrix(matrix, name)
     assert main(["--json"] + argv) == code
@@ -80,7 +79,7 @@ def test_json_stdout_digest(argv, code, digest, tmp_path, capsys,
 # Text-mode stdout of the same argv, by test id.
 TEXT_DIGESTS = {
     "realize":
-        "d5d11cba1d9c97f0f38482d1c144eb0fd9383ba0fbaf3bd5fb4e4ba717cd1f42",
+        "99516170d8360064592e2ec1c760cced50dd2da53a71faeba9d9b57b4870ed4d",
     "simulate":
         "9ea8f74069d87b20dafa1edba0b3e6f73cac519ad9143fc90a377325c6ebcf81",
     "expand":
@@ -101,7 +100,6 @@ TEXT_DIGESTS = {
 def _run_text(argv, code, tmp_path, capsys, monkeypatch):
     """Text-mode stdout of argv on the golden inputs; checks the exit."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LATKERN_HORIZON", raising=False)
     for name, matrix in _inputs().items():
         dump_matrix(matrix, name)
     assert main(argv) == code
@@ -140,13 +138,12 @@ def test_text_mode_prints_matrices_without_parsing_them(argv, code, tmp_path,
 SEED_DIGESTS = {
     "kernel": (152, "bff9a01ebc07eccf5c07e7fcedec1a73"
                     "a0abdd95a6da9b703f6d49236eb89193"),
-    "realize": (280, "c09962a96ebc1c037a7273000bc253bb"
-                     "4537cca7207da0ad251867688defa80a"),
+    "realize": (280, "1c44f9953d7fc6e864b5223eaa979414"
+                     "89bfce757f74d2e2af9c8ec5284c4edb"),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(SEED_DIGESTS))
-def test_seed_1_workload_digest(workload, tmp_path, monkeypatch):
-    monkeypatch.delenv("LATKERN_HORIZON", raising=False)
+def test_seed_1_workload_digest(workload, tmp_path):
     assert (seed_outputs.workload_digest(workload, 1, str(tmp_path))
             == SEED_DIGESTS[workload])

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkern.rational import Poly, RatFun
-from latkern.simulate import (MAX_HORIZON, SeriesMatrix, simulate_response,
-                              verification_horizon)
+from latkern.simulate import SeriesMatrix, simulate_response
 from latkern.transfer import TransferMatrix
 
 from gen import rand_bicausal, rand_matrix, rand_ratfun, rationals
@@ -109,25 +108,6 @@ def test_from_transfer_matches_entrywise_expansion(f, horizon):
     assert s.start == (0 if f.is_zero else min(f.order(), 0))
     assert s._entries == [[e.laurent_ints(s.start, horizon) for e in row]
                           for row in f.entries]
-
-
-def test_from_transfer_expands_each_shared_denominator_once(monkeypatch):
-    calls = []
-    ints = RatFun.laurent_ints
-
-    def counting(self, start, horizon):
-        calls.append(self)
-        return ints(self, start, horizon)
-
-    # Three entries over (z + 1)^2, one over its own denominator.
-    d1 = Poly([1, 2, 1])
-    f = TransferMatrix([[RatFun(Poly([1, 0, 1, 1]), d1), RatFun(1, d1)],
-                        [RatFun(Poly([5, 0, 2]), d1),
-                         RatFun(Poly([2]), Poly([-1, 0, 3]))]])
-    monkeypatch.setattr(RatFun, "laurent_ints", counting)
-    s = SeriesMatrix.from_transfer(f, 9)
-    assert calls == [RatFun(1, d1), f.entry(1, 1)]
-    assert s._entries == [[ints(e, -1, 9) for e in row] for row in f.entries]
 
 
 def test_series_product_window():
@@ -310,20 +290,3 @@ def test_series_inverse_needs_a_causal_series():
     with pytest.raises(ValueError, match="causal"):
         SeriesMatrix(-1, [[[3]], [[2]], [[1]]], 1, 1, 1).inverse()
 
-
-def test_verification_horizon_env(monkeypatch):
-    monkeypatch.delenv("LATKERN_HORIZON", raising=False)
-    assert verification_horizon() == 40
-    monkeypatch.setenv("LATKERN_HORIZON", "17")
-    assert verification_horizon() == 17
-    monkeypatch.setenv("LATKERN_HORIZON", "zero")
-    with pytest.raises(ValueError):
-        verification_horizon()
-    monkeypatch.setenv("LATKERN_HORIZON", "-3")
-    with pytest.raises(ValueError):
-        verification_horizon()
-    monkeypatch.setenv("LATKERN_HORIZON", str(MAX_HORIZON))
-    assert verification_horizon() == MAX_HORIZON
-    monkeypatch.setenv("LATKERN_HORIZON", str(MAX_HORIZON + 1))
-    with pytest.raises(ValueError, match=f"at most {MAX_HORIZON}"):
-        verification_horizon()
