@@ -11,7 +11,7 @@ from .transfer import (CausalityReport, InternalCheckError,
                        SingularMatrixError, TransferMatrix)
 from .properbasis import (OrderChain, ProperBasis, SmithAtInfinity,
                           column_reduce_at_infinity, order_chain,
-                          proper_independence_check, smith_at_infinity)
+                          smith_at_infinity)
 from .latency import (ContainmentResult, EquivalenceResult,
                       KernelNotFinitelyGenerated, LatencyKernel,
                       compensation_equivalence, latency_kernel,

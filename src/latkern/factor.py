@@ -54,14 +54,15 @@ def construct_causal_factor(f: TransferMatrix, h: TransferMatrix,
     of order 0; h(u) = z^s h(d) is checked improper, so the witness holds
     whatever kernel d came from (built uncertified if not passed in).
 
-    The yes-branch reads g off the kernel's Smith form f = b1*delta*b2
-    (LatencyKernel.left_factor): g is h on the image of f and zero on the
-    unit columns that complete the image (SmithAtInfinity.image_complement).
+    The yes-branch reads g off b1^-1 in the kernel's Smith form f =
+    b1*delta*b2 (LatencyKernel.left_factor): g is h on the image of f and
+    zero on the unit columns that complete the image, the pivots of the
+    constant term of b1^-1's rows m.. (SmithAtInfinity.image_complement).
     The images h * d of the generator columns, which the containment test
     computes and finds proper, are its input.  g is causal because h * d
-    is and image_coordinates, rows of b1^-1[:m, :], is (b1 is bicausal);
-    an order below 0 raises InternalCheckError.  No matrix of size p is
-    inverted, and nothing is column-reduced.
+    is and image_coordinates, rows of b1^-1[:m, :], is (b1^-1 is
+    bicausal); an order below 0 raises InternalCheckError.  No matrix of
+    size p is inverted, and nothing is column-reduced.
     """
     if f.cols != h.cols:
         raise ValueError("factor candidates need the same input dimension")

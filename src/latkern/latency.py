@@ -40,8 +40,8 @@ class LatencyKernel:
     strictly_causal_input  False flags the advisory case where f had
                        order <= 0 and indices may be negative.
     smith              the Smith form at infinity f = b1 * delta * b2 the
-                       kernel was read from; each factor and inverse is
-                       replayed from its record when first read.
+                       kernel was read from; b1^-1, b2 and delta * b2 are
+                       built from its records when first read.
     perm               the column order: generator column k is column
                        perm[k] of raw = b2^-1 * diag(z^sigma).
                        raw * b1^-1[:m, :] is a left inverse of f, so
@@ -70,9 +70,8 @@ class LatencyKernel:
     @functools.cached_property
     def generator_inv(self) -> TransferMatrix:
         # diag(z^-sigma) * b2, its rows taken in the order perm
-        sigma, b2 = self.smith.sigma, self.smith.b2.entries
-        return TransferMatrix([[e * RatFun.zpow(-sigma[i]) if e else e
-                                for e in b2[i]] for i in self.perm])
+        rows = self.smith.delta_b2
+        return TransferMatrix([rows[i] for i in self.perm])
 
     @functools.cached_property
     def poly_generator(self) -> TransferMatrix | None:
@@ -103,7 +102,8 @@ class LatencyKernel:
         With d = generator and M = image_coordinates, M * f = d^-1, so d * M
         is a left inverse of f and g0 = hd * M has g0 * f = h.  When p > m,
         let E = b1^-1, let I be the unit columns that complete the image of
-        f (SmithAtInfinity.image_complement) and C = on_complement (zero
+        f, the pivot columns of E[m:, :]'s constant term
+        (SmithAtInfinity.image_complement), and C = on_complement (zero
         when None); then g = g0 - (g0[:, I] - C) * E[m:, I]^-1 * E[m:, :].
         E[m:, :] annihilates the image, so g * f = h, and g[:, I] = C.  The
         image and the columns I span the output space, so g is the only
@@ -148,7 +148,7 @@ def build_latency_kernel(f: TransferMatrix) -> LatencyKernel:
     smith = smith_at_infinity(f)
     sigma = smith.sigma
     if len(sigma) < m:
-        if smith.reassemble() != f:
+        if not smith.reassembles(f):
             raise InternalCheckError("Smith form does not reassemble the map")
         raise KernelNotFinitelyGenerated(
             "latency kernel is not finitely generated: map has rank "
@@ -180,7 +180,7 @@ def certify_latency_kernel(k: LatencyKernel,
     if tuple(orders) != k.orders or linalg.rank(leads) != f.cols:
         raise InternalCheckError("kernel generator is not a proper basis: "
                                  "b2^-1 is not bicausal")
-    if k.smith.reassemble() != f:
+    if not k.smith.reassembles(f):
         raise InternalCheckError("Smith form does not reassemble the map")
     return k
 

@@ -49,19 +49,6 @@ class ProperBasis:
     leading_matrix: tuple
 
 
-def proper_independence_check(cols):
-    """Whether the leading coefficients are independent over K.
-
-    Returns (flag, leading matrix).  A zero vector is never properly
-    independent.
-    """
-    cols = [tuple(c) for c in cols]
-    orders, lead_matrix = leading_data(cols)
-    if any(o == ORD_INF for o in orders):
-        return False, lead_matrix
-    return linalg.rank(lead_matrix) == len(cols), lead_matrix
-
-
 def column_reduce_at_infinity(m: TransferMatrix):
     """Reduce the columns of m to a proper basis of their span.
 
@@ -118,19 +105,6 @@ def column_reduce_at_infinity(m: TransferMatrix):
             TransferMatrix.from_columns([w_cols[i] for i in perm]))
 
 
-def _unit_completion(lead_cols, ambient_dim: int) -> tuple:
-    """Indices of the unit vectors that complete span(lead_cols) to K^n.
-
-    The pivot columns past the leads in one echelon form of [lead_cols | I]:
-    greedy from the lowest index, so the choice depends only on the span
-    of the constant vectors lead_cols, not on the vectors themselves.
-    """
-    k = len(lead_cols)
-    rows = [[c[r] for c in lead_cols] + list(unit)
-            for r, unit in enumerate(linalg.eye(ambient_dim))]
-    return tuple(c - k for c in linalg._echelon(rows) if c >= k)
-
-
 @dataclass(frozen=True)
 class SmithAtInfinity:
     """Factorization f = b1 * delta * b2 with b1, b2 bicausal.
@@ -138,26 +112,24 @@ class SmithAtInfinity:
     delta is rows x cols with z^-sigma[i] on the diagonal and zeros
     elsewhere; sigma is nondecreasing with one entry per rank.  b2_inv is
     b2^-1, replayed from the record of column operations, which every
-    latency kernel reads.  The form keeps both records; b1, b2 and b1_inv
-    = b1^-1 are each replayed on first read, so a caller pays only for the
-    factors it reads.  Nothing is checked here, not even reassemble() ==
-    f: latency_kernel certifies the kernel b2_inv yields, causal_factor
-    and compensation_equivalence the answers read off them.
+    latency kernel reads.  The form keeps both records; b1_inv = b1^-1,
+    b2 and delta_b2 are each built on first read, so a caller pays only
+    for what it reads.  The row record is only ever replayed forward:
+    b1^-1 gives the image coordinates, the image complement and the
+    reassembly check, and b1 itself is never formed.  Nothing is checked
+    here, not even reassembles(f): latency_kernel certifies the kernel
+    b2_inv yields, causal_factor and compensation_equivalence the answers
+    read off them.
 
-    For injective f (rank m = cols) the first m columns of b1 span the
-    image of f, and b1 is bicausal, so their constant terms are
-    independent: those columns are a proper basis of the image, all of
-    order 0.  The rows m.. of b1_inv annihilate the image.
+    For injective f (rank m = cols), b1^-1 * f = delta * b2: the rows :m
+    of b1^-1 read the image in the coordinates z^-sigma * b2, and the rows
+    m.. annihilate it.
     """
 
     sigma: tuple
     b2_inv: TransferMatrix
     row_ops: linalg.RowOps = field(repr=False, compare=False)
     col_ops: linalg.RowOps = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def b1(self) -> TransferMatrix:
-        return TransferMatrix(self.row_ops.inverse())
 
     @functools.cached_property
     def b1_inv(self) -> TransferMatrix:
@@ -169,29 +141,38 @@ class SmithAtInfinity:
         # transposed, as for b2_inv in smith_at_infinity.
         return TransferMatrix(zip(*self.col_ops.inverse()))
 
+    @functools.cached_property
+    def delta_b2(self) -> tuple:
+        """The nonzero rows of delta * b2: z^-sigma[i] * row i of b2."""
+        return tuple(tuple(e * RatFun.zpow(-s) if e else e for e in row)
+                     for row, s in zip(self.b2.entries, self.sigma))
+
     def image_complement(self) -> tuple:
         """Unit columns completing the image of f to a proper basis of K^p.
 
-        The leading coefficients of a proper basis of a space span the
-        space of all its leading coefficients, which depends on the space
-        only; here that is the span of the constant terms of b1's first r
-        columns.  The completion is greedy from the lowest index, so two
-        maps with the same image get the same columns, whichever proper
-        basis of it the completion starts from.
+        With r = len(sigma), B0 the constant term of b1 and E0 that of
+        rows r.. of b1^-1, B0^-1 * [B0[:, :r] | e_I] = [[I_r, *], [0,
+        E0[:, I]]]: the unit columns I complete the image exactly when
+        E0[:, I] is nonsingular.  They are the pivot columns of one echelon
+        form of E0, greedy from the lowest index.  The rows of E0 span the
+        annihilator of the image's leading coefficients, so two maps with
+        the same image get the same columns.  Fewer than p - r pivots
+        raise InternalCheckError.
         """
-        r = len(self.sigma)
-        lead_cols = [[row[j].laurent_coeff(0) for row in self.b1.entries]
-                     for j in range(r)]
-        return _unit_completion(lead_cols, self.b1.rows)
+        rows = [[e.laurent_coeff(0) for e in row]
+                for row in self.b1_inv.entries[len(self.sigma):]]
+        cols = tuple(linalg._echelon(rows))
+        if len(cols) < len(rows):
+            raise InternalCheckError("image complement block of b1^-1 is "
+                                     "singular")
+        return cols
 
-    def reassemble(self) -> TransferMatrix:
-        """b1 * delta * b2, as (b1's first r columns, each times its
-        z^-sigma) * (b2's first r rows), where r = len(sigma)."""
-        r = len(self.sigma)
-        shifts = [RatFun.zpow(-s) for s in self.sigma]
-        left = TransferMatrix([[e * s if e else e for e, s in zip(row, shifts)]
-                               for row in self.b1.entries])
-        return left * TransferMatrix(self.b2.entries[:r])
+    def reassembles(self, f: TransferMatrix) -> bool:
+        """Whether b1^-1 * f == delta * b2: rows i < len(sigma) are
+        delta_b2, the rest zero.  The two replays of one record are exact
+        inverses, so this is f == b1 * delta * b2."""
+        zero = [[0] * f.cols] * (f.rows - len(self.sigma))
+        return self.b1_inv * f == TransferMatrix([*self.delta_b2, *zero])
 
 
 def smith_at_infinity(f: TransferMatrix) -> SmithAtInfinity:

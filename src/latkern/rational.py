@@ -737,18 +737,6 @@ class RatFun:
             raise ZeroDivisionError("inverse of zero")
         return RatFun._raw(*_over_monic(*_parts(self.den, self.num)))
 
-    def __pow__(self, k: int) -> RatFun:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RatFun.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)

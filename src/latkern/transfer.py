@@ -257,22 +257,16 @@ def _dot(xs, ys) -> RatFun:
     """sum x * y over a pair of sequences of canonical RatFun.
 
     A pair with a zero factor adds nothing, so it costs nothing: Smith
-    factors, b1^-1 and identity targets are sparse.  A single product is
-    one `_mul_reduced`.  Otherwise the products and partial sums stay in
-    the parts form of `rational._add_parts`, each in lowest terms, and
-    the canonical RatFun is built once, at the end.
+    factors, b1^-1 and identity targets are sparse.  The products and
+    partial sums stay in the parts form of `rational._add_parts`, each in
+    lowest terms, and the canonical RatFun is built once, at the end.
     """
-    pairs = [(x, y) for x, y in zip(xs, ys) if x.num._p and y.num._p]
-    if not pairs:
-        return _ZERO
-    if len(pairs) == 1:
-        x, y = pairs[0]
-        return x._mul_reduced(y.num, y.den)
     acc = None
-    for x, y in pairs:
-        term = _mul_parts(_parts(x.num, x.den), _parts(y.num, y.den))
-        acc = term if acc is None else _add_parts(acc, term)
-    return RatFun._raw(*_over_monic(*acc))
+    for x, y in zip(xs, ys):
+        if x.num._p and y.num._p:
+            term = _mul_parts(_parts(x.num, x.den), _parts(y.num, y.den))
+            acc = term if acc is None else _add_parts(acc, term)
+    return _ZERO if acc is None else RatFun._raw(*_over_monic(*acc))
 
 
 _ZERO = RatFun.const(0)

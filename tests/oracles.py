@@ -12,8 +12,12 @@ reference_latency_generator, which keeps the earlier kernel generator
 column-reduced from the Smith form, reference_coprime_fraction, which
 keeps the earlier coprime fraction built by inverting the GCRD over Q(z)
 and column-reducing it with column_reduce_poly (the library's earlier
-polynomial column reduction), and reference_krylov_kernel_basis, which
-keeps the earlier Krylov elimination over Fractions.
+polynomial column reduction), reference_krylov_kernel_basis, which
+keeps the earlier Krylov elimination over Fractions, and
+reference_image_complement, which keeps the earlier image complement
+read off b1, the inverse replay of the Smith row record.
+proper_independence_check, the rank test on leading coefficients, reads
+leading_data.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from itertools import combinations, permutations
 
 from latkern import linalg
 from latkern.polymatrix import CoprimeFraction, hermite_gcrd
-from latkern.properbasis import column_reduce_at_infinity, smith_at_infinity
+from latkern.properbasis import (column_reduce_at_infinity, leading_data,
+                                 smith_at_infinity)
 from latkern.rational import ORD_INF, Poly, RatFun, poly_lcm
 from latkern.simulate import SeriesMatrix
 from latkern.transfer import InternalCheckError, TransferMatrix
@@ -320,6 +325,41 @@ def extend_to_proper_basis(partial, ambient_dim: int):
     return TransferMatrix.from_columns(
         [[RatFun.const(1 if r == i else 0) for r in range(ambient_dim)]
          for i in chosen])
+
+
+def proper_independence_check(cols):
+    """Whether the leading coefficients are independent over K.
+
+    Returns (flag, leading matrix).  A zero vector is never properly
+    independent.
+    """
+    cols = [tuple(c) for c in cols]
+    orders, lead_matrix = leading_data(cols)
+    if any(o == ORD_INF for o in orders):
+        return False, lead_matrix
+    return linalg.rank(lead_matrix) == len(cols), lead_matrix
+
+
+def unit_completion(lead_cols, ambient_dim: int) -> tuple:
+    """Indices of the unit vectors that complete span(lead_cols) to K^n.
+
+    The earlier image-complement route, on the leads of b1 rather than
+    the annihilator rows of b1^-1: the pivot columns past the leads in one
+    echelon form of [lead_cols | I], greedy from the lowest index.
+    """
+    k = len(lead_cols)
+    rows = [[c[r] for c in lead_cols] + list(unit)
+            for r, unit in enumerate(linalg.eye(ambient_dim))]
+    return tuple(c - k for c in linalg._echelon(rows) if c >= k)
+
+
+def reference_image_complement(s) -> tuple:
+    """unit_completion on the constant terms of the first len(s.sigma)
+    columns of b1, replayed from the inverse of the Smith row record."""
+    b1 = TransferMatrix(s.row_ops.inverse())
+    lead_cols = [[row[j].laurent_coeff(0) for row in b1.entries]
+                 for j in range(len(s.sigma))]
+    return unit_completion(lead_cols, b1.rows)
 
 
 def reference_left_factor(f1, f2):

@@ -15,7 +15,8 @@ from latkern.matrixio import (InputFormatError, dump_matrix, json_text,
 from latkern.rational import Poly, RatFun
 from latkern.transfer import TransferMatrix
 
-from gen import rand_matrix
+from gen import (rand_bicausal, rand_causal, rand_matrix,
+                 rand_strictly_causal_injective)
 
 z = RatFun.zpow
 
@@ -288,7 +289,7 @@ def test_factor_and_equiv_run_no_kernel_certificate(tmp_path, capsys,
         raise RuntimeError("the kernel was certified")
 
     monkeypatch.setattr(latkern.latency, "certify_latency_kernel", refuse)
-    monkeypatch.setattr(SmithAtInfinity, "reassemble", refuse)
+    monkeypatch.setattr(SmithAtInfinity, "reassembles", refuse)
     assert [run(args) for args in cases] == expected
     monkeypatch.undo()
 
@@ -305,6 +306,41 @@ def test_factor_and_equiv_run_no_kernel_certificate(tmp_path, capsys,
         counted.clear()
         assert run(args)[0] == 0
         assert counted
+
+
+def test_no_command_inverts_the_smith_row_record(tmp_path, capsys,
+                                                 monkeypatch):
+    # Every kernel answer and the reassembly check b1^-1 * f == delta * b2
+    # read b1^-1, the forward replay of the Smith form's row record; no
+    # command replays it backwards into b1.  On a 3x2 plant the row
+    # record is the only record of size 3.
+    from latkern import linalg
+
+    rng = random.Random(94)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    l_po, l_pr = rand_bicausal(rng, 3, 1), rand_bicausal(rng, 2, 1)
+    fp = write(tmp_path / "f.json", f)
+    hp = write(tmp_path / "h.json", rand_causal(rng, 2, 3, 1) * f)
+    post = write(tmp_path / "post.json", l_po * f)
+    both = write(tmp_path / "both.json", l_po * f * l_pr)
+    lp = write(tmp_path / "l.json", l_pr)
+    inverse = linalg.RowOps.inverse
+
+    def refusing(self):
+        if self.n == f.rows:
+            raise RuntimeError("the Smith row record was inverted")
+        return inverse(self)
+
+    monkeypatch.setattr(linalg.RowOps, "inverse", refusing)
+    for args in (["latency", fp], ["factor", fp, hp],
+                 ["equiv", fp, post, "--mode", "post"],
+                 ["equiv", fp, both, "--mode", "two-sided"],
+                 ["realize", fp, lp, "--out-dir", str(tmp_path / "out")],
+                 ["worstcase", fp]):
+        assert main(["--json", *args]) == 0, args
+        report = json.loads(capsys.readouterr().out)
+        assert report.get("decision", "yes") == "yes"
+        assert report.get("equivalent", True) is True
 
 
 def test_worstcase_and_expand_and_simulate(tmp_path, capsys):

@@ -482,10 +482,12 @@ def test_post_equivalence_inverts_only_complement_blocks(monkeypatch):
                 assert shapes and set(shapes) == {(p - m, p - m)}
 
 
-def test_only_left_factors_build_b1_inverse(monkeypatch):
-    # b1^-1 is replayed from the Smith form's record on first read: the
-    # kernel and the worst-case precompensator never read it, and the yes
-    # branch of causal_factor does.
+def test_kernels_read_b1_inverse_and_never_b1(monkeypatch):
+    # b1^-1 is replayed from the Smith form's record on first read.  An
+    # uncertified kernel never reads it; the reassembly check of a
+    # certified kernel and the yes branch of causal_factor do.  The record
+    # is never replayed backwards into b1.
+    from latkern import linalg
     from latkern.feedback import worst_case_precompensator
     forms = []
 
@@ -493,13 +495,22 @@ def test_only_left_factors_build_b1_inverse(monkeypatch):
         forms.append(smith_at_infinity(f))
         return forms[-1]
 
+    def refusing(self):
+        if any(self is s.row_ops for s in forms):
+            raise RuntimeError("the Smith row record was inverted")
+        return inverse(self)
+
+    inverse = linalg.RowOps.inverse
     monkeypatch.setattr("latkern.latency.smith_at_infinity", recording)
+    monkeypatch.setattr(linalg.RowOps, "inverse", refusing)
     rng = random.Random(61)
     f, nu = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    assert latkern.latency.build_latency_kernel(f).indices == nu
+    assert "b1_inv" not in vars(forms[-1])
     assert latency_kernel(f).indices == nu
     assert worst_case_precompensator(f).classify().bicausal
-    assert len(forms) == 2
-    assert all("b1_inv" not in vars(s) for s in forms)
+    assert len(forms) == 3
+    assert all("b1_inv" in vars(s) for s in forms[1:])
     assert causal_factor(f, rand_causal(rng, 2, 3, 1) * f).decision
     assert "b1_inv" in vars(forms[-1])
 
@@ -538,10 +549,10 @@ def test_kernel_paths_compute_no_rank(monkeypatch):
 
 def test_kernel_path_forms_no_arithmetic_on_zero_entries(monkeypatch):
     # A block-diagonal plant plants zeros in every Smith factor.  Scaling
-    # a zero entry of b2^-1 or b2 by z^±sigma, a zero entry of b1 by
-    # z^-sigma in the reassembly, and a record replay adding c * y to a
-    # zero x all skip RatFun arithmetic on the zero; the certificates
-    # still hold.
+    # a zero entry of b2^-1 or b2 by z^±sigma, as for the generator, its
+    # inverse and the reassembly's delta * b2, and a record replay adding
+    # c * y to a zero x all skip RatFun arithmetic on the zero; the
+    # certificates still hold.
     rng = random.Random(71)
     f2, _ = rand_strictly_causal_injective(rng, 2, 2, max_nu=2, max_deg=1)
     zero = RatFun.const(0)
@@ -565,7 +576,8 @@ def test_kernel_path_forms_no_arithmetic_on_zero_entries(monkeypatch):
     monkeypatch.setattr(RatFun, "_add_reduced", checked_add)
     k = latency_kernel(f)
     s = k.smith
-    assert s.b1 * s.b1_inv == TransferMatrix.identity(3)
+    assert (TransferMatrix(s.row_ops.inverse()) * s.b1_inv
+            == TransferMatrix.identity(3))
     assert s.b2 * s.b2_inv == TransferMatrix.identity(3)
     assert k.generator * k.generator_inv == TransferMatrix.identity(3)
     assert any(e.is_zero for row in s.b2_inv.entries for e in row)

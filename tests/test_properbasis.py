@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from latkern import linalg
-from latkern.properbasis import (ProperBasis, _unit_completion, column_order,
+from latkern.properbasis import (ProperBasis, column_order,
                                  column_reduce_at_infinity, leading_data,
-                                 order_chain, proper_independence_check,
-                                 smith_at_infinity)
+                                 order_chain, smith_at_infinity)
 from latkern.rational import ORD_INF, Poly, RatFun
 from latkern.transfer import TransferMatrix
-from oracles import extend_to_proper_basis, min_minor_order
+from oracles import (extend_to_proper_basis, min_minor_order,
+                     proper_independence_check, reference_image_complement,
+                     unit_completion)
 
 from gen import (rand_full_rank_matrix, rand_nonzero_matrix, rand_ratfun,
                  rand_strictly_causal_injective)
@@ -169,7 +170,21 @@ def test_unit_completion_is_the_greedy_rank_route():
             if linalg.rank(tuple(zip(*(vectors + [unit])))) > before:
                 vectors.append(unit)
                 chosen.append(i)
-        assert _unit_completion(leads, n) == tuple(chosen)
+        assert unit_completion(leads, n) == tuple(chosen)
+
+
+def test_image_complement_matches_the_route_through_b1():
+    # The pivots of the constant term of b1^-1's rows r.. are the unit
+    # columns that the greedy completion of b1's first r leads picks.
+    rng = random.Random(73)
+    for _ in range(25):
+        m = rng.randint(1, 3)
+        p = m + rng.randint(1, 2)
+        f, _ = rand_strictly_causal_injective(rng, p, m, max_nu=2, max_deg=1)
+        s = smith_at_infinity(f)
+        cols = s.image_complement()
+        assert len(cols) == p - m
+        assert cols == reference_image_complement(s)
 
 
 def test_proper_direct_sum_order_rule():
@@ -192,7 +207,7 @@ def test_proper_direct_sum_order_rule():
 def test_smith_examples():
     s = smith_at_infinity(TransferMatrix.diag([z(-1), z(-3)]))
     assert s.sigma == (1, 3)
-    assert s.b1 == TransferMatrix.identity(2)
+    assert s.b1_inv == TransferMatrix.identity(2)
     assert s.b2 == TransferMatrix.identity(2)
 
     f = TransferMatrix([[z(-1), z(-2)], [zero, z(-3)]])
@@ -205,7 +220,8 @@ def test_smith_examples():
     s3 = smith_at_infinity(low)
     assert s3.sigma == (1,)
     assert min_minor_order(low, 1) == 1 and min_minor_order(low, 2) == ORD_INF
-    assert s3.reassemble() == low
+    assert s3.reassembles(low)
+    assert not s3.reassembles(2 * low)
 
 
 def test_smith_rejects_zero():
@@ -219,8 +235,11 @@ def test_smith_soundness_random():
         p, m = rng.randint(1, 3), rng.randint(1, 3)
         f = rand_nonzero_matrix(rng, p, m, 2)
         s = smith_at_infinity(f)
-        assert s.b1.classify().bicausal and s.b2.classify().bicausal
-        assert s.reassemble() == f
+        assert s.b1_inv.classify().bicausal and s.b2.classify().bicausal
+        assert s.reassembles(f)
+        delta_b2 = TransferMatrix([*s.delta_b2,
+                                   *[[0] * m] * (p - len(s.sigma))])
+        assert TransferMatrix(s.row_ops.inverse()) * delta_b2 == f
         assert all(a <= b for a, b in zip(s.sigma, s.sigma[1:]))
         partial = 0
         for k, sig in enumerate(s.sigma, start=1):
@@ -258,14 +277,16 @@ def test_smith_carries_b2_inverse_random():
                                                   max_deg=1)
             s = smith_at_infinity(f)
             assert s.b2 * s.b2_inv == TransferMatrix.identity(m)
-            assert s.b1 * s.b1_inv == TransferMatrix.identity(p)
+            assert (TransferMatrix(s.row_ops.inverse()) * s.b1_inv
+                    == TransferMatrix.identity(p))
     for _ in range(10):
         # wide and rank-deficient maps too: every row and column op is
         # mirrored
         p, m = rng.randint(1, 3), rng.randint(1, 3)
         s = smith_at_infinity(rand_nonzero_matrix(rng, p, m, 2))
         assert s.b2 * s.b2_inv == TransferMatrix.identity(m)
-        assert s.b1 * s.b1_inv == TransferMatrix.identity(p)
+        assert (TransferMatrix(s.row_ops.inverse()) * s.b1_inv
+                == TransferMatrix.identity(p))
 
 
 def test_column_reduce_transform_random():

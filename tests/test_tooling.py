@@ -76,6 +76,39 @@ def test_no_unused_imports_in_package():
     assert not found, "unused imports in latkern: " + ", ".join(found)
 
 
+def _references(node):
+    """Names and attribute names read anywhere under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_private_names_have_a_caller():
+    # A private function, method or class that nothing else in the package
+    # references is dead code; a reference from inside its own definition
+    # (recursion) does not count.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))]
+    refs = {}
+    for tree in trees:
+        for name in _references(tree):
+            refs[name] = refs.get(name, 0) + 1
+    found = []
+    for path, tree in zip(sorted(SRC.glob("*.py")), trees):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                inside = sum(n == node.name for n in _references(node))
+                if refs.get(node.name, 0) <= inside:
+                    found.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not found, "private names without a caller: " + ", ".join(found)
+
+
 def test_internal_check_error_defined_once():
     assert latkern.InternalCheckError is latkern.transfer.InternalCheckError
     assert latkern.latency.InternalCheckError is latkern.transfer.InternalCheckError

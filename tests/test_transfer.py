@@ -176,9 +176,8 @@ def test_static_strict_split_roundtrip_random():
 
 def test_products_skip_pairs_with_a_zero_factor(monkeypatch):
     # A pair with a zero factor adds nothing to an entry of a product, so
-    # no RatFun product is formed for it: not by the parts product of a
-    # dot with several pairs, nor by the one _mul_reduced of a dot with
-    # one.  The values are the plain sums.
+    # no RatFun product is formed for it, as a parts product or as a
+    # _mul_reduced.  The values are the plain sums.
     rng = random.Random(61)
     a, b = rand_nonzero_matrix(rng, 3, 4, 2), rand_nonzero_matrix(rng, 4, 2, 2)
     a = TransferMatrix([[0 if (i + j) % 2 else e for j, e in enumerate(row)]
@@ -190,18 +189,16 @@ def test_products_skip_pairs_with_a_zero_factor(monkeypatch):
                     RatFun.const(0)) for j in range(2)] for i in range(3)]
     want_au = [sum((a.entry(i, k) * u[k] for k in range(4)), RatFun.const(0))
                for i in range(3)]
-    zero_operands, calls = [], []
+    zero_operands = []
     mul = RatFun._mul_reduced
     mul_parts = latkern.transfer._mul_parts
 
     def checked(self, num, den):
-        calls.append("_mul_reduced")
         if self.is_zero or num.is_zero:
             zero_operands.append((self, num))
         return mul(self, num, den)
 
     def checked_parts(x, y):
-        calls.append("_mul_parts")
         if not x[2] or not y[2]:
             zero_operands.append((x, y))
         return mul_parts(x, y)
@@ -212,7 +209,6 @@ def test_products_skip_pairs_with_a_zero_factor(monkeypatch):
     assert a.apply(u) == tuple(want_au)
     assert TransferMatrix.zero(2, 3) * a == TransferMatrix.zero(2, 4)
     assert zero_operands == []
-    assert set(calls) == {"_mul_reduced", "_mul_parts"}  # both dot paths
 
 
 def test_dense_product_makes_no_ratfun_sum(monkeypatch):
