@@ -277,9 +277,3 @@ def reachability_indices(v: TransferMatrix):
     frac = right_coprime_fraction(v)
     return (tuple(sorted(frac.degrees, reverse=True)),
             frac.state_dimension)
-
-
-def poly_module_contains(p1: TransferMatrix, p2: TransferMatrix) -> bool:
-    """Whether p2's polynomial column module sits inside p1's."""
-    ratio = p1.inverse() * p2
-    return all(e.is_polynomial for row in ratio.entries for e in row)

@@ -15,7 +15,10 @@ and column-reducing it with column_reduce_poly (the library's earlier
 polynomial column reduction), reference_krylov_kernel_basis, which
 keeps the earlier Krylov elimination over Fractions, and
 reference_image_complement, which keeps the earlier image complement
-read off b1, the inverse replay of the Smith row record.
+read off b1, the inverse replay of the Smith row record, and
+static_state_feedback_containment, the module-containment route to
+static state feedback (with poly_module_contains), which the library
+once ran beside its polynomial-image route.
 proper_independence_check, the rank test on leading coefficients, reads
 leading_data.
 """
@@ -26,7 +29,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from latkern import linalg
-from latkern.polymatrix import CoprimeFraction, hermite_gcrd
+from latkern.polymatrix import (CoprimeFraction, hermite_gcrd,
+                                right_coprime_fraction)
 from latkern.properbasis import (column_reduce_at_infinity, leading_data,
                                  smith_at_infinity)
 from latkern.rational import ORD_INF, Poly, RatFun, poly_lcm
@@ -453,6 +457,24 @@ def reference_coprime_fraction(v):
     gc, _, _ = hermite_gcrd(num, den)
     assert poly_matrix_det(gc).degree == 0
     return CoprimeFraction(num, den, degrees)
+
+
+def poly_module_contains(p1: TransferMatrix, p2: TransferMatrix) -> bool:
+    """Whether p2's polynomial column module sits inside p1's: p1^-1 * p2
+    is polynomial."""
+    ratio = p1.inverse() * p2
+    return all(e.is_polynomial for row in ratio.entries for e in row)
+
+
+def static_state_feedback_containment(f: TransferMatrix,
+                                      l: TransferMatrix) -> bool:
+    """The module-containment route to static state feedback: whether the
+    polynomial kernel module of the state-output map f (the denominator
+    of its right coprime fraction) lies inside that of the strictly
+    causal part of l^-1."""
+    _, strict = l.inverse().static_strict_split()
+    return poly_module_contains(right_coprime_fraction(strict).den,
+                                right_coprime_fraction(f).den)
 
 
 def poly_entries(t) -> list:

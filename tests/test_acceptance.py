@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from latkern.factor import causal_factor
 from latkern.feedback import (StateSpace, closed_loop, from_state_space,
-                              static_state_feedback_test, vg_representation,
-                              worst_case_precompensator)
+                              is_nonlatency_check, static_state_feedback_test,
+                              vg_representation, worst_case_precompensator)
 from latkern.latency import latency_kernel
 from latkern.properbasis import (column_order, column_reduce_at_infinity,
                                  smith_at_infinity)
@@ -18,7 +18,8 @@ from latkern.rational import ORD_INF, RatFun
 from latkern.simulate import SeriesMatrix
 from latkern.transfer import TransferMatrix
 from oracles import (add_dicts, agrees_with, convolve_dicts,
-                     expansion_oracle, image_is_proper, minor_order_table)
+                     expansion_oracle, image_is_proper, minor_order_table,
+                     static_state_feedback_containment)
 
 from gen import (rand_bicausal, rand_full_rank_matrix, rand_matrix,
                  rand_nonzero_matrix, rand_ratfun, rand_state_pair,
@@ -176,15 +177,17 @@ def test_criterion_6_index_invariance():
 
 
 def test_criterion_7_state_pairs_nonlatent():
-    """50 random (A, B), B full column rank: all latency indices zero."""
+    """50 random (A, B), B full column rank: all latency indices zero, and
+    is_nonlatency_check reports the map injective and nonlatent."""
     rng = random.Random(1007)
     ok = True
     for _ in range(50):
         n = rng.randint(1, 5)
         m = rng.randint(1, n)
         a, b = rand_state_pair(rng, n, m)
-        f = from_state_space(StateSpace(a, b))
-        ok &= all(v == 0 for v in latency_kernel(f).indices)
+        rep = is_nonlatency_check(StateSpace(a, b))
+        ok &= rep.injective and all(v == 0 for v in rep.indices)
+        ok &= rep.nonlatent
     report("state-output maps are nonlatent (50 pairs, n <= 5)", ok)
 
 
@@ -260,7 +263,8 @@ def test_criterion_11_static_state_feedback_equivalence():
             l = core.inverse()
         else:
             l = rand_bicausal(rng, m, 2)
-        res = static_state_feedback_test(ss, l)  # raises if routes disagree
+        res = static_state_feedback_test(ss, l)
+        ok &= res.realizable == static_state_feedback_containment(f, l)
         if res.realizable:
             yes_count += 1
             got = TransferMatrix.from_constant(res.static_part) \
@@ -271,7 +275,9 @@ def test_criterion_11_static_state_feedback_equivalence():
 
 
 def test_criterion_12_closed_loop_forms():
-    """100 random configurations: the two closed-loop composites coincide."""
+    """100 random configurations: the two closed-loop composites coincide,
+    l_po f (I + g f)^-1 l_pr from closed_loop and the pushed-through
+    l_po (I + f g)^-1 f l_pr formed here."""
     rng = random.Random(1012)
     ok = True
     for _ in range(100):
@@ -287,5 +293,7 @@ def test_criterion_12_closed_loop_forms():
             g = g * z(g.order())
         l_pr = rand_bicausal(rng, m, 2)
         l_po = rand_bicausal(rng, p, 2)
-        closed_loop(f, g, l_pr, l_po)  # asserts the two forms agree exactly
+        pushed = (l_po * (TransferMatrix.identity(p) + f * g).inverse()
+                  * f * l_pr)
+        ok &= closed_loop(f, g, l_pr, l_po) == pushed
     report("closed-loop composite forms agree (100 configurations)", ok)

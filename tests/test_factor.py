@@ -12,7 +12,7 @@ from latkern.cli import main
 from latkern.factor import (causal_factor, constant_matrix, static_factor)
 from latkern.latency import latency_kernel
 from latkern.matrixio import dump_matrix
-from latkern.properbasis import smith_at_infinity
+from latkern.properbasis import SmithAtInfinity, smith_at_infinity
 from latkern.rational import Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import image_is_proper, reference_causal_factor
@@ -190,6 +190,40 @@ def test_singular_complement_block_is_a_failed_certificate(monkeypatch,
     dump_matrix(h, hp)
     assert main(["--json", "factor", fp, hp]) == 3
     assert "complement block" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_noncausal_complement_block_is_a_failed_certificate(monkeypatch,
+                                                            tmp_path, capsys):
+    # image_complement checks only the constant term of rows m.. of b1^-1,
+    # which makes the complement block invertible only when b1^-1 is
+    # causal.  Here rows m.. carry [[1 + z, z], [1, z/(1 + z)]] on the
+    # last two columns: its constant term [[1, 0], [1, 1]] is nonsingular,
+    # so image_complement picks those columns, but the block's determinant
+    # is 0, and left_factor's inversion of it must exit 3.
+    exact = SmithAtInfinity.b1_inv.func
+    one_plus_z = RatFun(Poly([1, 1]))
+    block = [[one_plus_z, z(1)], [1, z(1) / one_plus_z]]
+
+    def corrupted(s):
+        rows = [list(row) for row in exact(s).entries]
+        m = len(s.sigma)
+        rows[m:] = [[0] * m + row for row in block]
+        return TransferMatrix(rows)
+
+    monkeypatch.setattr(SmithAtInfinity, "b1_inv", property(corrupted))
+    rng = random.Random(66)
+    f, _ = rand_strictly_causal_injective(rng, 4, 2, max_nu=2, max_deg=1)
+    h = rand_causal(rng, 2, 4, 1) * f
+    assert smith_at_infinity(f).image_complement() == (2, 3)
+    with pytest.raises(InternalCheckError, match="complement block"):
+        causal_factor(f, h)
+    fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
+    dump_matrix(f, fp)
+    dump_matrix(h, hp)
+    assert main(["--json", "factor", fp, hp]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "factor",
+        "error": "image complement block of b1^-1 is singular"}
 
 
 def test_order_consistent_maps_absorb_higher_order():

@@ -1,5 +1,6 @@
 """Closed loops, feedback realizations, worst-case precompensators."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from latkern import feedback
+from latkern.cli import main
 from latkern.feedback import (PreconditionError, StateSpace, closed_loop,
                               from_state_space, is_nonlatency_check,
                               static_feedback_realizable,
                               static_state_feedback_test, vg_representation,
                               worst_case_precompensator)
 from latkern.latency import latency_kernel
+from latkern.matrixio import dump_matrix
 from latkern.polymatrix import reachability_indices
 from latkern.rational import Poly, RatFun
 from latkern.simulate import SeriesMatrix
@@ -20,7 +23,7 @@ from latkern.transfer import InternalCheckError, TransferMatrix
 
 from gen import (rand_bicausal, rand_matrix, rand_state_pair,
                  rand_strictly_causal_injective)
-from oracles import agrees_with
+from oracles import agrees_with, static_state_feedback_containment
 
 z = RatFun.zpow
 
@@ -82,10 +85,44 @@ def test_closed_loop_forms_agree_random():
             g = g * z(g.order())
         l_pr = rand_bicausal(rng, 2, 1)
         l_po = rand_bicausal(rng, 2, 1)
-        loop = closed_loop(f, g, l_pr, l_po)  # asserts both forms internally
+        loop = closed_loop(f, g, l_pr, l_po)
         assert (TransferMatrix.identity(2) + g * f).classify().bicausal
-        assert (TransferMatrix.identity(2) + f * g).classify().bicausal
+        loop_out = TransferMatrix.identity(2) + f * g
+        assert loop_out.classify().bicausal
+        assert loop == l_po * loop_out.inverse() * f * l_pr
         assert loop.classify().strictly_causal
+
+
+def test_closed_loop_certifies_its_one_inverse(monkeypatch):
+    # closed_loop inverts I + g f once, and (I + g f) * X == I is the
+    # check on that inverse: a perturbed X is an internal failure.
+    rng = random.Random(78)
+    f = strictly_causal_2x2(rng)
+    g = rand_matrix(rng, 2, 2, 1)
+    if not g.is_zero and g.order() < 0:
+        g = g * z(g.order())
+    l_pr, l_po = rand_bicausal(rng, 2, 1), rand_bicausal(rng, 2, 1)
+    expected = closed_loop(f, g, l_pr, l_po)
+    exact = TransferMatrix.inverse
+    inverted = []
+
+    def counting(self):
+        inverted.append(self)
+        return exact(self)
+
+    monkeypatch.setattr(TransferMatrix, "inverse", counting)
+    assert closed_loop(f, g, l_pr, l_po) == expected
+    assert inverted == [TransferMatrix.identity(2) + g * f]
+
+    def perturbed(self):
+        x = exact(self)
+        return x + TransferMatrix([[z(-3) if (i, j) == (0, 0) else 0
+                                    for j in range(x.cols)]
+                                   for i in range(x.rows)])
+
+    monkeypatch.setattr(TransferMatrix, "inverse", perturbed)
+    with pytest.raises(InternalCheckError, match="closed-loop inverse"):
+        closed_loop(f, g, l_pr, l_po)
 
 
 def test_static_feedback_examples():
@@ -274,6 +311,37 @@ def test_realization_identity_rejects_perturbations(monkeypatch):
         vg_representation(f, l)
 
 
+def test_noncausal_feedback_compensator_is_caught(monkeypatch, tmp_path,
+                                                  capsys):
+    # With p > m, rho * f == phi leaves rho free up to a left annihilator
+    # of f, here a row of b1^-1 below the first m: a non-causal multiple
+    # of it keeps (I + g f) * l == v, so only the causality check on
+    # g = v * rho can stop the answer.
+    rng = random.Random(79)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    l = rand_bicausal(rng, 2, 2)
+    exact = feedback.construct_causal_factor
+
+    def off(f, h, kernel=None):
+        outcome = exact(f, h, kernel=kernel)
+        annihilator = TransferMatrix([kernel.smith.b1_inv.entries[2]])
+        assert (annihilator * f).is_zero
+        noncausal = TransferMatrix([[z(3)], [0]]) * annihilator
+        return replace(outcome, g=outcome.g + noncausal)
+
+    monkeypatch.setattr(feedback, "construct_causal_factor", off)
+    with pytest.raises(InternalCheckError,
+                       match="feedback compensator is not causal"):
+        vg_representation(f, l)
+    paths = [str(tmp_path / "f.json"), str(tmp_path / "l.json")]
+    dump_matrix(f, paths[0])
+    dump_matrix(l, paths[1])
+    assert main(["--json", "realize", *paths,
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "realize", "error": "feedback compensator is not causal"}
+
+
 def test_worst_case_examples():
     f = TransferMatrix.scalar(z(-2))
     l = worst_case_precompensator(f)
@@ -406,4 +474,5 @@ def test_static_state_feedback_routes_agree_random():
             assert got == l.inverse()
         else:
             l = rand_bicausal(rng, m, 2)
-            static_state_feedback_test(ss, l)  # must not raise: routes agree
+            res = static_state_feedback_test(ss, l)
+        assert res.realizable == static_state_feedback_containment(f, l)

@@ -16,12 +16,12 @@ from latkern.feedback import (StateSpace, static_state_feedback_test,
                               vg_representation)
 from latkern.matrixio import dump_matrix
 from latkern.polymatrix import (hermite_gcrd, krylov_kernel_basis,
-                                poly_module_contains, reachability_indices,
-                                right_coprime_fraction)
+                                reachability_indices, right_coprime_fraction)
 from latkern.rational import ORD_INF, Poly, RatFun
 from latkern.transfer import InternalCheckError, TransferMatrix
 from oracles import (column_reduce_poly, high_coefficient_data, poly_entries,
-                     poly_matrix_det, reference_coprime_fraction,
+                     poly_matrix_det, poly_module_contains,
+                     reference_coprime_fraction,
                      reference_krylov_kernel_basis)
 
 from gen import (rand_bicausal, rand_matrix, rand_poly, rand_poly_vector,

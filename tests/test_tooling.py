@@ -312,6 +312,14 @@ def test_ab_replay_runs_a_against_a(capsys):
     assert out[0] == "kernel seed 1: 19 operations from 1 rounds"
     assert out[1].startswith("rep 1: parent ") and " ratio " in out[1]
     assert out[2].endswith("stdout equal on every operation")
+    # --plants: realize and worstcase on one plant of size 2, as text.
+    assert ab_replay.main([str(SRC.parents[1]), "--plants", "2",
+                           "--reps", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("plant of size 2 seed 1: vg_representation and "
+                      "worst_case_precompensator")
+    assert out[1].startswith("rep 1: parent ") and " ratio " in out[1]
+    assert out[2].endswith("outputs equal on every operation")
 
 
 def test_ab_replay_stops_at_a_difference(tmp_path, capsys):
@@ -326,3 +334,21 @@ def test_ab_replay_stops_at_a_difference(tmp_path, capsys):
                  "    return code\n")
     with pytest.raises(ab_replay.OutputMismatch, match="operation 0 "):
         ab_replay.main([str(tmp_path), "--rounds", "1", "--reps", "1"])
+
+
+def test_mutation_sites_are_the_certificate_raises():
+    # tests/mutate_certificates.py switches off each `raise
+    # InternalCheckError(` statement in turn; its ast scan must find every
+    # such line, and nothing else.
+    import mutate_certificates
+    listed = {(name, first)
+              for name, first, _ in mutate_certificates.sites(str(SRC))}
+    lines = {(path.name, k)
+             for path in SRC.glob("*.py")
+             for k, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), start=1)
+             if "raise InternalCheckError(" in line}
+    assert listed == lines and len(lines) > 30
+    text = "x = 1\nif x:\n    raise InternalCheckError(\n        'a')\ny = 2\n"
+    assert mutate_certificates.mutate(text, 3, 4) == \
+        "x = 1\nif x:\n    pass\ny = 2\n"
