@@ -49,10 +49,16 @@ def construct_causal_factor(f: TransferMatrix, h: TransferMatrix,
 
     f must be injective; h may be any finite-order map with the same input
     dimension.  The decision is containment of f's latency kernel in h's,
-    tested by properness of h applied to each kernel basis column.  On
-    failure the witness u = z^s d, s the order of f(d), has f(u) proper
-    of order 0; h(u) = z^s h(d) is checked improper, so the witness holds
-    whatever kernel d came from (built uncertified if not passed in).
+    tested by properness of h applied to each kernel basis column d, in
+    order.  Each entry of h(d) is first read from its leading terms
+    (_lead_order): an entry whose lowest terms have a negative order and
+    do not cancel has exactly that order, so d leaves h's kernel and h(d)
+    is not formed.  Otherwise h(d) is computed exactly.  On failure the
+    witness u = z^s d, s the order of f(d), has f(u) proper of order 0;
+    h(u) = z^s h(d) is checked improper, so the witness holds whatever
+    kernel d came from (built uncertified if not passed in).  A leading
+    order below s already shows that; any other refutation reads the
+    orders of the exact h(d).
 
     The yes-branch reads g off b1^-1 in the kernel's Smith form f =
     b1*delta*b2 (LatencyKernel.left_factor): g is h on the image of f and
@@ -69,20 +75,48 @@ def construct_causal_factor(f: TransferMatrix, h: TransferMatrix,
     k = kernel if kernel is not None else build_latency_kernel(f)
     images = []
     for d in k.generator.columns():
-        image = h.apply(d)
-        if not all(e.is_causal for e in image):
-            shift = min(e.order() for e in f.apply(d) if not e.is_zero)
+        lead = min((o for o in (_lead_order(row, d) for row in h.entries)
+                    if o is not None), default=ORD_INF)
+        image = h.apply(d) if lead >= 0 else None
+        if image is not None and all(e.is_causal for e in image):
+            images.append(image)
+            continue
+        shift = min(e.order() for e in f.apply(d) if not e.is_zero)
+        if lead >= shift:
+            if image is None:
+                image = h.apply(d)
             if min(e.order() for e in image) >= shift:
                 raise InternalCheckError("factor witness does not refute")
-            scale = RatFun.zpow(shift)
-            witness = tuple(scale * e for e in d)
-            return FactorOutcome(False, witness=witness)
-        images.append(image)
+        scale = RatFun.zpow(shift)
+        return FactorOutcome(False, witness=tuple(scale * e for e in d))
 
     g = k.left_factor(TransferMatrix.from_columns(images))
     if g.order() < 0:
         raise InternalCheckError("constructed factor is not causal")
     return FactorOutcome(True, g=g)
+
+
+def _lead_order(xs, ys):
+    """The order of sum x * y when its lowest-order terms do not cancel,
+    else None; ORD_INF when every pair has a zero factor.
+
+    A term x * y has order deg x.den + deg y.den - deg x.num - deg y.num
+    and, the denominators being monic, leading coefficient lead x.num *
+    lead y.num, read off the integer parts.  The lowest order holds
+    exactly when the leading coefficients there do not sum to 0.  No
+    product is formed and no Fraction is built.
+    """
+    low, num, den = ORD_INF, 0, 1
+    for x, y in zip(xs, ys):
+        xn, yn = x.num, y.num
+        if xn._p and yn._p:
+            o = len(x.den._p) + len(y.den._p) - len(xn._p) - len(yn._p)
+            a, b = xn._n * xn._p[-1] * yn._n * yn._p[-1], xn._d * yn._d
+            if o < low:
+                low, num, den = o, a, b
+            elif o == low:
+                num, den = num * b + a * den, den * b
+    return low if num or low == ORD_INF else None
 
 
 def static_factor(f: TransferMatrix, h: TransferMatrix) -> FactorOutcome:

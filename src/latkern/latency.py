@@ -53,8 +53,9 @@ class LatencyKernel:
     poly_generator     strictly polynomial ordered proper generator of the
                        same module (entries in z*K[z]); None when f is not
                        strictly causal, where no such basis exists.  Built
-                       and certified on first read only: factorization and
-                       equivalence never read it.
+                       on first read only, which factorization and
+                       equivalence never make, by strictly_polynomial_basis,
+                       which checks only its precondition.
     chain              order chain / latency chain of the module.  Built
                        on first read, as poly_generator is: only the
                        latency command reads it.
@@ -108,8 +109,10 @@ class LatencyKernel:
         E[m:, :] annihilates the image, so g * f = h, and g[:, I] = C.  The
         image and the columns I span the output space, so g is the only
         such map.
-        A singular E[m:, I] raises InternalCheckError.  Uncertified: each
-        caller checks g * f == h and the causality it needs.
+        An E[m:, I] without an inverse over Q(z) raises InternalCheckError;
+        image_complement made only its constant term nonsingular, which
+        suffices when E is causal.  Uncertified: each caller checks g * f
+        == h and the causality it needs.
         """
         g = hd * self.image_coordinates
         e = self.smith.b1_inv.entries
@@ -121,8 +124,8 @@ class LatencyKernel:
         try:
             block_inv = block.inverse()
         except SingularMatrixError:
-            raise InternalCheckError("image complement block of b1^-1 is "
-                                     "singular") from None
+            raise InternalCheckError("image complement block of b1^-1 has "
+                                     "no inverse over Q(z)") from None
         excess = TransferMatrix([[row[i] for i in cols] for row in g.entries])
         if on_complement is not None:
             excess = excess - on_complement
@@ -197,9 +200,11 @@ def strictly_polynomial_basis(d: TransferMatrix,
     Truncates every entry to its z^+k, k >= 1 terms.  Valid for ordered
     proper generators of latency kernels of strictly causal injective
     maps, where the truncation drops only a causal remainder.  d_inv must
-    be d^-1, which both certificates use: d^-1 is strictly causal (the
-    stated precondition), and d^-1 * result is bicausal (same module both
-    ways).
+    be d^-1; the one check is the stated precondition, d^-1 strictly
+    causal.  The result is otherwise uncertified: with D = d - r, r the
+    causal remainder, d^-1 * D = I - d^-1 * r is bicausal (same module
+    both ways) whenever d * d_inv == I, which latency_kernel certified
+    for every caller's d.
     """
     if d_inv.order() < 1:
         raise InternalCheckError("kernel generator inverse not strictly causal")
@@ -211,14 +216,7 @@ def strictly_polynomial_basis(d: TransferMatrix,
             strict = plus - type(plus).const(plus.coeff(0))
             new_row.append(RatFun(strict))
         out.append(new_row)
-    result = TransferMatrix(out)
-    ratio = d_inv * result
-    if not ratio.classify().bicausal:
-        raise InternalCheckError(
-            "strictly polynomial truncation left the module: input was not "
-            "an ordered proper latency-kernel generator of a strictly "
-            "causal map")
-    return result
+    return TransferMatrix(out)
 
 
 @dataclass(frozen=True)
@@ -237,17 +235,21 @@ def module_contains(d1: TransferMatrix, d2: TransferMatrix) -> ContainmentResult
     certificate; equality holds when r is bicausal.  On failure the witness
     names the improper entry.
     """
-    return _ratio_containment(d1.inverse() * d2)
-
-
-def _ratio_containment(r: TransferMatrix) -> ContainmentResult:
-    """module_contains(d1, d2) given the ratio r = d1^-1 * d2."""
-    for i in range(r.rows):
-        for j in range(r.cols):
-            e = r.entry(i, j)
-            if not e.is_causal:
-                return ContainmentResult(False, False, None, (i, j, e.order()))
+    r = d1.inverse() * d2
+    bad = _improper_entry(r)
+    if bad is not None:
+        return ContainmentResult(False, False, None, bad)
     return ContainmentResult(True, r.classify().bicausal, r, None)
+
+
+def _improper_entry(r: TransferMatrix) -> tuple | None:
+    """(row, col, order) of r's first improper entry, row-major, or None
+    when r is causal."""
+    for i, row in enumerate(r.entries):
+        for j, e in enumerate(row):
+            if not e.is_causal:
+                return i, j, e.order()
+    return None
 
 
 @dataclass(frozen=True)
@@ -283,12 +285,16 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
                l_po the induced left factor.
 
     Kernel containment and l_pr are products with the inverses the
-    kernels carry, so no kernel generator is inverted here.  l and l_po
-    are read off f1's Smith factors by LatencyKernel.left_factor: the
-    unique map that takes f1 to f2 (post) or to f2 * l_pr^-1 (two_sided)
-    and the unit columns completing f1's image to those completing f2's.
-    left_factor reads that target on f1's generator d1: f2 * d1 (post),
-    or f2 * d2, since f2 * l_pr^-1 * d1 = f2 * d2 (two_sided).
+    kernels carry, so no kernel generator is inverted here.  Post mode
+    forms r = d1^-1 * d2 first.  A bicausal r has the causal inverse
+    d2^-1 * d1, so the kernels are equal and the reverse ratio is not
+    formed; it is formed only when r is causal but not bicausal, to find
+    the witness of the reverse containment.  l and l_po are read off f1's
+    Smith factors by LatencyKernel.left_factor: the unique map that takes
+    f1 to f2 (post) or to f2 * l_pr^-1 (two_sided) and the unit columns
+    completing f1's image to those completing f2's.  left_factor reads
+    that target on f1's generator d1: f2 * d1 (post), or f2 * d2, since
+    f2 * l_pr^-1 * d1 = f2 * d2 (two_sided).
 
     Kernels are built uncertified; each answer is certified instead: a yes
     by bicausal l (and l_pr) with l * f1 * l_pr == f2; a post no by its
@@ -313,15 +319,20 @@ def compensation_equivalence(f1: TransferMatrix, f2: TransferMatrix,
                  "kernel of second map not inside kernel of first"),
                 (k2, k1, f2, f1,
                  "kernel of first map not inside kernel of second")):
-            r = _ratio_containment(ka.generator_inv * kb.generator)
-            if not r.contains:
-                u = tuple(kb.generator.column(r.witness[1]))
-                if (not all(e.is_causal for e in fb.apply(u))
-                        or all(e.is_causal for e in fa.apply(u))):
-                    raise InternalCheckError("equivalence witness does not "
-                                             "separate the latency kernels")
-                return EquivalenceResult(False, "post", witness=u,
-                                         detail=detail)
+            r = ka.generator_inv * kb.generator
+            bad = _improper_entry(r)
+            if bad is None:
+                # kb's kernel lies in ka's.  A bicausal r has a causal
+                # inverse, the reverse ratio, so the kernels are equal.
+                if linalg.rank(r.markov(0)) == r.rows:
+                    break
+                continue
+            u = tuple(kb.generator.column(bad[1]))
+            if (not all(e.is_causal for e in fb.apply(u))
+                    or all(e.is_causal for e in fa.apply(u))):
+                raise InternalCheckError("equivalence witness does not "
+                                         "separate the latency kernels")
+            return EquivalenceResult(False, "post", witness=u, detail=detail)
         l_pr, source, target_d1 = None, f1, f2 * k1.generator
     elif mode == "two_sided":
         if k1.indices != k2.indices:

@@ -8,14 +8,15 @@ the static/strictly-causal decomposition.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .linalg import _echelon, _kernel_vector
-from .rational import (ORD_INF, Poly, RatFun, _add_parts, _mul_parts,
-                       _over_monic, _parts)
+from .rational import (ORD_INF, Poly, RatFun, _add_parts, _gcd_cofactors,
+                       _int_mul, _mul_parts, _over_monic, _parts, _primitive)
 
 
 class InternalCheckError(AssertionError):
@@ -257,16 +258,51 @@ def _dot(xs, ys) -> RatFun:
     """sum x * y over a pair of sequences of canonical RatFun.
 
     A pair with a zero factor adds nothing, so it costs nothing: Smith
-    factors, b1^-1 and identity targets are sparse.  The products and
-    partial sums stay in the parts form of `rational._add_parts`, each in
-    lowest terms, and the canonical RatFun is built once, at the end.
+    factors, b1^-1 and identity targets are sparse.  The other pairs are
+    grouped by their two denominators.  A pair alone is one `_mul_parts`;
+    a larger group is one `_shared_sum`, as in the rows of an inverse,
+    whose entries share a denominator.  The group sums stay in the parts
+    form of `rational._add_parts`, each in lowest terms, are folded by it,
+    and the canonical RatFun is built once, at the end.
     """
-    acc = None
+    groups = {}
     for x, y in zip(xs, ys):
         if x.num._p and y.num._p:
+            groups.setdefault((x.den._p, y.den._p), []).append((x, y))
+    acc = None
+    for (qx, qy), pairs in groups.items():
+        if len(pairs) == 1:
+            (x, y), = pairs
             term = _mul_parts(_parts(x.num, x.den), _parts(y.num, y.den))
-            acc = term if acc is None else _add_parts(acc, term)
+        else:
+            term = _shared_sum(pairs, qx, qy)
+        acc = term if acc is None else _add_parts(acc, term)
     return _ZERO if acc is None else RatFun._raw(*_over_monic(*acc))
+
+
+def _shared_sum(pairs, qx: tuple, qy: tuple) -> tuple:
+    """sum x * y over pairs whose denominators have the primitive parts qx
+    and qy, in parts form.
+
+    The denominators are monic, so 1 / (x.den * y.den) = qx[-1] qy[-1] /
+    (qx qy).  The products of the numerators are summed unreduced over the
+    lcm of their contents' denominators, and one gcd against qx qy brings
+    the sum to lowest terms; a sum that cancels is the zero of the parts
+    form.
+    """
+    terms = [(x.num._n * y.num._n, x.num._d * y.num._d,
+              _int_mul(x.num._p, y.num._p)) for x, y in pairs]
+    den = math.lcm(*(d for _, d, _ in terms))
+    out = [0] * max(len(p) for _, _, p in terms)
+    for n, d, p in terms:
+        s = n * (den // d)
+        for i, v in enumerate(p):
+            out[i] += s * v
+    c, p = _primitive(out)
+    if not p:
+        return 0, 1, (), (1,)
+    _, p, q = _gcd_cofactors(p, _int_mul(qx, qy))
+    return c * qx[-1] * qy[-1], den, p, q
 
 
 _ZERO = RatFun.const(0)

@@ -2,23 +2,29 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latkern.factor
 import latkern.linalg
 from latkern.cli import main
-from latkern.factor import (causal_factor, constant_matrix, static_factor)
+from latkern.factor import (_lead_order, causal_factor, constant_matrix,
+                            static_factor)
 from latkern.latency import latency_kernel
 from latkern.matrixio import dump_matrix
 from latkern.properbasis import SmithAtInfinity, smith_at_infinity
-from latkern.rational import Poly, RatFun
-from latkern.transfer import InternalCheckError, TransferMatrix
-from oracles import image_is_proper, reference_causal_factor
+from latkern.rational import ORD_INF, Poly, RatFun
+from latkern.transfer import InternalCheckError, TransferMatrix, _dot
+from oracles import (add_dicts, expansion_oracle, image_is_proper,
+                     reference_causal_factor)
 
 from gen import (corrupt_entry, move_out_of_kernel, rand_causal, rand_matrix,
-                 rand_nonzero_matrix, rand_strictly_causal_injective)
+                 rand_nonzero_matrix, rand_strictly_causal_injective,
+                 rationals)
 
 z = RatFun.zpow
 
@@ -144,6 +150,99 @@ def test_corrupt_image_coordinates_is_caught(monkeypatch, tmp_path, capsys):
                     "error": "causal factor reconstruction failed"}
 
 
+entries = st.builds(
+    lambda num, den: RatFun(Poly(num), Poly(den)),
+    st.lists(rationals, max_size=4),
+    st.lists(rationals, min_size=1, max_size=4).filter(any))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_leading_terms_give_the_exact_order_or_nothing(data):
+    # _lead_order reads sum x * y from the orders and leading coefficients
+    # of its terms.  A conclusive answer is the exact order, checked
+    # against term-by-term long division; None means the lowest terms
+    # cancel, so the exact order is higher.  Planted pairs (x, y) and
+    # (-x, y (1 + z^-1)) make the lowest terms cancel.
+    n = data.draw(st.integers(1, 3))
+    xs = [data.draw(entries) for _ in range(n)]
+    ys = [data.draw(entries) for _ in range(n)]
+    if data.draw(st.booleans()):
+        xs.append(-xs[0])
+        ys.append(ys[0] * (1 + z(-1)))
+    lead = _lead_order(xs, ys)
+    exact = _dot(xs, ys)
+    terms = [x * y for x, y in zip(xs, ys) if x and y]
+    if lead is None:
+        assert exact.order() > min(t.order() for t in terms)
+        return
+    assert lead == exact.order()
+    if lead != ORD_INF:
+        series = {}
+        for t in terms:
+            series = add_dicts(series, expansion_oracle(t, lead))
+        assert min(series) == lead
+
+
+def test_refuted_plant_never_forms_h_times_a_generator(monkeypatch, tmp_path,
+                                                        capsys):
+    # A random h on a 3x3 plant is refuted by the leading terms of h * d
+    # for the first generator column d: h * d is not formed (apply is
+    # called on f only, for the witness's shift), and the report is the
+    # one the exact route gives.
+    rng = random.Random(67)
+    f, _ = rand_strictly_causal_injective(rng, 3, 3, max_nu=2, max_deg=1)
+    h = rand_matrix(rng, 3, 3, 1)
+    fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
+    dump_matrix(f, fp)
+    dump_matrix(h, hp)
+    apply = TransferMatrix.apply
+    applied = []
+
+    def recording(self, u):
+        applied.append(self)
+        return apply(self, u)
+
+    monkeypatch.setattr(TransferMatrix, "apply", recording)
+    assert main(["--json", "factor", fp, hp]) == 1
+    report = capsys.readouterr().out
+    assert applied and h not in applied
+    monkeypatch.setattr(latkern.factor, "_lead_order", lambda xs, ys: None)
+    assert main(["--json", "factor", fp, hp]) == 1
+    assert capsys.readouterr().out == report
+    assert h in applied
+
+
+def test_cancelling_lowest_terms_take_the_exact_route(monkeypatch):
+    # h = z^3 e_1^T d^-1 + z e_0^T d^-1 sends the first generator column
+    # d_0 to z: the z^3 terms sum to 0 and are the lowest, so the leading
+    # terms decide nothing, h * d_0 is formed, and the answer is the exact
+    # route's.
+    rng = random.Random(60)
+    f, _ = rand_strictly_causal_injective(rng, 3, 3, max_nu=2, max_deg=1)
+    k = latency_kernel(f)
+    d_inv = k.generator_inv.entries
+    h = TransferMatrix([[z(3) * a + z(1) * b
+                         for a, b in zip(d_inv[1], d_inv[0])]])
+    assert _lead_order(h.entries[0], k.generator.column(0)) is None
+    assert h.apply(k.generator.column(0)) == (z(1),)
+    apply = TransferMatrix.apply
+    applied = []
+
+    def recording(self, u):
+        applied.append(self)
+        return apply(self, u)
+
+    monkeypatch.setattr(TransferMatrix, "apply", recording)
+    out = causal_factor(f, h)
+    assert h in applied
+    assert not out.decision
+    assert image_is_proper(f, list(out.witness))
+    assert not image_is_proper(h, list(out.witness))
+    monkeypatch.setattr(latkern.factor, "_lead_order", lambda xs, ys: None)
+    assert causal_factor(f, h) == out
+
+
 def test_witness_from_a_moved_generator_column_is_caught(monkeypatch,
                                                          tmp_path, capsys):
     # factor reads its answer off an uncertified kernel and certifies the
@@ -171,6 +270,8 @@ def test_singular_complement_block_is_a_failed_certificate(monkeypatch,
                                                            tmp_path, capsys):
     # Rows m.. of b1^-1 restricted to the complement columns must be
     # invertible; zeroing them is a library fault (exit 3), not bad input.
+    # The constant term already has too few pivots, so image_complement
+    # raises, with a message apart from left_factor's.
     def corrupted(f):
         s = smith_at_infinity(f)
         m = len(s.sigma)
@@ -183,13 +284,15 @@ def test_singular_complement_block_is_a_failed_certificate(monkeypatch,
     rng = random.Random(59)
     f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
     h = rand_causal(rng, 2, 3, 1) * f
-    with pytest.raises(InternalCheckError, match="complement block"):
+    message = "image complement block of b1^-1 is singular"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
         causal_factor(f, h)
     fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
     dump_matrix(f, fp)
     dump_matrix(h, hp)
     assert main(["--json", "factor", fp, hp]) == 3
-    assert "complement block" in json.loads(capsys.readouterr().out)["error"]
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "factor", "error": message}
 
 
 def test_noncausal_complement_block_is_a_failed_certificate(monkeypatch,
@@ -198,8 +301,9 @@ def test_noncausal_complement_block_is_a_failed_certificate(monkeypatch,
     # which makes the complement block invertible only when b1^-1 is
     # causal.  Here rows m.. carry [[1 + z, z], [1, z/(1 + z)]] on the
     # last two columns: its constant term [[1, 0], [1, 1]] is nonsingular,
-    # so image_complement picks those columns, but the block's determinant
-    # is 0, and left_factor's inversion of it must exit 3.
+    # so image_complement picks those columns and passes its own check, but
+    # the block's determinant is 0, and left_factor's inversion of it must
+    # exit 3 with a message of its own.
     exact = SmithAtInfinity.b1_inv.func
     one_plus_z = RatFun(Poly([1, 1]))
     block = [[one_plus_z, z(1)], [1, z(1) / one_plus_z]]
@@ -215,15 +319,15 @@ def test_noncausal_complement_block_is_a_failed_certificate(monkeypatch,
     f, _ = rand_strictly_causal_injective(rng, 4, 2, max_nu=2, max_deg=1)
     h = rand_causal(rng, 2, 4, 1) * f
     assert smith_at_infinity(f).image_complement() == (2, 3)
-    with pytest.raises(InternalCheckError, match="complement block"):
+    message = "image complement block of b1^-1 has no inverse over Q(z)"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
         causal_factor(f, h)
     fp, hp = str(tmp_path / "f.json"), str(tmp_path / "h.json")
     dump_matrix(f, fp)
     dump_matrix(h, hp)
     assert main(["--json", "factor", fp, hp]) == 3
     assert json.loads(capsys.readouterr().out) == {
-        "command": "factor",
-        "error": "image complement block of b1^-1 is singular"}
+        "command": "factor", "error": message}
 
 
 def test_order_consistent_maps_absorb_higher_order():

@@ -280,6 +280,51 @@ def _equiv_cli(tmp_path, f1, f2, mode):
     return main(["--json", "equiv", *paths, "--mode", mode])
 
 
+def test_post_yes_forms_one_generator_ratio(monkeypatch):
+    # A causal r = d1^-1 * d2 that is bicausal has the causal inverse
+    # d2^-1 * d1, so a post "yes" forms one generator ratio.  The reverse
+    # ratio is formed only when r is causal but not bicausal; each "no"
+    # keeps the witness and detail of the containment that fails.
+    build = latkern.latency.build_latency_kernel
+    kernels = []
+
+    def recording(f):
+        kernels.append(build(f))
+        return kernels[-1]
+
+    mul = TransferMatrix.__mul__
+    ratios = []
+
+    def counting(self, other):
+        for i, ka in enumerate(kernels):
+            for j, kb in enumerate(kernels):
+                if (self is vars(ka).get("generator_inv")
+                        and other is kb.generator):
+                    ratios.append((i, j))
+        return mul(self, other)
+
+    monkeypatch.setattr(latkern.latency, "build_latency_kernel", recording)
+    monkeypatch.setattr(TransferMatrix, "__mul__", counting)
+    rng = random.Random(68)
+    f, _ = rand_strictly_causal_injective(rng, 3, 2, max_nu=2, max_deg=1)
+    l = rand_bicausal(rng, 3, 1)
+    cases = (
+        (l * f, True, [(0, 1)], ""),
+        (z(-1) * f, False, [(0, 1)],
+         "kernel of second map not inside kernel of first"),
+        (z(1) * f, False, [(0, 1), (1, 0)],
+         "kernel of first map not inside kernel of second"))
+    for f2, equivalent, formed, detail in cases:
+        kernels.clear()
+        ratios.clear()
+        res = compensation_equivalence(f, f2, "post")
+        assert res.equivalent == equivalent and res.detail == detail
+        assert ratios == formed
+        if not equivalent:
+            u = list(res.witness)
+            assert image_is_proper(f, u) != image_is_proper(f2, u)
+
+
 def test_post_witness_from_a_moved_generator_column_is_caught(
         monkeypatch, tmp_path, capsys):
     # equiv reads its answer off uncertified kernels and certifies the

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from latkern.rational import (ORD_INF, Poly, RatFun, _add_parts, _mul_parts,
                               _parts)
 from latkern.simulate import _over_lcm
-from latkern.transfer import TransferMatrix
+from latkern.transfer import TransferMatrix, _dot, _shared_sum
 from oracles import add_dicts, convolve_dicts, expansion_oracle, poly_gcd_ref
 
 from gen import rand_poly, rand_ratfun, rationals
@@ -354,3 +354,34 @@ def test_parts_arithmetic_matches_unreduced_polys(data):
             _assert_canonical_of(ab.entry(i, j), *_unreduced_dot(row, col))
     for r, row in zip(a.apply(b.column(0)), a.entries):
         _assert_canonical_of(r, *_unreduced_dot(row, b.column(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grouped_dots_match_unreduced_polys(data):
+    # transfer._dot sums the pairs that share both denominators once
+    # (_shared_sum) and multiplies a pair alone.  One dot meets a group
+    # planted over (qx, qy), a group over (qy, qx) that cancels to zero,
+    # and singleton pairs, in any order.
+    qx, qy = data.draw(parts_dens), data.draw(parts_dens)
+    nums = st.lists(parts_nums.filter(bool), min_size=2, max_size=4)
+    group = [(RatFun(a * data.draw(signs), qx), RatFun(b, qy))
+             for a, b in zip(data.draw(nums), data.draw(nums))]
+    w = RatFun(data.draw(parts_nums.filter(bool)) * data.draw(signs), qy)
+    v = RatFun(data.draw(parts_nums.filter(bool)), qx)
+    cancelling = [(w, v), (-w, v)]
+    singles = [(data.draw(parts_entries(qx)), data.draw(parts_entries(qy)))
+               for _ in range(data.draw(st.integers(0, 2)))]
+    pairs = data.draw(st.permutations(group + cancelling + singles))
+    xs, ys = zip(*pairs)
+    _assert_canonical_of(_dot(xs, ys), *_unreduced_dot(xs, ys))
+    _assert_canonical_of(_dot(*zip(*cancelling)), Poly.zero(), Poly.one())
+    # Every group of two or more nonzero pairs, alone, in the parts form.
+    groups = {}
+    for x, y in pairs:
+        if x and y:
+            groups.setdefault((x.den, y.den), []).append((x, y))
+    for (dx, dy), members in groups.items():
+        if len(members) > 1:
+            _assert_parts(_shared_sum(members, dx._p, dy._p),
+                          *_unreduced_dot(*zip(*members)))
